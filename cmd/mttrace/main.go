@@ -1,7 +1,7 @@
 // Command mttrace exercises the per-CPU binary event rings: it boots
 // a machine with event tracing on, runs a contended multi-thread
 // workload, then merges the rings and reports the event mix, the ring
-// drop/torn counters, and two latency histograms computed from the
+// drop counter, and two latency histograms computed from the
 // merged stream — kernel wakeup-to-dispatch latency and on-CPU run
 // lengths. With -dump it also prints every retained record in global
 // order.
@@ -99,8 +99,8 @@ func main() {
 		kinds = append(kinds, k)
 	}
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	fmt.Printf("retained %d events across %d rings (dropped %d, torn %d)\n",
-		len(recs), ev.NCPU()+1, dropped, ev.Torn())
+	fmt.Printf("retained %d events across %d rings (dropped %d)\n",
+		len(recs), ev.NCPU()+1, dropped)
 	for _, k := range kinds {
 		fmt.Printf("  %-10v %d\n", k, counts[k])
 	}
@@ -168,8 +168,8 @@ func recordRun(path string, seed uint64, threads, iters, ring int) *mt.System {
 	src := mt.NewChaos(seed)
 	src.StartRecording()
 	sys := runDeterministic(src, threads, iters, ring)
-	if d, tn := sys.Events().Dropped(), sys.Events().Torn(); d != 0 || tn != 0 {
-		log.Fatalf("mttrace: event ring overflowed (dropped %d, torn %d); raise -ring", d, tn)
+	if d := sys.Events().Dropped(); d != 0 {
+		log.Fatalf("mttrace: event ring overflowed (dropped %d); raise -ring", d)
 	}
 	j := sys.Schedule()
 	j.Meta["workload"] = "mttrace contended-mutex"
@@ -184,28 +184,46 @@ func recordRun(path string, seed uint64, threads, iters, ring int) *mt.System {
 	return sys
 }
 
-// replayRun reads a journal, re-runs the workload its metadata
-// describes with chaos decisions served from the journal, and
-// verifies the replayed event stream matches the recorded one.
+// replayRun is -replay: it replays the journal and exits non-zero on
+// any divergence.
 func replayRun(path string) *mt.System {
+	sys, n, err := replayJournal(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mttrace:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("replay ok: %s (%d events match, divergence detector silent)\n", path, n)
+	return sys
+}
+
+// replayJournal reads a journal, re-runs the workload its metadata
+// describes with chaos decisions served from the journal, and
+// verifies the replayed event stream matches the recorded one: same
+// events in the same order (hence the same count) and a silent
+// decision-divergence detector. It returns the replayed system and
+// the matched event count.
+func replayJournal(path string) (*mt.System, int, error) {
 	j, err := mt.ReadJournalFile(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, 0, err
 	}
 	if w := j.Meta["workload"]; w != "mttrace contended-mutex" {
-		log.Fatalf("mttrace: journal %s records workload %q, not one mttrace can replay", path, w)
+		return nil, 0, fmt.Errorf("journal %s records workload %q, not one mttrace can replay", path, w)
 	}
 	metaInt := func(key string) int {
-		n, err := strconv.Atoi(j.Meta[key])
-		if err != nil {
-			log.Fatalf("mttrace: journal %s: bad %s metadata: %v", path, key, err)
+		n, aerr := strconv.Atoi(j.Meta[key])
+		if aerr != nil && err == nil {
+			err = fmt.Errorf("journal %s: bad %s metadata: %v", path, key, aerr)
 		}
 		return n
 	}
 	threads, iters, ring := metaInt("threads"), metaInt("iters"), metaInt("ring")
+	if err != nil {
+		return nil, 0, err
+	}
 	src, err := mt.NewReplayChaos(j)
 	if err != nil {
-		log.Fatal(err)
+		return nil, 0, err
 	}
 	sys := runDeterministic(src, threads, iters, ring)
 	recs, _ := sys.Events().Snapshot()
@@ -217,16 +235,12 @@ func replayRun(path string) *mt.System {
 		if d < len(recs) {
 			got = recs[d].String()
 		}
-		fmt.Fprintf(os.Stderr, "mttrace: replay diverged at event %d:\n  recorded: %s\n  replayed: %s\n",
-			d, want, got)
-		os.Exit(1)
+		return nil, 0, fmt.Errorf("replay of %s diverged at event %d:\n  recorded: %s\n  replayed: %s", path, d, want, got)
 	}
 	if dv := src.Divergence(); dv != nil {
-		fmt.Fprintf(os.Stderr, "mttrace: replay divergence: %v\n", dv)
-		os.Exit(1)
+		return nil, 0, fmt.Errorf("replay of %s: decision divergence: %v", path, dv)
 	}
-	fmt.Printf("replay ok: %s (%d events match, divergence detector silent)\n", path, len(recs))
-	return sys
+	return sys, len(recs), nil
 }
 
 // runWorkload spawns a process mixing lock contention (wakeups),

@@ -7,11 +7,14 @@
 //
 //   - the thread table and the user-level run queue of unbound
 //     threads, ordered by thread priority;
-//   - a pool of LWPs that execute unbound threads. Each pool LWP's
-//     dispatcher loop picks the highest-priority runnable thread,
-//     assumes its identity (signal mask), and hands it the CPU; the
-//     thread hands control back when it blocks, yields, or exits —
-//     the paper's Figure 2 cycle, entirely in user space;
+//   - a pool of LWPs that execute unbound threads. The library code
+//     running on an LWP picks the highest-priority runnable thread,
+//     assumes its identity (signal mask), and hands it the CPU; when
+//     that thread blocks, yields, or exits it picks and loads its own
+//     successor the same way (switchFrom) — the paper's Figure 2
+//     cycle, entirely in user space. The LWP's own goroutine runs only
+//     to start the cycle and to idle the LWP in the kernel when the
+//     run queue is empty;
 //   - bound threads, each permanently attached to its own LWP, giving
 //     it kernel scheduling (real-time class, CPU binding, per-LWP
 //     timers) while retaining the whole thread API;
@@ -23,19 +26,20 @@
 // Real SunOS switches threads by saving and loading register state.
 // Go forbids that, so every thread is lazily given a goroutine that
 // runs only while it holds its LWP's grant; "saving thread state" is
-// the thread parking on its gate channel and returning control to the
-// LWP's dispatcher goroutine. The multiplexing structure — who is
-// allowed to run, on which LWP, with which mask, with no kernel
-// involvement on the switch path — is exactly the paper's. See
-// DESIGN.md for the substitution table.
+// the thread parking on its gate channel after granting the LWP to its
+// successor's goroutine. The multiplexing structure — who is allowed
+// to run, on which LWP, with which mask, with no kernel involvement on
+// the switch path — is exactly the paper's. See DESIGN.md for the
+// substitution table.
 //
 // # Locking
 //
 // Runtime.mu guards the library-level scheduling state except the
 // ready queue, which is sharded per simulated CPU under its own locks
 // (see dispatcher.go) so dispatch traffic does not serialize on
-// Runtime.mu. Lock order is Runtime.mu -> shard lock; the dispatcher
-// never takes Runtime.mu. Runtime.mu is never held across a kernel
+// Runtime.mu. Lock order is Runtime.mu -> shard lock (a switch pops
+// its successor under Runtime.mu); the dispatcher never takes
+// Runtime.mu. Runtime.mu is never held across a kernel
 // call that can block (Park, Sleep, Start); it may be held across
 // non-blocking kernel calls (Unpark).
 package core
@@ -152,6 +156,8 @@ type Runtime struct {
 
 	concurrency int // thread_setconcurrency target; 0 = automatic
 
+	sw SwitchStats // how switches were carried out; guarded by mu
+
 	// SIGWAITING growth backoff (see onSigwaiting): after a failed
 	// LWP spawn the pool waits growBackoff (doubling per consecutive
 	// failure, bounded) before trying again, instead of retrying on
@@ -200,21 +206,53 @@ type Runtime struct {
 	lockWaitN    uint64 // total episodes observed (can exceed cap)
 }
 
-// poolLWP is one LWP dedicated to running unbound threads.
+// poolLWP is one LWP dedicated to running unbound threads. Threads
+// pass it from one to the next themselves (switchFrom); its own
+// goroutine, poolLoop, holds it only while no thread is loaded.
 type poolLWP struct {
-	l       *sim.LWP
-	back    chan struct{} // current thread returns control here
-	cur     *Thread       // guarded by Runtime.mu
-	die     atomic.Bool   // retire at next dispatch point
-	counted bool          // counted in Runtime.retiring; guarded by mu
+	l *sim.LWP
+	// back returns the LWP to its pool goroutine, which blocks here
+	// from the moment it dispatches a thread until a switchFrom finds
+	// no successor to load.
+	back chan struct{}
+	// cur is the thread loaded on the LWP, nil while the pool
+	// goroutine holds it. Guarded by Runtime.mu; switchFrom and runOn
+	// are its only writers, so cur == t exactly while t is on the LWP.
+	cur     *Thread
+	die     atomic.Bool // retire at next dispatch point
+	counted bool        // counted in Runtime.retiring; guarded by mu
 
-	// fair makes this LWP's next pop use global FIFO-among-equals
-	// order instead of affinity-first, so a thr_yield lets every
-	// earlier-queued equal-priority thread run regardless of which
-	// shard it sits on. Set by the yielding thread before it hands
-	// control back, read by the dispatch loop; the pl.back handoff
-	// orders the accesses.
-	fair bool
+	// mask is the signal mask last pushed to the kernel for l, valid
+	// once maskKnown (an adopted LWP arrives with a mask the library
+	// never set). Kernel.SetLWPMask is the only writer of the kernel's
+	// copy and every push for a pool LWP goes through setMaskLocked, so
+	// the cache is exact and a push is skipped whenever the mask
+	// wanted is the mask installed. Guarded by Runtime.mu.
+	mask      sim.Sigset
+	maskKnown bool
+}
+
+// SwitchStats counts how the library moved pool LWPs between unbound
+// threads. Direct + Fallback is the number of times a thread left an
+// LWP; Direct is also the number of host goroutine handoffs those
+// switches saved.
+type SwitchStats struct {
+	// Direct: the departing thread loaded and granted its successor
+	// itself; the pool goroutine never ran.
+	Direct uint64
+	// Fallback: the LWP went back to its pool goroutine — empty run
+	// queue, LWP retiring, or process dying.
+	Fallback uint64
+	// MaskPushes: signal masks pushed to the kernel for pool LWPs
+	// (one SetLWPMask, hence one kernel-lock section, each).
+	MaskPushes uint64
+}
+
+// SwitchStats reports the runtime's switch counters.
+func (m *Runtime) SwitchStats() SwitchStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.sw
 }
 
 // allSigs is the fully-blocked mask installed on idle pool LWPs so
@@ -325,8 +363,8 @@ func (m *Runtime) sweepDying() {
 	m.dying.Store(true)
 	var parked []*Thread
 	for _, t := range m.threads {
-		if t.state != ThreadRunning && t.state != ThreadZombie && !t.bound() && t.started && !t.killed {
-			t.killed = true
+		if t.state != ThreadRunning && t.state != ThreadZombie && !t.bound() && t.started && !t.hasReq(tfKilled) {
+			t.setReq(tfKilled)
 			parked = append(parked, t)
 		}
 	}
@@ -381,9 +419,10 @@ func (m *Runtime) addPoolLWP() error {
 	return nil
 }
 
-// poolLoop is the dispatcher: the paper's Figure 2. The LWP chooses a
-// thread, assumes its identity, runs it until it yields back, then
-// chooses another.
+// poolLoop is the pool LWP's own goroutine: it starts the paper's
+// Figure 2 cycle — choose a thread, assume its identity, run it — and
+// then stands aside while the threads hand the LWP to one another. It
+// gets the LWP back only to idle it in the kernel or retire it.
 func (m *Runtime) poolLoop(pl *poolLWP) {
 	defer m.exitWG.Done()
 	defer func() {
@@ -439,12 +478,9 @@ func (m *Runtime) nextThread(pl *poolLWP) *Thread {
 			pl.die.Store(true)
 			return nil
 		}
-		// Hot path: pop straight off the dispatcher shard of the
-		// CPU this LWP is on — Runtime.mu is not involved while
-		// work is available.
-		fair := pl.fair
-		pl.fair = false
-		if t := m.disp.pop(m.kern.Chaos(), pl.l.CurCPU(), fair); t != nil {
+		// Pop straight off the dispatcher shard of the CPU this LWP
+		// is on — Runtime.mu is not involved while work is available.
+		if t := m.disp.pop(m.kern.Chaos(), pl.l.CurCPU(), false); t != nil {
 			return t
 		}
 		m.mu.Lock()
@@ -465,7 +501,14 @@ func (m *Runtime) nextThread(pl *poolLWP) *Thread {
 			m.mu.Unlock()
 			continue
 		}
+		// Idle LWPs mask everything: an interrupt must be routed
+		// to an LWP that is executing a thread with the signal
+		// unmasked, never to an idle dispatcher.
+		pushMask := m.setMaskLocked(pl, allSigs)
 		m.mu.Unlock()
+		if pushMask {
+			m.kern.SetLWPMask(pl.l, sim.SigSetMask, allSigs)
+		}
 		// Arm the idle age-out timer: an LWP that finds no work for
 		// LWPAgeTime is retired (ageOut re-checks eligibility under
 		// the lock, so a racing enqueue always wins). Chaos can
@@ -478,10 +521,6 @@ func (m *Runtime) nextThread(pl *poolLWP) *Thread {
 			}
 			ageTimer = m.kern.Clock().AfterFunc(d, func() { m.ageOut(pl) })
 		}
-		// Idle LWPs mask everything: an interrupt must be routed
-		// to an LWP that is executing a thread with the signal
-		// unmasked, never to an idle dispatcher.
-		m.kern.SetLWPMask(pl.l, sim.SigSetMask, allSigs)
 		m.kern.Park(pl.l)
 		if ageTimer != nil {
 			ageTimer.Stop()
@@ -536,30 +575,46 @@ func (m *Runtime) AgedOut() int {
 	return m.agedOut
 }
 
-// dispatch runs t on pl until t yields control back: Figure 2 steps
-// (a) choose thread, (b) assume identity and execute, (c) state saved
-// by the thread itself at its park point, (d) loop.
+// dispatch starts the Figure 2 cycle on pl with t and blocks until
+// the threads running on pl hand it back: they pass the LWP among
+// themselves (switchFrom) and return it only when there is no
+// successor to load.
 func (m *Runtime) dispatch(pl *poolLWP, t *Thread) {
 	m.mu.Lock()
-	if t.killed || m.dying.Load() {
+	if t.hasReq(tfKilled) || m.dying.Load() {
+		// Process death raced the lock-free pop in nextThread: grant
+		// t only so that its goroutine (if any) can unwind.
 		m.mu.Unlock()
-		t.grant() // let the goroutine (if any) unwind
+		t.grant()
 		return
 	}
+	m.runOn(pl, t, m.kern.Clock().Now())
+	<-pl.back
+}
+
+// runOn loads t onto pl and hands it the CPU: Figure 2 steps (a)
+// thread chosen, (b) assume its identity — state, the LWP's claim, the
+// microstate charge, and the signal mask, pushed to the kernel only if
+// it differs from the mask already installed — and execute. Step (c),
+// saving state, is the thread's own park. Called with m.mu held by
+// whoever holds pl — the departing thread or the pool goroutine — and
+// with the runtime not dying; returns with m.mu released.
+func (m *Runtime) runOn(pl *poolLWP, t *Thread, now time.Duration) {
 	t.state = ThreadRunning
-	t.msSwitchLocked(m.kern.Clock().Now(), MSUser)
+	t.msSwitchLocked(now, MSUser)
 	t.lwp = pl
 	pl.cur = t
 	first := !t.started
 	t.started = true
+	mask := t.sigmask
+	pushMask := m.setMaskLocked(pl, mask)
 	m.mu.Unlock()
 	t.onCPU.Store(true)
-
-	// The LWP assumes the thread's identity: its signal mask.
-	m.kern.SetLWPMask(pl.l, sim.SigSetMask, t.mask())
-	m.rings.Record(pl.l.CurCPU(), trace.EvThreadRun, int(m.proc.PID()), int(pl.l.ID()), int(t.id),
+	if pushMask {
+		m.kern.SetLWPMask(pl.l, sim.SigSetMask, mask)
+	}
+	m.rings.RecordAt(now, pl.l.CurCPU(), trace.EvThreadRun, int(m.proc.PID()), int(pl.l.ID()), int(t.id),
 		uint64(t.poppedFrom.Load()+1))
-
 	if first {
 		// First dispatch: the thread is about to push its first
 		// frame, so commit the top of its (reserved-only) stack and
@@ -568,16 +623,55 @@ func (m *Runtime) dispatch(pl *poolLWP, t *Thread) {
 		m.startAnimator(t)
 	}
 	t.grant()
-	<-pl.back // thread parked, exited, or unwound
-	m.mu.Lock()
-	pl.cur = nil
-	m.mu.Unlock()
 }
 
-// yieldLWP returns control of the calling thread's LWP to its
-// dispatcher loop. Called on the thread goroutine with the thread
-// already transitioned off the LWP.
-func yieldLWP(pl *poolLWP) {
+// setMaskLocked notes that pl's kernel signal mask is about to become
+// set and reports whether the caller must push it (after dropping
+// m.mu, from the goroutine that holds pl — which is what keeps the
+// pushes for one LWP in cache order). Caller holds m.mu.
+func (m *Runtime) setMaskLocked(pl *poolLWP, set sim.Sigset) bool {
+	if pl.maskKnown && pl.mask == set {
+		return false
+	}
+	pl.mask, pl.maskKnown = set, true
+	m.sw.MaskPushes++
+	return true
+}
+
+// switchFrom is the user-level context switch, run by the library code
+// on the LWP itself as in the paper's Figure 2: the calling thread has
+// just moved itself off pl — parked, requeued, exited, or torn down —
+// and here, in the same Runtime.mu section, pops its successor from
+// the run queue and loads it onto pl. The LWP passes from one thread's
+// goroutine straight to the next's: one host handoff, and the pool
+// goroutine stays blocked on pl.back. It gets the LWP back only when
+// there is nothing to load: the pop came up empty (it will idle the
+// LWP in the kernel), or pl is retiring or the process is dying (it
+// will retire the LWP). A killed successor needs no case of its own:
+// threads are killed only by the dying sweep, which sets dying in the
+// same m.mu section, so with dying clear under the m.mu held here
+// nothing popped can be killed.
+//
+// Called with m.mu held — every unbound off-LWP transition ends here —
+// and returns with it released. The caller then blocks on its own gate
+// or unwinds; it must not touch pl again. fair selects the thr_yield
+// pop order (oldest equal on any shard). A nil pl (the caller was not
+// loaded on an LWP) only releases the lock.
+func (m *Runtime) switchFrom(pl *poolLWP, now time.Duration, fair bool) {
+	if pl == nil {
+		m.mu.Unlock()
+		return
+	}
+	pl.cur = nil
+	if !pl.die.Load() && !m.dying.Load() {
+		if next := m.disp.pop(m.kern.Chaos(), pl.l.CurCPU(), fair); next != nil {
+			m.sw.Direct++
+			m.runOn(pl, next, now)
+			return
+		}
+	}
+	m.sw.Fallback++
+	m.mu.Unlock()
 	pl.back <- struct{}{}
 }
 

@@ -106,7 +106,7 @@ func TestStopThenContinueParkedThread(t *testing.T) {
 		}
 		// Waking it with a stop request pending must stop, not run.
 		r.mu.Lock()
-		c.stopReq = true
+		c.setReq(tfStopReq)
 		r.mu.Unlock()
 		c.Unpark()
 		for c.State() != ThreadStopped {

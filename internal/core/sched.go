@@ -322,7 +322,7 @@ func (caller *Thread) Stop(target *Thread) error {
 	m := caller.m
 	if target == caller {
 		m.mu.Lock()
-		target.stopReq = true
+		target.setReq(tfStopReq)
 		m.mu.Unlock()
 		target.parkSelf(ThreadStopped)
 		return nil
@@ -332,7 +332,7 @@ func (caller *Thread) Stop(target *Thread) error {
 		m.mu.Unlock()
 		return ErrNoThread
 	}
-	target.stopReq = true
+	target.setReq(tfStopReq)
 	switch target.state {
 	case ThreadStopped:
 		m.mu.Unlock()
@@ -346,7 +346,7 @@ func (caller *Thread) Stop(target *Thread) error {
 		}
 		// Bound and between queues: fall through to waiting.
 	case ThreadRunning:
-		target.preempt = true
+		target.setReq(tfPreempt)
 	}
 	// Wait until the target parks itself as stopped at its next
 	// checkpoint. The caller parks; the target's transition wakes
@@ -380,7 +380,7 @@ func (m *Runtime) Continue(target *Thread) error {
 		m.mu.Unlock()
 		return ErrNoThread
 	}
-	target.stopReq = false
+	target.clearReq(tfStopReq)
 	stopped := target.state == ThreadStopped
 	if stopped {
 		target.state = ThreadSleeping // so unparkInto re-enqueues
@@ -390,20 +390,6 @@ func (m *Runtime) Continue(target *Thread) error {
 		m.unparkInto(target)
 	}
 	return nil
-}
-
-// noteStopped is called by a thread as it parks stopped, to release
-// thread_stop callers.
-func (t *Thread) noteStopped() {
-	m := t.m
-	m.mu.Lock()
-	var waiters []*Thread
-	if a := t.aux; a != nil {
-		waiters = a.stopWaiters
-		a.stopWaiters = nil
-	}
-	m.mu.Unlock()
-	m.unparkBatch(waiters)
 }
 
 // SetPriority implements thread_priority: it sets the target's base

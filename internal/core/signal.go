@@ -33,33 +33,23 @@ func (m *Runtime) SignalMask(sig sim.Signal, disp sim.Disposition, handler func(
 	return m.kern.SetActionCookie(m.proc, sig, disp, nil, cookie, handlerMask)
 }
 
-// mask returns the thread's signal mask (thread-safe snapshot).
-func (t *Thread) mask() sim.Sigset {
-	t.m.mu.Lock()
-	defer t.m.mu.Unlock()
-	return t.sigmask
-}
-
 // SigSetMask implements thread_sigsetmask: it adjusts the calling
 // thread's signal mask and returns the old mask. If the thread is
 // running, the LWP's mask is updated immediately; unmasking a
 // process-pended signal delivers it at the next checkpoint (which
 // this call performs).
 func (t *Thread) SigSetMask(how sim.SigHow, set sim.Sigset) sim.Sigset {
-	m := t.m
-	m.mu.Lock()
-	old := t.sigmask
-	t.sigmask = sim.ApplyMask(old, how, set)
-	m.mu.Unlock()
-	if l := t.LWP(); l != nil {
-		m.kern.SetLWPMask(l, sim.SigSetMask, t.sigmask)
-	}
+	old := t.SigSetMaskNoPoll(how, set)
 	t.pollSignals()
 	return old
 }
 
 // SigMask returns the calling thread's signal mask.
-func (t *Thread) SigMask() sim.Sigset { return t.mask() }
+func (t *Thread) SigMask() sim.Sigset {
+	t.m.mu.Lock()
+	defer t.m.mu.Unlock()
+	return t.sigmask
+}
 
 // Kill implements thread_kill: it sends sig to a specific thread in
 // the same process. The signal behaves like a trap: it is handled
@@ -226,15 +216,26 @@ func (t *Thread) runHandler(ts sim.TakenSignal) {
 }
 
 // SigSetMaskNoPoll adjusts the mask without re-polling for signals;
-// used when unwinding a handler frame to avoid recursion.
+// used when unwinding a handler frame to avoid recursion. The mask is
+// mirrored into the executing LWP — for a pool LWP through its cache,
+// so the next dispatch knows what the kernel holds.
 func (t *Thread) SigSetMaskNoPoll(how sim.SigHow, set sim.Sigset) sim.Sigset {
 	m := t.m
 	m.mu.Lock()
 	old := t.sigmask
-	t.sigmask = sim.ApplyMask(old, how, set)
+	mask := sim.ApplyMask(old, how, set)
+	t.sigmask = mask
+	var l *sim.LWP
+	push := false
+	switch {
+	case t.bndLWP != nil:
+		l, push = t.bndLWP, true
+	case t.lwp != nil:
+		l, push = t.lwp.l, m.setMaskLocked(t.lwp, mask)
+	}
 	m.mu.Unlock()
-	if l := t.LWP(); l != nil {
-		m.kern.SetLWPMask(l, sim.SigSetMask, t.sigmask)
+	if push {
+		m.kern.SetLWPMask(l, sim.SigSetMask, mask)
 	}
 	return old
 }

@@ -179,15 +179,20 @@ type Thread struct {
 	// locks it holds that track ownership); guarded by m.mu.
 	heldTs *Turnstile
 
+	// reqs is the word of cross-thread requests (tf* bits) the thread
+	// honours at its next dispatch point. Bits are set under m.mu, so
+	// a setter can pair the request with the state it observed; the
+	// thread itself tests — and clears tfPreempt — lock-free, which is
+	// what keeps Runtime.mu off the resume side of a switch and off
+	// Checkpoint's fast path.
+	reqs atomic.Uint32
+
 	// All fields below are guarded by m.mu unless noted.
 	state      ThreadState
 	prio       int
 	lwp        *poolLWP // while running unbound
 	bndLWP     *sim.LWP // bound threads only; immutable after create
 	started    bool
-	killed     bool
-	preempt    bool
-	stopReq    bool
 	wakePermit bool
 	sigmask    sim.Sigset // also mirrored into the LWP while running
 	errno      int
@@ -231,6 +236,41 @@ type threadAux struct {
 	msMark  time.Duration
 	msBorn  time.Duration
 	msAcc   [NumMicrostates]time.Duration
+}
+
+// Thread request bits (Thread.reqs).
+const (
+	// tfKilled: the dying sweep released the thread from its park;
+	// the grant it wakes on means unwind, not resume.
+	tfKilled uint32 = 1 << iota
+	// tfStopReq: a thread_stop (or THREAD_STOP create) is pending;
+	// cleared by thread_continue.
+	tfStopReq
+	// tfPreempt: a higher-priority thread is runnable (or a stopper is
+	// waiting); give up the LWP at the next Checkpoint.
+	tfPreempt
+)
+
+func (t *Thread) hasReq(f uint32) bool { return t.reqs.Load()&f != 0 }
+
+// setReq and clearReq are CAS loops rather than atomic Or/And, which
+// the go.mod language version predates.
+func (t *Thread) setReq(f uint32) {
+	for {
+		old := t.reqs.Load()
+		if old&f == f || t.reqs.CompareAndSwap(old, old|f) {
+			return
+		}
+	}
+}
+
+func (t *Thread) clearReq(f uint32) {
+	for {
+		old := t.reqs.Load()
+		if old&f == 0 || t.reqs.CompareAndSwap(old, old&^f) {
+			return
+		}
+	}
 }
 
 // auxb returns the thread's aux block, allocating it if the thread
@@ -373,7 +413,7 @@ func (m *Runtime) Create(fn Func, arg any, opts CreateOpts) (*Thread, error) {
 	now := m.kern.Clock().Now()
 	if opts.Flags&ThreadStop != 0 {
 		t.state = ThreadStopped
-		t.stopReq = true
+		t.setReq(tfStopReq)
 		t.msInitLocked(now, MSStopped)
 	} else {
 		t.state = ThreadRunnable
@@ -430,28 +470,50 @@ func (m *Runtime) uncreate(t *Thread) {
 	m.mu.Unlock()
 }
 
-// enqueue makes an unbound thread runnable and finds it an LWP.
+// enqueue makes a newly created unbound thread runnable and finds it
+// an LWP.
 func (m *Runtime) enqueue(t *Thread) {
+	var buf [1]*sim.LWP
 	m.mu.Lock()
 	if t.state == ThreadZombie || m.dying.Load() {
 		m.mu.Unlock()
 		return
 	}
-	t.state = ThreadRunnable
-	t.msSwitchLocked(m.kern.Clock().Now(), MSRunq)
-	m.disp.push(t)
-	// Wake an idle LWP if there is one; otherwise ask a
-	// lower-priority running thread to yield.
-	var wake *poolLWP
-	if n := len(m.idle); n > 0 {
-		wake = m.idle[n-1]
-		m.idle = m.idle[:n-1]
-	} else {
-		m.flagPreemptionLocked(int(t.effPrio.Load()))
-	}
+	m.readyLocked(t, m.kern.Clock().Now())
+	kicks := m.placeLocked(1, int(t.effPrio.Load()), buf[:0])
 	m.mu.Unlock()
-	if wake != nil {
-		m.kern.Unpark(wake.l)
+	m.kick(kicks)
+}
+
+// readyLocked makes an unbound thread runnable and queues it. Finding
+// it an LWP is placeLocked's job. Caller holds m.mu.
+func (m *Runtime) readyLocked(t *Thread, now time.Duration) {
+	t.state = ThreadRunnable
+	t.msSwitchLocked(now, MSRunq)
+	m.disp.push(t)
+}
+
+// placeLocked finds LWPs for n threads just queued, the best of them
+// at priority prio: idle pool LWPs come off the idle list onto kicks
+// (the caller unparks them once it has dropped m.mu), and if queued
+// threads outnumber them the lowest-priority running thread beneath
+// prio is asked to yield. Caller holds m.mu.
+func (m *Runtime) placeLocked(n, prio int, kicks []*sim.LWP) []*sim.LWP {
+	for ; n > 0 && len(m.idle) > 0; n-- {
+		last := len(m.idle) - 1
+		kicks = append(kicks, m.idle[last].l)
+		m.idle = m.idle[:last]
+	}
+	if n > 0 {
+		m.flagPreemptionLocked(prio)
+	}
+	return kicks
+}
+
+// kick unparks the LWPs a wake-up collected under m.mu.
+func (m *Runtime) kick(ls []*sim.LWP) {
+	for _, l := range ls {
+		m.kern.Unpark(l)
 	}
 }
 
@@ -465,7 +527,7 @@ func (m *Runtime) flagPreemptionLocked(prio int) {
 		}
 	}
 	if victim != nil && int(victim.effPrio.Load()) < prio {
-		victim.preempt = true
+		victim.setReq(tfPreempt)
 	}
 }
 
@@ -475,8 +537,7 @@ func (m *Runtime) flagPreemptionLocked(prio int) {
 // kernel unwind (process death, exec) tore through the body.
 func (t *Thread) threadMain() (reusable bool) {
 	defer t.releaseOnUnwind()
-	<-t.gate // first dispatch
-	t.checkKilledPanic()
+	t.awaitDispatch() // first dispatch
 	t.pollSignals()
 	t.callBody()
 	t.retire()
@@ -522,8 +583,10 @@ func (t *Thread) abortProcess(r any) {
 
 // releaseOnUnwind recovers a kernel unwind (process death, exec,
 // exit) that tore through the thread body. It accounts the thread as
-// gone and, crucially, releases the LWP dispatcher goroutine that is
-// waiting for this thread to hand control back.
+// gone and, crucially, switches off the LWP it was loaded on (found by
+// the LWP's claim, pl.cur: the exiting last thread has already dropped
+// its own t.lwp), so the pool goroutine blocked behind it gets the LWP
+// back to unwind in its turn.
 func (t *Thread) releaseOnUnwind() {
 	r := recover()
 	if r == nil {
@@ -542,10 +605,7 @@ func (t *Thread) releaseOnUnwind() {
 			break
 		}
 	}
-	m.mu.Unlock()
-	if pl != nil {
-		yieldLWP(pl)
-	}
+	m.switchFrom(pl, m.kern.Clock().Now(), false)
 	m.sweepIfDying()
 }
 
@@ -566,10 +626,10 @@ func (t *Thread) boundMain() {
 	}()
 	m := t.m
 	m.kern.Start(t.bndLWP)
-	m.kern.SetLWPMask(t.bndLWP, sim.SigSetMask, t.mask())
+	m.kern.SetLWPMask(t.bndLWP, sim.SigSetMask, t.SigMask())
 	m.touchStack(t) // first frame: commit the top of the stack carve
 	m.mu.Lock()
-	stopped := t.stopReq
+	stopped := t.hasReq(tfStopReq)
 	if !stopped {
 		t.state = ThreadRunning
 		t.msSwitchLocked(m.kern.Clock().Now(), MSUser)
@@ -584,19 +644,13 @@ func (t *Thread) boundMain() {
 	t.retire()
 }
 
-// currentPL returns the pool LWP the thread is on, or nil.
-func (t *Thread) currentPL() *poolLWP {
-	t.m.mu.Lock()
-	defer t.m.mu.Unlock()
-	return t.lwp
-}
-
 // parkSelf blocks the calling thread with the given state until
-// someone re-enqueues it. This is the user-level context switch: for
-// unbound threads control returns to the LWP dispatcher with no
-// kernel involvement. A wake permit left by an earlier Unpark (the
-// wake raced ahead of the park) is consumed and the park elided, so
-// the synchronization primitives built on park/unpark are race-free.
+// someone re-enqueues it. This is the user-level context switch: an
+// unbound thread parks itself and loads its successor onto the LWP in
+// one Runtime.mu section (switchFrom), with no kernel involvement. A
+// wake permit left by an earlier Unpark (the wake raced ahead of the
+// park) is consumed and the park elided, so the synchronization
+// primitives built on park/unpark are race-free.
 func (t *Thread) parkSelf(state ThreadState) {
 	m := t.m
 	m.mu.Lock()
@@ -610,19 +664,25 @@ func (t *Thread) parkSelf(state ThreadState) {
 	case ThreadStopped:
 		// A thread_continue that raced ahead of this park wins:
 		// the stop never takes effect.
-		if !t.stopReq {
+		if !t.hasReq(tfStopReq) {
 			m.mu.Unlock()
 			return
 		}
 	}
+	now := m.kern.Clock().Now()
+	t.state = state
+	t.msSwitchLocked(now, t.msParkState(state))
+	t.onCPU.Store(false)
+	if a := t.aux; state == ThreadStopped && a != nil {
+		// Release thread_stop callers before the switch, so one of
+		// them can be the successor. Unpark is a non-blocking kernel
+		// call, allowed under m.mu.
+		ws := a.stopWaiters
+		a.stopWaiters = nil
+		m.kick(m.unparkLocked(ws, now, nil))
+	}
 	if t.bound() {
-		t.state = state
-		t.msSwitchLocked(m.kern.Clock().Now(), t.msParkState(state))
 		m.mu.Unlock()
-		t.onCPU.Store(false)
-		if state == ThreadStopped {
-			t.noteStopped()
-		}
 		m.kern.Park(t.bndLWP) // kernel park has its own permit
 		m.mu.Lock()
 		t.state = ThreadRunning
@@ -633,25 +693,10 @@ func (t *Thread) parkSelf(state ThreadState) {
 		return
 	}
 	pl := t.lwp
-	t.state = state
-	t.msSwitchLocked(m.kern.Clock().Now(), t.msParkState(state))
 	t.lwp = nil
-	if pl != nil && pl.cur == t {
-		// Release the dispatcher's claim now, not when it next runs:
-		// if this thread is re-dispatched elsewhere and exits before
-		// pl's dispatcher drains back, a stale pl.cur would make
-		// releaseOnUnwind hand the exit token to the wrong LWP.
-		pl.cur = nil
-	}
-	m.mu.Unlock()
-	t.onCPU.Store(false)
-	if state == ThreadStopped {
-		t.noteStopped()
-	}
-	m.rings.Record(pl.l.CurCPU(), trace.EvThreadPark, int(m.proc.PID()), int(pl.l.ID()), int(t.id), uint64(state))
-	yieldLWP(pl)
-	<-t.gate
-	t.checkKilledPanic()
+	m.rings.RecordAt(now, pl.l.CurCPU(), trace.EvThreadPark, int(m.proc.PID()), int(pl.l.ID()), int(t.id), uint64(state))
+	m.switchFrom(pl, now, false)
+	t.awaitDispatch()
 	t.stopIfRequested(state)
 }
 
@@ -659,57 +704,33 @@ func (t *Thread) parkSelf(state ThreadState) {
 // was parked: the wake becomes a stop at this dispatch point rather
 // than a resumption.
 func (t *Thread) stopIfRequested(prev ThreadState) {
-	if prev == ThreadStopped {
-		return // just woke from the stop itself
-	}
-	t.m.mu.Lock()
-	stop := t.stopReq
-	t.m.mu.Unlock()
-	if stop {
+	// prev == ThreadStopped: the thread just woke from the stop itself.
+	if prev != ThreadStopped && t.hasReq(tfStopReq) {
 		t.parkSelf(ThreadStopped)
 	}
 }
 
-// checkKilledPanic unwinds a thread whose wake raced with process
-// death — whether the grant came from the dying sweep or from a
-// dispatcher that lost the race. The unwind lands in releaseOnUnwind,
-// which hands the LWP back to any dispatcher still waiting on it; a
-// plain return here would leave that dispatcher blocked forever.
-func (t *Thread) checkKilledPanic() bool {
-	t.m.mu.Lock()
-	killed := t.killed || t.m.dying.Load()
-	t.m.mu.Unlock()
-	if killed {
+// awaitDispatch blocks the calling goroutine until a dispatcher — the
+// previous thread on the LWP, or the pool goroutine — grants the
+// thread an LWP, and unwinds it if the wake raced with process death,
+// whether the grant came from the dying sweep or from a dispatcher
+// that lost the race. The unwind lands in releaseOnUnwind, which
+// switches off whatever LWP the thread was loaded on; a plain return
+// would strand that LWP. Lock-free: the grant orders the sweep's
+// tfKilled store before this load.
+func (t *Thread) awaitDispatch() {
+	<-t.gate
+	if t.hasReq(tfKilled) || t.m.dying.Load() {
 		panic(&sim.Unwind{Proc: t.m.proc, Reason: "process dying"})
 	}
-	return false
 }
 
 // unparkInto re-enqueues a previously parked thread. If the thread
 // has not parked yet (the wake raced ahead), a wake permit is left
 // for its park to consume.
 func (m *Runtime) unparkInto(t *Thread) {
-	if t.bound() {
-		m.mu.Lock()
-		if t.state != ThreadZombie {
-			t.state = ThreadRunnable
-			t.msSwitchLocked(m.kern.Clock().Now(), MSRunq)
-		}
-		m.mu.Unlock()
-		m.kern.Unpark(t.bndLWP)
-		return
-	}
-	m.mu.Lock()
-	switch t.state {
-	case ThreadSleeping, ThreadWaiting:
-		m.mu.Unlock()
-		m.enqueue(t)
-	case ThreadZombie:
-		m.mu.Unlock()
-	default:
-		t.wakePermit = true
-		m.mu.Unlock()
-	}
+	one := [1]*Thread{t}
+	m.unparkBatch(one[:])
 }
 
 // Unpark makes a thread parked with Park runnable again (or leaves a
@@ -738,21 +759,28 @@ func UnparkAll(ts []*Thread) {
 	}
 }
 
-// unparkBatch is unparkInto over a batch of this runtime's threads:
-// one Runtime.mu critical section inserts every waking thread into
-// the run queue, then idle LWPs are kicked (and at most one
-// preemption flagged) outside the lock.
+// unparkBatch wakes a batch of this runtime's threads in one
+// Runtime.mu critical section — the state check, the run-queue insert
+// and the search for an LWP to run them all happen there — then kicks
+// the LWPs involved outside the lock.
 func (m *Runtime) unparkBatch(ts []*Thread) {
 	if len(ts) == 0 {
 		return
 	}
-	if len(ts) == 1 {
-		m.unparkInto(ts[0])
-		return
-	}
-	var kicks []*sim.LWP
+	var buf [4]*sim.LWP
 	m.mu.Lock()
-	now := m.kern.Clock().Now()
+	kicks := m.unparkLocked(ts, m.kern.Clock().Now(), buf[:0])
+	m.mu.Unlock()
+	m.kick(kicks)
+}
+
+// unparkLocked is the locked half of a wake-up: every parked thread
+// of ts becomes runnable (a bound one by way of its LWP, appended to
+// kicks; an unbound one on the run queue, with idle pool LWPs appended
+// to kicks or one preemption flagged to serve it), and a thread that
+// has not parked yet is left a wake permit. Caller holds m.mu and
+// unparks the returned LWPs.
+func (m *Runtime) unparkLocked(ts []*Thread, now time.Duration, kicks []*sim.LWP) []*sim.LWP {
 	maxPrio := -1
 	woken := 0
 	for _, t := range ts {
@@ -769,9 +797,7 @@ func (m *Runtime) unparkBatch(ts []*Thread) {
 			if m.dying.Load() {
 				continue // the sweep owns these threads now
 			}
-			t.state = ThreadRunnable
-			t.msSwitchLocked(now, MSRunq)
-			m.disp.push(t)
+			m.readyLocked(t, now)
 			woken++
 			if p := int(t.effPrio.Load()); p > maxPrio {
 				maxPrio = p
@@ -781,19 +807,7 @@ func (m *Runtime) unparkBatch(ts []*Thread) {
 			t.wakePermit = true
 		}
 	}
-	for woken > 0 && len(m.idle) > 0 {
-		pl := m.idle[len(m.idle)-1]
-		m.idle = m.idle[:len(m.idle)-1]
-		kicks = append(kicks, pl.l)
-		woken--
-	}
-	if woken > 0 && maxPrio >= 0 {
-		m.flagPreemptionLocked(maxPrio)
-	}
-	m.mu.Unlock()
-	for _, l := range kicks {
-		m.kern.Unpark(l)
-	}
+	return m.placeLocked(woken, maxPrio, kicks)
 }
 
 // Park blocks the calling thread as sleeping on a synchronization
@@ -808,71 +822,57 @@ func (t *Thread) Yield() {
 	m := t.m
 	if t.bound() {
 		m.kern.Yield(t.bndLWP)
-		t.Checkpoint()
-		return
-	}
-	m.mu.Lock()
-	hasWork := m.disp.len() > 0
-	if hasWork {
-		t.state = ThreadRunnable
-		t.msSwitchLocked(m.kern.Clock().Now(), MSRunq)
-		m.disp.push(t)
-		pl := t.lwp
-		t.lwp = nil
-		if pl != nil && pl.cur == t {
-			pl.cur = nil // see parkSelf: avoid a stale dispatcher claim
-		}
-		m.mu.Unlock()
-		t.onCPU.Store(false)
-		pl.fair = true // next pop: oldest equal on any shard, not affinity
-		yieldLWP(pl)
-		<-t.gate
-		t.checkKilledPanic()
-	} else {
-		m.mu.Unlock()
+	} else if !t.requeueSelf() {
 		// Nothing else to run; let the kernel checkpoint.
-		if pl := t.currentPL(); pl != nil {
-			m.kern.Checkpoint(pl.l)
+		if l := t.LWP(); l != nil {
+			m.kern.Checkpoint(l)
 		}
 	}
 	t.Checkpoint()
 }
 
-// Checkpoint is the thread-level preemption point: it honours stop
-// requests, library preemption flags, pending thread signals, and
-// kernel checkpoints. Synchronization operations call it.
-func (t *Thread) Checkpoint() {
+// requeueSelf puts the calling unbound thread back on the run queue
+// and switches to the best runnable thread — possibly itself — chosen
+// by a fair pop: the oldest equal on any shard, not affinity-first, so
+// the yielder cannot outrun earlier-queued equals. It reports false,
+// having changed nothing, when no other thread is runnable.
+func (t *Thread) requeueSelf() bool {
 	m := t.m
 	m.mu.Lock()
-	stop := t.stopReq
-	preempt := t.preempt
-	t.preempt = false
-	m.mu.Unlock()
-	if stop {
+	if m.disp.len() == 0 {
+		m.mu.Unlock()
+		return false
+	}
+	now := m.kern.Clock().Now()
+	pl := t.lwp
+	t.lwp = nil
+	t.onCPU.Store(false)
+	m.readyLocked(t, now)
+	m.switchFrom(pl, now, true)
+	t.awaitDispatch()
+	return true
+}
+
+// Checkpoint is the thread-level preemption point: it honours stop
+// requests, library preemption flags, pending thread signals, and
+// kernel checkpoints. Synchronization operations call it. With no
+// request pending it takes Runtime.mu only where a signal poll does.
+func (t *Thread) Checkpoint() {
+	m := t.m
+	reqs := t.reqs.Load()
+	preempt := reqs&tfPreempt != 0
+	if preempt {
+		t.clearReq(tfPreempt)
+	}
+	if reqs&tfStopReq != 0 {
 		t.parkSelf(ThreadStopped)
 	}
-	// Chaos: force the thread back onto the run queue as if a
-	// higher-priority thread had flagged it; the branch below only
-	// switches when another thread is actually runnable.
-	if !preempt && !t.bound() && m.kern.Chaos().ThreadPreempt() {
-		preempt = true
-	}
-	if preempt && !t.bound() {
-		m.mu.Lock()
-		if m.disp.len() > 0 {
-			t.state = ThreadRunnable
-			t.msSwitchLocked(m.kern.Clock().Now(), MSRunq)
-			m.disp.push(t)
-			pl := t.lwp
-			t.lwp = nil
-			m.mu.Unlock()
-			t.onCPU.Store(false)
-			pl.fair = true
-			yieldLWP(pl)
-			<-t.gate
-			t.checkKilledPanic()
-		} else {
-			m.mu.Unlock()
+	if !t.bound() {
+		// Chaos: force the thread back onto the run queue as if a
+		// higher-priority thread had flagged it; requeueSelf only
+		// switches when another thread is actually runnable.
+		if preempt || m.kern.Chaos().ThreadPreempt() {
+			t.requeueSelf()
 		}
 	}
 	if l := t.LWP(); l != nil {
@@ -917,6 +917,14 @@ func (t *Thread) retire() {
 		m.ndaemon--
 	}
 	last := m.nlive-m.ndaemon == 0 && !m.dying.Load()
+	if pl != nil && !last {
+		// The shell may be recycled — and its next incarnation loaded
+		// on another LWP — before this goroutine reaches switchFrom
+		// below; drop this LWP's claim now so releaseOnUnwind can never
+		// match the stale one. The last thread keeps the claim: its
+		// exit unwinds through releaseOnUnwind, which finds pl by it.
+		pl.cur = nil
+	}
 	id := t.id
 	bound := t.bound()
 	bl := t.bndLWP
@@ -951,8 +959,8 @@ func (t *Thread) retire() {
 	if last && !m.proc.Dying() {
 		// The last non-daemon thread exited: the process exits,
 		// destroying all LWPs. The kernel unwind is caught by
-		// releaseOnUnwind, which hands the LWP back to its
-		// dispatcher for its own unwinding.
+		// releaseOnUnwind, which hands the LWP back to its pool
+		// goroutine for its own unwinding.
 		l := bl
 		if l == nil && pl != nil {
 			l = pl.l
@@ -965,9 +973,8 @@ func (t *Thread) retire() {
 	if bound {
 		return // boundMain's defer retires the LWP
 	}
-	if pl != nil {
-		yieldLWP(pl)
-	}
+	m.mu.Lock()
+	m.switchFrom(pl, m.kern.Clock().Now(), false)
 }
 
 // ExitProcess implements exit(2) from a thread: all threads and LWPs
@@ -1021,10 +1028,7 @@ func (t *Thread) Exec(name string) (*sim.LWP, error) {
 	pl := t.lwp
 	t.lwp = nil
 	t.bndLWP = l2
-	m.mu.Unlock()
-	if pl != nil {
-		yieldLWP(pl)
-	}
+	m.switchFrom(pl, m.kern.Clock().Now(), false)
 	k.Start(l2)
 	nl, err := k.Exec(l2, name)
 	if err != nil {

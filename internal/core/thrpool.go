@@ -204,7 +204,7 @@ func (t *Thread) scrubLocked() {
 // startAnimator gives a first-dispatched unbound thread its animator
 // goroutine, reusing a standby animator when one is parked (the
 // steady-state path: no goroutine spawn, no closure allocation).
-// Called off m.mu from dispatch, before the thread's first grant.
+// Called off m.mu from runOn, before the thread's first grant.
 func (m *Runtime) startAnimator(t *Thread) {
 	m.mu.Lock()
 	var ch chan *Thread

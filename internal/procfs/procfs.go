@@ -257,7 +257,10 @@ func (pfs *ProcFS) threadStatus(rt *core.Runtime) []byte {
 	for _, pc := range occ {
 		fmt.Fprintf(&sb, " prio%d:%d", pc.Prio, pc.Count)
 	}
-	sb.WriteByte('\n')
+	// How threads left their LWPs: handing it straight to a successor
+	// popped from this queue, or back to the pool goroutine.
+	sw := rt.SwitchStats()
+	fmt.Fprintf(&sb, "  switches: direct %d fallback %d mask-pushes %d\n", sw.Direct, sw.Fallback, sw.MaskPushes)
 	// The ready queue is sharded per CPU; the depth above is the sum.
 	// One line per shard with its steal counter (pops taken by an LWP
 	// affine to another shard).

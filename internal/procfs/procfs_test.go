@@ -106,7 +106,7 @@ func TestProcStatusAndThreads(t *testing.T) {
 		if !strings.Contains(threads, "pool-lwps:") {
 			t.Errorf("threads footer missing:\n%s", threads)
 		}
-		if !strings.Contains(threads, "runq-depth:") || !strings.Contains(threads, "occupancy:") {
+		if !strings.Contains(threads, "runq-depth:") || !strings.Contains(threads, "occupancy:") || !strings.Contains(threads, "switches: direct ") {
 			t.Errorf("threads footer missing run-queue stats:\n%s", threads)
 		}
 		// The runnable total must be the sum over per-CPU shards, and

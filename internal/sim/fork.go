@@ -225,7 +225,18 @@ func (k *Kernel) WaitChild(l *LWP, pid PID) (WaitResult, error) {
 			// and no matching zombie appeared on re-check.
 			return WaitResult{}, ErrIntr
 		}
-		res := k.Sleep(l, &p.waitq, SleepOpts{Interruptible: true, Indefinite: true})
+		// Commit to the sleep only if still no matching zombie exists
+		// under the kernel lock: a child that exits between the scan
+		// above and the enqueue has already issued its wakeup, and a
+		// plain Sleep here would miss it forever.
+		res, _ := k.SleepIf(l, &p.waitq, func() bool {
+			for _, z := range p.zombies {
+				if pid < 0 || z.pid == pid {
+					return false
+				}
+			}
+			return true
+		}, SleepOpts{Interruptible: true, Indefinite: true})
 		// On interruption, loop once more to re-check the zombie
 		// list: the interrupting signal is frequently the SIGCHLD
 		// for the very child we are waiting for.

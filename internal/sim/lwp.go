@@ -92,8 +92,8 @@ type LWP struct {
 	gang       int // gang group id when class == ClassGang, else 0
 	cpu        *CPU
 	boundCPU   *CPU
-	ps         *pset // processor set the LWP runs in (default set if unbound)
-	psBound    bool  // explicitly bound to a user pset (counts in pset.nbound)
+	ps         *pset      // processor set the LWP runs in (default set if unbound)
+	psBound    bool       // explicitly bound to a user pset (counts in pset.nbound)
 	cond       *sync.Cond // signalled when state changes to OnCPU or wake conditions
 	preempt    bool       // yield CPU at next checkpoint
 	onCPUSince time.Duration

@@ -17,23 +17,41 @@ func newTestKernel(ncpu int) *Kernel {
 // its animator: Start, body, ExitLWP, with kernel unwinds recovered.
 // It returns the LWP and a channel closed when the animator is done.
 func animate(k *Kernel, p *Process, body func(l *LWP)) (*LWP, <-chan struct{}) {
-	l, err := k.NewLWP(p, ClassTS, defaultTSPrio)
-	if err != nil {
-		panic(err)
+	ls, dones := animateAll(k, p, body)
+	return ls[0], dones[0]
+}
+
+// animateAll animates one LWP per body, creating every LWP before any
+// of them starts: a body that ran to completion before its sibling's
+// LWP existed would exit the process with it (last LWP gone) and make
+// the sibling's NewLWP fail.
+func animateAll(k *Kernel, p *Process, bodies ...func(l *LWP)) ([]*LWP, []<-chan struct{}) {
+	ls := make([]*LWP, len(bodies))
+	for i := range bodies {
+		l, err := k.NewLWP(p, ClassTS, defaultTSPrio)
+		if err != nil {
+			panic(err)
+		}
+		ls[i] = l
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer func() {
-			if r := recover(); r != nil && !IsUnwind(r) {
-				panic(r)
-			}
-			k.ExitLWP(l)
+	dones := make([]<-chan struct{}, len(bodies))
+	for i, body := range bodies {
+		l, body := ls[i], body
+		done := make(chan struct{})
+		dones[i] = done
+		go func() {
+			defer close(done)
+			defer func() {
+				if r := recover(); r != nil && !IsUnwind(r) {
+					panic(r)
+				}
+				k.ExitLWP(l)
+			}()
+			k.Start(l)
+			body(l)
 		}()
-		k.Start(l)
-		body(l)
-	}()
-	return l, done
+	}
+	return ls, dones
 }
 
 func waitClosed(t *testing.T, ch <-chan struct{}, what string) {
@@ -76,10 +94,9 @@ func TestTwoLWPsShareOneCPU(t *testing.T) {
 			}
 		}
 	}
-	_, d1 := animate(k, p, mk(0))
-	_, d2 := animate(k, p, mk(1))
-	waitClosed(t, d1, "lwp1")
-	waitClosed(t, d2, "lwp2")
+	_, dones := animateAll(k, p, mk(0), mk(1))
+	waitClosed(t, dones[0], "lwp1")
+	waitClosed(t, dones[1], "lwp2")
 	if counts[0] != rounds || counts[1] != rounds {
 		t.Fatalf("counts = %v, want both %d", counts, rounds)
 	}
@@ -88,7 +105,6 @@ func TestTwoLWPsShareOneCPU(t *testing.T) {
 func TestAtMostNCPUOnCPU(t *testing.T) {
 	k := newTestKernel(2)
 	p := k.NewProcess("p", nil)
-	var dones []<-chan struct{}
 	// Track max concurrency via kernel state inspection at yields.
 	maxSeen := 0
 	check := func() {
@@ -107,15 +123,13 @@ func TestAtMostNCPUOnCPU(t *testing.T) {
 		}
 		k.mu.Unlock()
 	}
-	for i := 0; i < 6; i++ {
-		_, d := animate(k, p, func(l *LWP) {
-			for j := 0; j < 30; j++ {
-				check()
-				k.Yield(l)
-			}
-		})
-		dones = append(dones, d)
+	worker := func(l *LWP) {
+		for j := 0; j < 30; j++ {
+			check()
+			k.Yield(l)
+		}
 	}
+	_, dones := animateAll(k, p, worker, worker, worker, worker, worker, worker)
 	for _, d := range dones {
 		waitClosed(t, d, "worker")
 	}
@@ -484,17 +498,26 @@ func TestSIGWAITINGWhenAllLWPsBlockIndefinitely(t *testing.T) {
 	})
 	k.SetAction(p, SIGWAITING, SigCatch, func(Signal) {}, 0)
 	wq := NewWaitQ("poll")
+	var lwps []*LWP
 	var dones []<-chan struct{}
 	for i := 0; i < 2; i++ {
-		_, d := animate(k, p, func(l *LWP) {
+		l, d := animate(k, p, func(l *LWP) {
 			k.Sleep(l, wq, SleepOpts{Indefinite: true})
 		})
+		lwps = append(lwps, l)
 		dones = append(dones, d)
 	}
 	select {
 	case <-notified:
 	case <-time.After(5 * time.Second):
 		t.Fatal("SIGWAITING hook never ran")
+	}
+	// The hook can fire as soon as the first LWP sleeps, before the
+	// second has been created; a Wakeup then would miss the second.
+	for _, l := range lwps {
+		for l.State() != LWPSleeping {
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
 	k.Wakeup(wq, -1)
 	for _, d := range dones {
@@ -513,11 +536,12 @@ func TestNoSIGWAITINGWhileOneLWPRuns(t *testing.T) {
 		}
 	})
 	wq := NewWaitQ("poll")
-	sleeper, d1 := animate(k, p, func(l *LWP) {
-		k.Sleep(l, wq, SleepOpts{Indefinite: true})
-	})
 	stop := make(chan struct{})
-	_, d2 := animate(k, p, func(l *LWP) {
+	// Both LWPs exist before the sleeper can block: alone, it would be
+	// "every LWP blocked" and SIGWAITING would rightly fire.
+	ls, dones := animateAll(k, p, func(l *LWP) {
+		k.Sleep(l, wq, SleepOpts{Indefinite: true})
+	}, func(l *LWP) {
 		for {
 			select {
 			case <-stop:
@@ -527,6 +551,7 @@ func TestNoSIGWAITINGWhileOneLWPRuns(t *testing.T) {
 			}
 		}
 	})
+	sleeper, d1, d2 := ls[0], dones[0], dones[1]
 	for sleeper.State() != LWPSleeping {
 		time.Sleep(100 * time.Microsecond)
 	}

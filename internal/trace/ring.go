@@ -3,16 +3,15 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
 // This file is the hot-path tracer: fixed-size per-CPU binary event
-// rings with seqlock-style slots. The printf Buffer in trace.go stays
-// for cold-path events (process/LWP lifecycle, pool growth); the
-// scheduler transition points record here instead, so tracing costs a
-// timestamp, an atomic claim and a struct store — never a lock or an
-// allocation.
+// rings under one small mutex. The printf Buffer in trace.go stays for
+// cold-path events (process/LWP lifecycle, pool growth); the scheduler
+// transition points record here instead, so tracing costs a timestamp,
+// a lock held for a struct store, and never an allocation or a format.
 
 // EventKind identifies one class of scheduler event.
 type EventKind uint8
@@ -107,47 +106,45 @@ func (r Record) String() string {
 		r.Seq, r.When, r.CPU, r.Kind, r.PID, r.LWP, r.TID, r.Arg)
 }
 
-// slot is one seqlock-protected ring entry: ver is odd while a writer
-// is mid-store, and bumps by two per overwrite, so a reader that sees
-// the same even value before and after copying the record has a
-// consistent snapshot.
-type slot struct {
-	ver atomic.Uint64
-	rec Record
-}
-
-// ring is one per-CPU buffer. pos is the claim cursor: writers
-// fetch-add it and overwrite slot pos&mask, so the ring keeps the most
-// recent len(slots) events and pos-len(slots) counts the overwritten
-// ones. The trailing pad keeps neighbouring rings' cursors off one
-// cache line.
+// ring is one per-CPU buffer. pos counts the records ever written:
+// record overwrites slot pos&mask, so the ring keeps the most recent
+// len(slots) events — a busy CPU cannot evict a quiet one's history —
+// and pos-len(slots) counts the overwritten ones. Guarded by Rings.mu.
 type ring struct {
-	pos   atomic.Uint64
-	_     [7]uint64
-	slots []slot
+	pos   uint64
+	slots []Record
 	mask  uint64
 }
 
-func (rb *ring) record(seq uint64, rec Record) {
-	i := rb.pos.Add(1) - 1
-	s := &rb.slots[i&rb.mask]
-	rec.Seq = seq
-	s.ver.Add(1) // odd: write in progress
-	s.rec = rec
-	s.ver.Add(1) // even: complete
+// dropped is the ring's overwritten-record count.
+func (rb *ring) dropped() uint64 {
+	if size := uint64(len(rb.slots)); rb.pos > size {
+		return rb.pos - size
+	}
+	return 0
 }
 
 // Rings is a set of per-CPU event rings plus one extra ring for
 // events recorded with no CPU attribution. A nil *Rings discards all
-// events, so call sites need no enabled checks. Writers never block
-// and never allocate; readers use the per-slot versions to skip torn
-// entries, so a snapshot can be taken while the system runs.
+// events, so call sites need no enabled checks.
+//
+// One mutex guards the sequence counter and every ring. A record is
+// the lock, a counter bump and a struct store — two atomic operations
+// where per-ring locks plus an atomic sequence cost three and the old
+// seqlock slots cost four — and it is never allocated. The critical
+// section is a few nanoseconds, far shorter than the kernel and
+// runtime locks every recording site already holds or has just left,
+// so it adds no serialization those do not impose; what it buys is
+// that no reader can see a claimed-but-unwritten or half-written slot
+// (the seqlock's defects), Seq has no gaps, and a snapshot is one
+// consistent cut across all rings.
 type Rings struct {
-	seq   atomic.Uint64
-	torn  atomic.Uint64
-	now   func() time.Duration
+	now  func() time.Duration
+	ncpu int
+
+	mu    sync.Mutex
+	seq   uint64 // last sequence number issued: global order across rings
 	rings []ring // index cpu id; last entry is the unattributed ring
-	ncpu  int
 }
 
 // NewRings returns rings for ncpu CPUs, each keeping the most recent
@@ -166,7 +163,7 @@ func NewRings(ncpu, perCPU int, now func() time.Duration) *Rings {
 	}
 	r := &Rings{now: now, ncpu: ncpu, rings: make([]ring, ncpu+1)}
 	for i := range r.rings {
-		r.rings[i].slots = make([]slot, size)
+		r.rings[i].slots = make([]Record, size)
 		r.rings[i].mask = size - 1
 	}
 	return r
@@ -185,15 +182,31 @@ func (r *Rings) Record(cpu int, kind EventKind, pid, lwp, tid int, arg uint64) {
 	if r == nil {
 		return
 	}
-	r.ring(cpu).record(r.seq.Add(1), Record{
-		When: r.now(),
-		Kind: kind,
-		CPU:  int32(cpu),
-		PID:  int32(pid),
-		LWP:  int32(lwp),
-		TID:  int32(tid),
-		Arg:  arg,
-	})
+	r.RecordAt(r.now(), cpu, kind, pid, lwp, tid, arg)
+}
+
+// RecordAt is Record for a site that has just read the clock for the
+// transition it is recording (a context switch stamps its park and run
+// events with the one reading that also charges the microstates), so
+// tracing adds no clock read of its own there.
+func (r *Rings) RecordAt(when time.Duration, cpu int, kind EventKind, pid, lwp, tid int, arg uint64) {
+	if r == nil {
+		return
+	}
+	rb := r.ring(cpu)
+	r.mu.Lock()
+	r.seq++
+	s := &rb.slots[rb.pos&rb.mask]
+	s.Seq = r.seq
+	s.When = when
+	s.Kind = kind
+	s.CPU = int32(cpu)
+	s.PID = int32(pid)
+	s.LWP = int32(lwp)
+	s.TID = int32(tid)
+	s.Arg = arg
+	rb.pos++
+	r.mu.Unlock()
 }
 
 // NCPU returns the number of per-CPU rings (excluding the
@@ -211,57 +224,37 @@ func (r *Rings) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.droppedLocked()
+}
+
+func (r *Rings) droppedLocked() uint64 {
 	var dropped uint64
 	for i := range r.rings {
-		rb := &r.rings[i]
-		if pos, size := rb.pos.Load(), uint64(len(rb.slots)); pos > size {
-			dropped += pos - size
-		}
+		dropped += r.rings[i].dropped()
 	}
 	return dropped
 }
 
-// Torn reports how many slots snapshots have skipped because a writer
-// was overwriting them mid-read.
-func (r *Rings) Torn() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.torn.Load()
-}
-
 // Snapshot copies the retained events out of every ring, merged into
-// one slice ordered by Seq, and reports the overwrite drop count.
-// Slots being overwritten during the copy are skipped (counted by
-// Torn); the system may keep running while a snapshot is taken.
+// one slice ordered by Seq, and reports the overwrite drop count as of
+// the same instant. The system may keep running while a snapshot is
+// taken; recording sites wait out the copy.
 func (r *Rings) Snapshot() ([]Record, uint64) {
 	if r == nil {
 		return nil, 0
 	}
 	var out []Record
+	r.mu.Lock()
 	for i := range r.rings {
 		rb := &r.rings[i]
-		n := rb.pos.Load()
-		if size := uint64(len(rb.slots)); n > size {
-			n = size
-		}
-		for j := uint64(0); j < n; j++ {
-			s := &rb.slots[j]
-			v1 := s.ver.Load()
-			if v1&1 != 0 {
-				r.torn.Add(1)
-				continue
-			}
-			rec := s.rec
-			if s.ver.Load() != v1 {
-				r.torn.Add(1)
-				continue
-			}
-			out = append(out, rec)
-		}
+		out = append(out, rb.slots[:min(rb.pos, uint64(len(rb.slots)))]...)
 	}
+	dropped := r.droppedLocked()
+	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, r.Dropped()
+	return out, dropped
 }
 
 // Kinds returns the snapshot filtered to the given kinds, in Seq

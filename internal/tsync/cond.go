@@ -18,6 +18,7 @@ type Cond struct {
 	mu      sync.Mutex
 	waiters waitq
 	name    string
+	bi      *core.BlockInfo // cached wait-for edge; see blockInfo
 
 	// sv (process-shared variant): word 0 is the wake generation
 	// counter.
@@ -30,7 +31,10 @@ const CondShmSize = 8
 
 // InitShared binds the condition variable to shared state —
 // the USYNC_PROCESS variant (cv_init with THREAD_SYNC_SHARED).
-func (cv *Cond) InitShared(sv *usync.Var) { cv.sv = sv }
+func (cv *Cond) InitShared(sv *usync.Var) {
+	cv.sv = sv
+	cv.bi = nil // the name changed
+}
 
 // Name returns the condition variable's identity for diagnostics.
 func (cv *Cond) Name() string {
@@ -39,6 +43,13 @@ func (cv *Cond) Name() string {
 	}
 	cv.mu.Lock()
 	defer cv.mu.Unlock()
+	return cv.nameLocked()
+}
+
+func (cv *Cond) nameLocked() string {
+	if cv.sv != nil {
+		return cv.sv.Name()
+	}
 	if cv.name == "" {
 		cv.name = autoName("cond")
 	}
@@ -48,9 +59,15 @@ func (cv *Cond) Name() string {
 // blockInfo is the wait-for edge for threads parked in Wait. A
 // condition wait has no owner — someone must Signal — so it never
 // contributes an edge to deadlock cycles, but it does show up in
-// lstatus as what the thread is blocked on.
+// lstatus as what the thread is blocked on. Built once and shared by
+// every waiter, so waiting allocates nothing.
 func (cv *Cond) blockInfo() *core.BlockInfo {
-	return &core.BlockInfo{Kind: "cond", Name: cv.Name()}
+	cv.mu.Lock()
+	defer cv.mu.Unlock()
+	if cv.bi == nil {
+		cv.bi = &core.BlockInfo{Kind: "cond", Name: cv.nameLocked()}
+	}
+	return cv.bi
 }
 
 // Wait blocks until the condition is signalled (cv_wait): it releases

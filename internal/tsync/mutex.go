@@ -25,8 +25,9 @@ type Mutex struct {
 	owner   *core.Thread
 	variant Variant
 	waiters waitq
-	ts      core.Turnstile // priority-inheritance anchor (local only)
-	name    string         // lazily assigned; identifies the lock in lstatus
+	ts      core.Turnstile  // priority-inheritance anchor (local only)
+	name    string          // lazily assigned; identifies the lock in lstatus
+	bi      *core.BlockInfo // cached wait-for edge; see blockInfo
 
 	// policy is the configured lock/wake policy (InitPolicy); pinned
 	// is its resolved implementation, fixed at first use so the
@@ -74,6 +75,7 @@ func (mp *Mutex) LockPolicy() string { return mp.policyName() }
 // that binds a Mutex to the same identity contend on the same lock.
 func (mp *Mutex) InitShared(sv *usync.Var) {
 	mp.sv = sv
+	mp.bi = nil // the name changed
 	sv.Declare(usync.KindMutex)
 }
 
@@ -85,37 +87,49 @@ func (mp *Mutex) Name() string {
 	}
 	mp.mu.Lock()
 	defer mp.mu.Unlock()
+	return mp.nameLocked()
+}
+
+func (mp *Mutex) nameLocked() string {
+	if mp.sv != nil {
+		return mp.sv.Name()
+	}
 	if mp.name == "" {
 		mp.name = autoName("mutex")
 	}
 	return mp.name
 }
 
-// blockInfo builds the wait-for edge published while parked on this
-// mutex. The owner closure resolves at walk time, never under the
-// caller's locks.
+// blockInfo is the wait-for edge published while parked on this
+// mutex. The owner resolves at walk time, never under the caller's
+// locks. The edge is immutable, so it is built once and shared by
+// every waiter — blocking allocates nothing — and rebuilt only when
+// what it names changes: the policy, pinned at first contended use.
 func (mp *Mutex) blockInfo() *core.BlockInfo {
-	name := mp.Name()
-	if mp.sv != nil {
-		return &core.BlockInfo{Kind: "mutex", Name: name, Owner: func() (core.OwnerRef, bool) {
-			var ow uint64
-			mp.sv.Atomically(func(w usync.Words) { ow = w.Load(2) })
-			if ow == 0 {
-				return core.OwnerRef{}, false
-			}
-			pid, tid := usync.DecodeOwner(ow)
-			return core.OwnerRef{PID: pid, TID: core.ThreadID(tid)}, true
-		}}
+	mp.mu.Lock()
+	defer mp.mu.Unlock()
+	policy := ""
+	if mp.sv == nil {
+		policy = mp.policyNameLocked()
 	}
-	return &core.BlockInfo{Kind: "mutex", Name: name, Ts: &mp.ts, Policy: mp.policyName(), Owner: func() (core.OwnerRef, bool) {
-		mp.mu.Lock()
-		o := mp.owner
-		mp.mu.Unlock()
-		if o == nil {
-			return core.OwnerRef{}, false
+	if mp.bi == nil || mp.bi.Policy != policy {
+		mp.bi = &core.BlockInfo{Kind: "mutex", Name: mp.nameLocked(), Policy: policy, Owner: mp.ownerRef}
+		if mp.sv == nil {
+			mp.bi.Ts = &mp.ts
 		}
-		return core.OwnerRef{TID: o.ID()}, true
-	}}
+	}
+	return mp.bi
+}
+
+// ownerRef resolves the mutex's owner for the wait-for graph.
+func (mp *Mutex) ownerRef() (core.OwnerRef, bool) {
+	if mp.sv != nil {
+		return sharedOwnerRef(mp.sv, 2)
+	}
+	mp.mu.Lock()
+	o := mp.owner
+	mp.mu.Unlock()
+	return localOwnerRef(o)
 }
 
 // Enter acquires the lock, blocking if it is already held

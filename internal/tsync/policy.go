@@ -152,6 +152,10 @@ func (mp *Mutex) impl(t *core.Thread) lockPolicy {
 func (mp *Mutex) policyName() string {
 	mp.mu.Lock()
 	defer mp.mu.Unlock()
+	return mp.policyNameLocked()
+}
+
+func (mp *Mutex) policyNameLocked() string {
 	if mp.pinned != nil {
 		return mp.pinned.name()
 	}

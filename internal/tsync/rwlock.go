@@ -41,6 +41,7 @@ type RWLock struct {
 	wq        waitq          // blocked writers
 	ts        core.Turnstile // priority-inheritance anchor (writer owner)
 	name      string
+	bi        *core.BlockInfo // cached wait-for edge; see blockInfo
 
 	// sv (process-shared variant): word 0 = readers, word 1 =
 	// writer flag, word 2 = waiting writers, word 3 = upgrade in
@@ -57,6 +58,7 @@ const RWShmSize = 48
 // variant (rw_init with THREAD_SYNC_SHARED).
 func (rw *RWLock) InitShared(sv *usync.Var) {
 	rw.sv = sv
+	rw.bi = nil // the name changed
 	sv.Declare(usync.KindRW)
 }
 
@@ -67,6 +69,13 @@ func (rw *RWLock) Name() string {
 	}
 	rw.mu.Lock()
 	defer rw.mu.Unlock()
+	return rw.nameLocked()
+}
+
+func (rw *RWLock) nameLocked() string {
+	if rw.sv != nil {
+		return rw.sv.Name()
+	}
 	if rw.name == "" {
 		rw.name = autoName("rwlock")
 	}
@@ -74,29 +83,29 @@ func (rw *RWLock) Name() string {
 }
 
 // blockInfo is the wait-for edge for threads parked on this lock. The
-// resolvable owner is the writer (readers are anonymous).
+// resolvable owner is the writer (readers are anonymous). Built once
+// and shared by every waiter, like Mutex.blockInfo.
 func (rw *RWLock) blockInfo() *core.BlockInfo {
-	name := rw.Name()
-	if rw.sv != nil {
-		return &core.BlockInfo{Kind: "rwlock", Name: name, Owner: func() (core.OwnerRef, bool) {
-			var ow uint64
-			rw.sv.Atomically(func(w usync.Words) { ow = w.Load(4) })
-			if ow == 0 {
-				return core.OwnerRef{}, false
-			}
-			pid, tid := usync.DecodeOwner(ow)
-			return core.OwnerRef{PID: pid, TID: core.ThreadID(tid)}, true
-		}}
-	}
-	return &core.BlockInfo{Kind: "rwlock", Name: name, Ts: &rw.ts, Owner: func() (core.OwnerRef, bool) {
-		rw.mu.Lock()
-		o := rw.owner
-		rw.mu.Unlock()
-		if o == nil {
-			return core.OwnerRef{}, false
+	rw.mu.Lock()
+	defer rw.mu.Unlock()
+	if rw.bi == nil {
+		rw.bi = &core.BlockInfo{Kind: "rwlock", Name: rw.nameLocked(), Owner: rw.ownerRef}
+		if rw.sv == nil {
+			rw.bi.Ts = &rw.ts
 		}
-		return core.OwnerRef{TID: o.ID()}, true
-	}}
+	}
+	return rw.bi
+}
+
+// ownerRef resolves the writer owner for the wait-for graph.
+func (rw *RWLock) ownerRef() (core.OwnerRef, bool) {
+	if rw.sv != nil {
+		return sharedOwnerRef(rw.sv, 4)
+	}
+	rw.mu.Lock()
+	o := rw.owner
+	rw.mu.Unlock()
+	return localOwnerRef(o)
 }
 
 // Enter acquires a readers or writer lock (rw_enter), blocking as

@@ -27,6 +27,7 @@ type Sema struct {
 	holder  *core.Thread // most recent P-er without a matching V
 	waiters waitq
 	name    string
+	bi      *core.BlockInfo // cached wait-for edge; see blockInfo
 
 	// sv (process-shared variant): word 0 is the count, word 1 the
 	// most recent holder (pid, tid), word 2 the robust state.
@@ -49,6 +50,7 @@ func (sp *Sema) Init(count uint) {
 // shared word is still zero and count is non-zero.
 func (sp *Sema) InitShared(sv *usync.Var, count uint) {
 	sp.sv = sv
+	sp.bi = nil // the name changed
 	sv.Declare(usync.KindSema)
 	if count > 0 {
 		sv.Atomically(func(w usync.Words) {
@@ -66,6 +68,13 @@ func (sp *Sema) Name() string {
 	}
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
+	return sp.nameLocked()
+}
+
+func (sp *Sema) nameLocked() string {
+	if sp.sv != nil {
+		return sp.sv.Name()
+	}
 	if sp.name == "" {
 		sp.name = autoName("sema")
 	}
@@ -74,29 +83,28 @@ func (sp *Sema) Name() string {
 
 // blockInfo is the wait-for edge for threads parked in P. The
 // resolvable owner is the most recent un-V'd P-er, which makes
-// mutex-style semaphore usage visible to the deadlock detector.
+// mutex-style semaphore usage visible to the deadlock detector. The
+// edge is immutable and names nothing but the semaphore, so it is
+// built once and shared by every waiter: blocking allocates nothing.
 func (sp *Sema) blockInfo() *core.BlockInfo {
-	name := sp.Name()
-	if sp.sv != nil {
-		return &core.BlockInfo{Kind: "sema", Name: name, Owner: func() (core.OwnerRef, bool) {
-			var ow uint64
-			sp.sv.Atomically(func(w usync.Words) { ow = w.Load(1) })
-			if ow == 0 {
-				return core.OwnerRef{}, false
-			}
-			pid, tid := usync.DecodeOwner(ow)
-			return core.OwnerRef{PID: pid, TID: core.ThreadID(tid)}, true
-		}}
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if sp.bi == nil {
+		sp.bi = &core.BlockInfo{Kind: "sema", Name: sp.nameLocked(), Owner: sp.ownerRef}
 	}
-	return &core.BlockInfo{Kind: "sema", Name: name, Owner: func() (core.OwnerRef, bool) {
-		sp.mu.Lock()
-		h := sp.holder
-		sp.mu.Unlock()
-		if h == nil {
-			return core.OwnerRef{}, false
-		}
-		return core.OwnerRef{TID: h.ID()}, true
-	}}
+	return sp.bi
+}
+
+// ownerRef resolves the semaphore's holder for the wait-for graph, at
+// walk time and never under the caller's locks.
+func (sp *Sema) ownerRef() (core.OwnerRef, bool) {
+	if sp.sv != nil {
+		return sharedOwnerRef(sp.sv, 1)
+	}
+	sp.mu.Lock()
+	h := sp.holder
+	sp.mu.Unlock()
+	return localOwnerRef(h)
 }
 
 // P decrements the semaphore, blocking while the count is zero

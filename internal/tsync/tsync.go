@@ -32,6 +32,7 @@ import (
 
 	"sunosmt/internal/chaos"
 	"sunosmt/internal/core"
+	"sunosmt/internal/usync"
 )
 
 // Errors returned by the fallible acquisition entry points (EnterErr,
@@ -62,6 +63,27 @@ var nameSeq atomic.Uint64
 
 func autoName(kind string) string {
 	return fmt.Sprintf("%s#%d", kind, nameSeq.Add(1))
+}
+
+// sharedOwnerRef decodes the (pid, tid) owner word of a process-shared
+// primitive for the wait-for graph; a zero word means unowned.
+func sharedOwnerRef(sv *usync.Var, word int) (core.OwnerRef, bool) {
+	var ow uint64
+	sv.Atomically(func(w usync.Words) { ow = w.Load(word) })
+	if ow == 0 {
+		return core.OwnerRef{}, false
+	}
+	pid, tid := usync.DecodeOwner(ow)
+	return core.OwnerRef{PID: pid, TID: core.ThreadID(tid)}, true
+}
+
+// localOwnerRef is the wait-for-graph owner of an unshared primitive
+// held by o (nil: unowned).
+func localOwnerRef(o *core.Thread) (core.OwnerRef, bool) {
+	if o == nil {
+		return core.OwnerRef{}, false
+	}
+	return core.OwnerRef{TID: o.ID()}, true
 }
 
 // Variant selects a mutex implementation variant, as the paper allows
