@@ -57,7 +57,7 @@ func main() {
 	case *record != "" && *replay != "":
 		log.Fatal("mttrace: -record and -replay are mutually exclusive")
 	case *record != "":
-		sys = recordRun(*record, *seed, *threads, *iters, *ring)
+		sys = recordRun(*record, *seed, *threads, *iters, *ring, mt.PolicyDefault)
 	case *replay != "":
 		sys = replayRun(*replay)
 	default:
@@ -118,8 +118,9 @@ func main() {
 // priorities decay with *measured* CPU time, so on the real clock a
 // slow run charges more usage than a fast one and dispatch priorities
 // drift). Under it the event stream is a pure function of the chaos
-// decision stream, which src records or replays.
-func runDeterministic(src *mt.ChaosSource, threads, iters, ring int) *mt.System {
+// decision stream, which src records or replays. policy is the
+// process-default lock policy the contended mutex runs under.
+func runDeterministic(src *mt.ChaosSource, threads, iters, ring int, policy mt.LockPolicy) *mt.System {
 	sys := mt.NewSystem(mt.Options{
 		NCPU:             1,
 		Clock:            ktime.NewManual(),
@@ -152,7 +153,7 @@ func runDeterministic(src *mt.ChaosSource, threads, iters, ring int) *mt.System 
 		for _, id := range ids {
 			t.Wait(id)
 		}
-	}, nil, mt.ProcConfig{DisableSigwaiting: true})
+	}, nil, mt.ProcConfig{DisableSigwaiting: true, LockPolicy: policy})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -163,11 +164,12 @@ func runDeterministic(src *mt.ChaosSource, threads, iters, ring int) *mt.System 
 // recordRun executes the deterministic workload with a recording
 // chaos source and writes the schedule journal, stamping the workload
 // parameters into the journal metadata so replayRun can rebuild the
-// identical run.
-func recordRun(path string, seed uint64, threads, iters, ring int) *mt.System {
+// identical run. The policy key is written only for a non-default
+// policy, so a default recording is the same file it always was.
+func recordRun(path string, seed uint64, threads, iters, ring int, policy mt.LockPolicy) *mt.System {
 	src := mt.NewChaos(seed)
 	src.StartRecording()
-	sys := runDeterministic(src, threads, iters, ring)
+	sys := runDeterministic(src, threads, iters, ring, policy)
 	if d := sys.Events().Dropped(); d != 0 {
 		log.Fatalf("mttrace: event ring overflowed (dropped %d); raise -ring", d)
 	}
@@ -176,6 +178,9 @@ func recordRun(path string, seed uint64, threads, iters, ring int) *mt.System {
 	j.Meta["threads"] = strconv.Itoa(threads)
 	j.Meta["iters"] = strconv.Itoa(iters)
 	j.Meta["ring"] = strconv.Itoa(ring)
+	if policy != mt.PolicyDefault {
+		j.Meta["policy"] = policy.String()
+	}
 	if err := j.WriteFile(path); err != nil {
 		log.Fatal(err)
 	}
@@ -221,11 +226,20 @@ func replayJournal(path string) (*mt.System, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	policy, name := mt.PolicyDefault, j.Meta["policy"] // absent from journals older than the key
+	for _, p := range mt.LockPolicies() {
+		if p.String() == name {
+			policy = p
+		}
+	}
+	if name != "" && policy == mt.PolicyDefault {
+		return nil, 0, fmt.Errorf("journal %s: unknown lock policy %q", path, name)
+	}
 	src, err := mt.NewReplayChaos(j)
 	if err != nil {
 		return nil, 0, err
 	}
-	sys := runDeterministic(src, threads, iters, ring)
+	sys := runDeterministic(src, threads, iters, ring, policy)
 	recs, _ := sys.Events().Snapshot()
 	if d := mt.FirstEventDivergence(j.Events, recs); d != -1 {
 		want, got := "(stream ended)", "(stream ended)"

@@ -91,9 +91,7 @@ func (cv *Cond) Wait(t *core.Thread, mp *Mutex) {
 	}
 	// Deregister in case the wake was a permit consumed elsewhere
 	// (stop/continue interleavings); harmless if already popped.
-	cv.mu.Lock()
-	cv.waiters.remove(t)
-	cv.mu.Unlock()
+	cv.waiters.removeUnder(&cv.mu, t)
 	mp.Enter(t)
 	t.Checkpoint()
 }
@@ -114,10 +112,7 @@ func (cv *Cond) TimedWait(t *core.Thread, mp *Mutex, d time.Duration) bool {
 	fired := make(chan struct{})
 	timer := t.Runtime().Kernel().Clock().AfterFunc(d, func() {
 		close(fired)
-		cv.mu.Lock()
-		removed := cv.waiters.remove(t)
-		cv.mu.Unlock()
-		if removed {
+		if cv.waiters.removeUnder(&cv.mu, t) {
 			t.Unpark()
 		}
 	})

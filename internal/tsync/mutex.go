@@ -20,26 +20,22 @@ import (
 // death sweeps it, and the next acquirer gets ErrOwnerDead (see
 // EnterErr and MakeConsistent).
 type Mutex struct {
-	mu      sync.Mutex // word lock; models the atomic instructions
-	held    bool
-	owner   *core.Thread
+	mu      sync.Mutex   // word lock; models the atomic instructions
+	owner   *core.Thread // nil: the lock is free
 	variant Variant
 	waiters waitq
 	ts      core.Turnstile  // priority-inheritance anchor (local only)
 	name    string          // lazily assigned; identifies the lock in lstatus
 	bi      *core.BlockInfo // cached wait-for edge; see blockInfo
 
-	// policy is the configured lock/wake policy (InitPolicy); pinned
-	// is its resolved implementation, fixed at first use so the
-	// waiter-queue discipline never changes mid-life. See policy.go.
-	policy Policy
-	pinned lockPolicy
-
-	// qhead/qtail chain the queue policy's explicit MCS nodes; plSeq
-	// counts the parking-lot policy's releases for its fairness
-	// hand-off. All under the word lock.
-	qhead, qtail *mcsNode
-	plSeq        uint64
+	// policy is the lock/wake policy: as configured (InitPolicy) until
+	// the first Enter or Exit resolves it to a concrete one and sets
+	// pinned, so the waiter-queue discipline never changes mid-life.
+	// releases counts Exits for the periodic hand-off. All under the
+	// word lock; see policy.go.
+	policy   Policy
+	pinned   bool
+	releases uint64
 
 	// sv, when non-nil, makes this a process-shared mutex whose
 	// state lives in mapped memory at the variable's offset:
@@ -57,25 +53,37 @@ const MutexShmSize = 32
 // for, as in the original.
 func (mp *Mutex) Init(v Variant) { mp.variant = v }
 
-// InitPolicy pins this lock's lock/wake policy (see Policy), overriding
-// the process default. Like Init, it must be called before first use;
-// once the mutex has been contended the policy is fixed.
+// InitPolicy sets this lock's lock/wake policy (see Policy), overriding
+// the process default. Like Init, it must be called before first use:
+// the first Enter or Exit fixes the policy for good.
 func (mp *Mutex) InitPolicy(p Policy) {
+	if p != PolicyDefault {
+		p = p.concrete()
+	}
 	mp.mu.Lock()
-	mp.policy = p
+	if !mp.pinned {
+		mp.policy = p
+	}
 	mp.mu.Unlock()
 }
 
 // LockPolicy reports the lock's policy: the resolved one once the
-// mutex has been used, the configured one before that.
-func (mp *Mutex) LockPolicy() string { return mp.policyName() }
+// mutex has been used, the configured one before that — the /proc
+// lstatus POLICY column.
+func (mp *Mutex) LockPolicy() string {
+	mp.mu.Lock()
+	defer mp.mu.Unlock()
+	return mp.policy.String()
+}
 
 // InitShared binds the mutex to shared state at (obj, off) resolved
 // through reg — the USYNC_PROCESS variant. Threads in any process
 // that binds a Mutex to the same identity contend on the same lock.
 func (mp *Mutex) InitShared(sv *usync.Var) {
+	mp.mu.Lock()
 	mp.sv = sv
 	mp.bi = nil // the name changed
+	mp.mu.Unlock()
 	sv.Declare(usync.KindMutex)
 }
 
@@ -103,33 +111,35 @@ func (mp *Mutex) nameLocked() string {
 // blockInfo is the wait-for edge published while parked on this
 // mutex. The owner resolves at walk time, never under the caller's
 // locks. The edge is immutable, so it is built once and shared by
-// every waiter — blocking allocates nothing — and rebuilt only when
-// what it names changes: the policy, pinned at first contended use.
+// every waiter — blocking allocates nothing. The policy it names is
+// settled by then: the waiter's Enter pinned it before blocking.
 func (mp *Mutex) blockInfo() *core.BlockInfo {
 	mp.mu.Lock()
 	defer mp.mu.Unlock()
-	policy := ""
-	if mp.sv == nil {
-		policy = mp.policyNameLocked()
-	}
-	if mp.bi == nil || mp.bi.Policy != policy {
-		mp.bi = &core.BlockInfo{Kind: "mutex", Name: mp.nameLocked(), Policy: policy, Owner: mp.ownerRef}
+	if mp.bi == nil {
+		mp.bi = &core.BlockInfo{Kind: "mutex", Name: mp.nameLocked(), Owner: mp.ownerRef}
 		if mp.sv == nil {
 			mp.bi.Ts = &mp.ts
+			mp.bi.Policy = mp.policy.String()
 		}
 	}
 	return mp.bi
 }
 
-// ownerRef resolves the mutex's owner for the wait-for graph.
+// ownerRef resolves the mutex's owner for the wait-for graph. A graph
+// walker can still be resolving an edge cached before InitShared, so
+// sv is read under the word lock InitShared publishes it under; and
+// the owner is identified there too, while it still is the owner — a
+// thread that has released may exit and have its Thread recycled.
 func (mp *Mutex) ownerRef() (core.OwnerRef, bool) {
-	if mp.sv != nil {
-		return sharedOwnerRef(mp.sv, 2)
-	}
 	mp.mu.Lock()
-	o := mp.owner
+	sv := mp.sv
+	ref, ok := localOwnerRef(mp.owner)
 	mp.mu.Unlock()
-	return localOwnerRef(o)
+	if sv != nil {
+		return sharedOwnerRef(sv, 2)
+	}
+	return ref, ok
 }
 
 // Enter acquires the lock, blocking if it is already held
@@ -159,12 +169,7 @@ func (mp *Mutex) Enter(t *core.Thread) {
 //     call MakeConsistent before Exit; releasing without it makes
 //     the lock permanently ErrNotRecoverable.
 //   - ErrNotRecoverable (shared): the lock is dead forever.
-func (mp *Mutex) EnterErr(t *core.Thread) error {
-	if mp.sv != nil {
-		return mp.enterShared(t, 0)
-	}
-	return mp.enterLocal(t, 0)
-}
+func (mp *Mutex) EnterErr(t *core.Thread) error { return mp.TimedEnter(t, 0) }
 
 // TimedEnter is EnterErr with a deadline: it gives up and returns
 // ErrTimedOut if the lock cannot be acquired within d (cf.
@@ -193,13 +198,6 @@ func (mp *Mutex) MakeConsistent(t *core.Thread) bool {
 		}
 	})
 	return ok
-}
-
-// enterLocal is the unshared acquisition path: it resolves the lock's
-// policy (per-lock InitPolicy, else the process default) and runs its
-// acquisition loop. d > 0 bounds the wait.
-func (mp *Mutex) enterLocal(t *core.Thread, d time.Duration) error {
-	return mp.impl(t).enter(mp, t, d)
 }
 
 // parkTimed parks t with a deadline. dequeue must atomically remove t
@@ -235,6 +233,25 @@ func parkTimed(t *core.Thread, clk ktime.Clock, deadline time.Duration, dequeue 
 	}
 }
 
+// block is the park tail of every unshared primitive's wait loop:
+// publish the wait-for edge bi, optionally will t's priority down the
+// ownership chain, park, clear the edge. A nil dequeue parks without a
+// deadline; otherwise the park is parkTimed's, and block reports
+// whether the deadline cut it short.
+func block(t *core.Thread, bi *core.BlockInfo, will bool, clk ktime.Clock, deadline time.Duration, dequeue func() bool) (timedOut bool) {
+	t.NoteBlocked(bi)
+	if will {
+		t.WillPriority()
+	}
+	if dequeue != nil {
+		timedOut = parkTimed(t, clk, deadline, dequeue)
+	} else {
+		t.Park()
+	}
+	t.NoteUnblocked()
+	return timedOut
+}
+
 // TryEnter acquires the lock only if that requires no blocking
 // (mutex_tryenter); it reports whether the lock was taken. The paper
 // notes it can be used to avoid deadlock in lock-hierarchy
@@ -246,13 +263,7 @@ func (mp *Mutex) TryEnter(t *core.Thread) bool {
 	}
 	mp.mu.Lock()
 	defer mp.mu.Unlock()
-	if mp.held {
-		return false
-	}
-	mp.held = true
-	mp.owner = t
-	mp.ts.Acquired(t)
-	return true
+	return mp.takeLocked(t, false)
 }
 
 // Exit releases the lock (mutex_exit): the policy either wakes the
@@ -264,7 +275,7 @@ func (mp *Mutex) Exit(t *core.Thread) {
 		mp.exitShared(t)
 		return
 	}
-	mp.impl(t).exit(mp, t)
+	mp.exitLocal(t)
 }
 
 // Held reports whether the mutex is currently held (debugging aid).
@@ -276,7 +287,7 @@ func (mp *Mutex) Held() bool {
 	}
 	mp.mu.Lock()
 	defer mp.mu.Unlock()
-	return mp.held
+	return mp.owner != nil
 }
 
 // ownerWord encodes the calling thread as a shared owner word.

@@ -183,35 +183,161 @@ func TestPolicyTimedEnter(t *testing.T) {
 }
 
 // TestAdaptiveSpinOwnerChangeReset is the regression test for the
-// adaptive-spin accounting bug: the spin budget is charged per
-// observed owner, so a waiter that watched owner A for the full cap
-// gets a fresh budget when it observes the lock held by B — the new
-// owner may well be on CPU and about to release. Before the fix the
-// counter kept accumulating across owner changes and a long-lived
-// waiter degraded to park-only.
+// adaptive-spin accounting bug, aimed at the one spin budget every
+// discipline shares. Under the owner-on-CPU rule the budget is charged
+// per observed owner, so a waiter that watched owner A for the full
+// cap gets a fresh budget when it observes the lock held by B — the
+// new owner may well be on CPU and about to release. Before the fix
+// the counter kept accumulating across owner changes and a long-lived
+// waiter degraded to park-only. The fixed rule bets on the hold time
+// alone: its budget is per contention round whoever holds the lock.
 func TestAdaptiveSpinOwnerChangeReset(t *testing.T) {
 	ownerA, ownerB := new(core.Thread), new(core.Thread)
-	var s adaptiveSpin
-	for i := 0; i < adaptiveSpinCap; i++ {
-		if !s.shouldSpin(ownerA) {
-			t.Fatalf("budget exhausted after %d spins, cap is %d", i, adaptiveSpinCap)
+	exhaust := func(s *spinBudget, dp *discipline, owner *core.Thread, from int) {
+		t.Helper()
+		for i := from; i < dp.spinCap; i++ {
+			if !s.take(dp, owner) {
+				t.Fatalf("budget exhausted after %d spins, cap is %d", i, dp.spinCap)
+			}
+		}
+		if s.take(dp, owner) {
+			t.Fatal("budget not exhausted at cap for an unchanged owner")
 		}
 	}
-	if s.shouldSpin(ownerA) {
-		t.Fatal("budget not exhausted at cap for an unchanged owner")
-	}
-	if !s.shouldSpin(ownerB) {
+
+	adaptive := &disciplines[PolicyAdaptive]
+	var s spinBudget
+	exhaust(&s, adaptive, ownerA, 0)
+	if !s.take(adaptive, ownerB) {
 		t.Fatal("owner change did not reset the spin budget")
 	}
-	for i := 1; i < adaptiveSpinCap; i++ {
-		if !s.shouldSpin(ownerB) {
-			t.Fatalf("fresh budget for new owner exhausted early at %d", i)
+	exhaust(&s, adaptive, ownerB, 1)
+	if !s.take(adaptive, ownerA) {
+		t.Fatal("changing back to a previous owner did not reset the budget")
+	}
+
+	fixed := &disciplines[PolicyParkingLot]
+	s = spinBudget{}
+	exhaust(&s, fixed, ownerA, 0)
+	if s.take(fixed, ownerB) {
+		t.Fatal("the fixed spin rule reset its budget on an owner change")
+	}
+
+	for _, pol := range []Policy{PolicyTicket, PolicyQueue} {
+		if s = (spinBudget{}); s.take(&disciplines[pol], ownerA) {
+			t.Fatalf("policy %v spins before queueing; hand-off waiters queue at once", pol)
 		}
 	}
-	if s.shouldSpin(ownerB) {
-		t.Fatal("budget not exhausted at cap for the new owner")
+}
+
+// TestPolicyOutOfRangeIsAdaptive: a Policy value outside the table —
+// from either level of the knob — runs adaptive and says so, instead
+// of running adaptive while reporting "policy?".
+func TestPolicyOutOfRangeIsAdaptive(t *testing.T) {
+	const bogus = Policy(9)
+	w := newWorld(1)
+	var perLock, perProc Mutex
+	perLock.InitPolicy(bogus)
+	if got := perLock.LockPolicy(); got != "adaptive" {
+		t.Errorf("InitPolicy(%d): LockPolicy() = %q before use, want adaptive", bogus, got)
 	}
-	if !s.shouldSpin(ownerA) {
-		t.Fatal("changing back to a previous owner did not reset the budget")
+	m := w.boot(t, "p", core.Config{LockPolicy: int(bogus)}, func(self *core.Thread, _ any) {
+		for _, mu := range []*Mutex{&perLock, &perProc} {
+			mu.Enter(self)
+			mu.Exit(self)
+		}
+	})
+	waitRT(t, m)
+	for name, mu := range map[string]*Mutex{"per-lock": &perLock, "per-process": &perProc} {
+		if got := mu.LockPolicy(); got != "adaptive" {
+			t.Errorf("%s policy %d: LockPolicy() = %q after use, want adaptive", name, bogus, got)
+		}
+	}
+}
+
+// queuedOn reports how many threads are queued on mu.
+func queuedOn(mu *Mutex) int {
+	mu.mu.Lock()
+	defer mu.mu.Unlock()
+	return mu.waiters.len()
+}
+
+// TestParkingLotEventualFairness: on one LWP a releaser that re-takes
+// the lock before yielding always beats the waiter its release woke —
+// the barging window — so under a pure barging policy the waiter below
+// would starve. Parking-lot's rule is that the 64th release hands the
+// lock to the parked waiter instead, with no window to barge through.
+func TestParkingLotEventualFairness(t *testing.T) {
+	period := int(disciplines[PolicyParkingLot].handOffEvery)
+	w := newWorld(1)
+	var mu Mutex
+	mu.InitPolicy(PolicyParkingLot)
+	granted := false
+	m := w.boot(t, "p", core.Config{}, func(self *core.Thread, _ any) {
+		mu.Enter(self)
+		c, _ := self.Runtime().Create(func(c *core.Thread, _ any) {
+			mu.Enter(c)
+			granted = true
+			mu.Exit(c)
+		}, nil, core.CreateOpts{Flags: core.ThreadWait})
+		for release := 1; release <= period; release++ {
+			// Let the waiter burn its spin budget and park.
+			for i := 0; queuedOn(&mu) == 0; i++ {
+				if i > 4*disciplines[PolicyParkingLot].spinCap {
+					t.Errorf("release %d: the waiter never parked", release)
+					return
+				}
+				self.Yield()
+			}
+			mu.Exit(self)
+			barged := mu.TryEnter(self)
+			if release < period && !barged {
+				t.Errorf("release %d was a hand-off; only release %d should be", release, period)
+				return
+			}
+			if release == period && barged {
+				t.Errorf("release %d left the lock open to a barger with a waiter parked", period)
+			}
+		}
+		if granted {
+			t.Error("the waiter ran its critical section before it was handed the lock")
+		}
+		self.Wait(c.ID())
+	})
+	waitRT(t, m)
+	if !granted {
+		t.Fatal("the parked waiter never got the lock")
+	}
+}
+
+// TestQueueLocalSpinAvoidsPark: a queue-policy waiter whose grant
+// arrives inside its local-spin window takes the lock without parking
+// — the run completes with no lock-wait (MSLock) episode at all —
+// where the same schedule under ticket, which has no window, parks.
+func TestQueueLocalSpinAvoidsPark(t *testing.T) {
+	for pol, wantParks := range map[Policy]uint64{PolicyQueue: 0, PolicyTicket: 1} {
+		t.Run(pol.String(), func(t *testing.T) {
+			w := newWorld(1)
+			var mu Mutex
+			mu.InitPolicy(pol)
+			m := w.boot(t, "p", core.Config{LockWaitSampleCap: 8}, func(self *core.Thread, _ any) {
+				mu.Enter(self)
+				c, _ := self.Runtime().Create(func(c *core.Thread, _ any) {
+					mu.Enter(c)
+					mu.Exit(c)
+				}, nil, core.CreateOpts{Flags: core.ThreadWait})
+				// Run the waiter until it has queued, and a few probes
+				// into the window (ticket: until it has parked).
+				for i := 0; i < 4 || queuedOn(&mu) == 0; i++ {
+					self.Yield()
+				}
+				mu.Exit(self) // the hand-off
+				self.Wait(c.ID())
+			})
+			waitRT(t, m)
+			if _, parks := m.LockWaitSamples(); parks != wantParks {
+				t.Fatalf("policy %v: %d lock-wait episodes, want %d", pol, parks, wantParks)
+			}
+		})
 	}
 }

@@ -57,8 +57,10 @@ const RWShmSize = 48
 // InitShared binds the lock to shared state — the USYNC_PROCESS
 // variant (rw_init with THREAD_SYNC_SHARED).
 func (rw *RWLock) InitShared(sv *usync.Var) {
+	rw.mu.Lock()
 	rw.sv = sv
 	rw.bi = nil // the name changed
+	rw.mu.Unlock()
 	sv.Declare(usync.KindRW)
 }
 
@@ -97,15 +99,17 @@ func (rw *RWLock) blockInfo() *core.BlockInfo {
 	return rw.bi
 }
 
-// ownerRef resolves the writer owner for the wait-for graph.
+// ownerRef resolves the writer owner for the wait-for graph; both
+// reads sit under the word lock for the reasons Mutex.ownerRef gives.
 func (rw *RWLock) ownerRef() (core.OwnerRef, bool) {
-	if rw.sv != nil {
-		return sharedOwnerRef(rw.sv, 4)
-	}
 	rw.mu.Lock()
-	o := rw.owner
+	sv := rw.sv
+	ref, ok := localOwnerRef(rw.owner)
 	rw.mu.Unlock()
-	return localOwnerRef(o)
+	if sv != nil {
+		return sharedOwnerRef(sv, 4)
+	}
+	return ref, ok
 }
 
 // Enter acquires a readers or writer lock (rw_enter), blocking as
@@ -126,29 +130,27 @@ func (rw *RWLock) Enter(t *core.Thread, typ RWType) {
 // mode plus the recovery claim (other acquirers wait until
 // MakeConsistent or a claim-dropping Exit, which poisons the lock
 // with ErrNotRecoverable). Unshared locks always return nil.
-func (rw *RWLock) EnterErr(t *core.Thread, typ RWType) error {
-	if rw.sv != nil {
-		return rw.enterShared(t, typ, 0)
-	}
-	return rw.enterLocal(t, typ, 0)
-}
+func (rw *RWLock) EnterErr(t *core.Thread, typ RWType) error { return rw.enter(t, typ, 0) }
 
 // TimedRdLock acquires a readers lock with a deadline, returning
 // ErrTimedOut when d elapses first (cf. Cond.TimedWait).
 func (rw *RWLock) TimedRdLock(t *core.Thread, d time.Duration) error {
-	if rw.sv != nil {
-		return rw.enterShared(t, RWReader, d)
-	}
-	return rw.enterLocal(t, RWReader, d)
+	return rw.enter(t, RWReader, d)
 }
 
 // TimedWrLock acquires the writer lock with a deadline, returning
 // ErrTimedOut when d elapses first.
 func (rw *RWLock) TimedWrLock(t *core.Thread, d time.Duration) error {
+	return rw.enter(t, RWWriter, d)
+}
+
+// enter acquires through the shared or the unshared path; d > 0 bounds
+// the wait.
+func (rw *RWLock) enter(t *core.Thread, typ RWType, d time.Duration) error {
 	if rw.sv != nil {
-		return rw.enterShared(t, RWWriter, d)
+		return rw.enterShared(t, typ, d)
 	}
-	return rw.enterLocal(t, RWWriter, d)
+	return rw.enterLocal(t, typ, d)
 }
 
 // MakeConsistent resolves an ErrOwnerDead claim held by the calling
@@ -183,6 +185,7 @@ func (rw *RWLock) enterLocal(t *core.Thread, typ RWType, d time.Duration) error 
 		deadline = clk.Now() + d
 	}
 	var bi *core.BlockInfo
+	var dequeue func() bool // timed waits only
 	for {
 		rw.mu.Lock()
 		if rw.tryLocked(t, typ) {
@@ -202,32 +205,22 @@ func (rw *RWLock) enterLocal(t *core.Thread, typ RWType, d time.Duration) error 
 			rw.rq.push(t)
 		}
 		rw.mu.Unlock()
-		if bi == nil {
-			bi = rw.blockInfo()
-		}
 		timedOut := false
 		if chaosOf(t).SpuriousWakeup() {
 			t.Checkpoint() // chaos: spurious wakeup, park elided
-		} else if d > 0 {
-			t.NoteBlocked(bi)
-			t.WillPriority() // boost the writer holding us out
-			timedOut = parkTimed(t, clk, deadline, func() bool {
-				rw.mu.Lock()
-				var removed bool
-				if typ == RWWriter {
-					removed = rw.wq.remove(t)
-				} else {
-					removed = rw.rq.remove(t)
-				}
-				rw.mu.Unlock()
-				return removed
-			})
-			t.NoteUnblocked()
 		} else {
-			t.NoteBlocked(bi)
-			t.WillPriority() // boost the writer holding us out
-			t.Park()
-			t.NoteUnblocked()
+			if bi == nil {
+				bi = rw.blockInfo()
+			}
+			if d > 0 && dequeue == nil {
+				q := &rw.rq
+				if typ == RWWriter {
+					q = &rw.wq
+				}
+				dequeue = func() bool { return q.removeUnder(&rw.mu, t) }
+			}
+			// Willing priority boosts the writer holding us out.
+			timedOut = block(t, bi, true, clk, deadline, dequeue)
 		}
 		rw.mu.Lock()
 		if typ == RWWriter {

@@ -49,8 +49,10 @@ func (sp *Sema) Init(count uint) {
 // the USYNC_PROCESS variant — and sets the initial count if the
 // shared word is still zero and count is non-zero.
 func (sp *Sema) InitShared(sv *usync.Var, count uint) {
+	sp.mu.Lock()
 	sp.sv = sv
 	sp.bi = nil // the name changed
+	sp.mu.Unlock()
 	sv.Declare(usync.KindSema)
 	if count > 0 {
 		sv.Atomically(func(w usync.Words) {
@@ -96,15 +98,17 @@ func (sp *Sema) blockInfo() *core.BlockInfo {
 }
 
 // ownerRef resolves the semaphore's holder for the wait-for graph, at
-// walk time and never under the caller's locks.
+// walk time and never under the caller's locks. Both reads sit under
+// the word lock for the reasons Mutex.ownerRef gives.
 func (sp *Sema) ownerRef() (core.OwnerRef, bool) {
-	if sp.sv != nil {
-		return sharedOwnerRef(sp.sv, 1)
-	}
 	sp.mu.Lock()
-	h := sp.holder
+	sv := sp.sv
+	ref, ok := localOwnerRef(sp.holder)
 	sp.mu.Unlock()
-	return localOwnerRef(h)
+	if sv != nil {
+		return sharedOwnerRef(sv, 1)
+	}
+	return ref, ok
 }
 
 // P decrements the semaphore, blocking while the count is zero
@@ -119,15 +123,11 @@ func (sp *Sema) P(t *core.Thread) {
 // a process died between P and V — the compensating unit restored by
 // the sweep may guard state that needs checking. Unshared semaphores
 // always return nil.
-func (sp *Sema) PErr(t *core.Thread) error {
-	if sp.sv != nil {
-		return sp.pShared(t, 0)
-	}
-	return sp.pLocal(t, 0)
-}
+func (sp *Sema) PErr(t *core.Thread) error { return sp.TimedP(t, 0) }
 
 // TimedP is PErr with a deadline, returning ErrTimedOut when d
-// elapses before a unit is available (sema_timedwait).
+// elapses before a unit is available (sema_timedwait). d <= 0 means no
+// deadline.
 func (sp *Sema) TimedP(t *core.Thread, d time.Duration) error {
 	if sp.sv != nil {
 		return sp.pShared(t, d)
@@ -142,6 +142,7 @@ func (sp *Sema) pLocal(t *core.Thread, d time.Duration) error {
 		deadline = clk.Now() + d
 	}
 	var bi *core.BlockInfo
+	var dequeue func() bool // timed waits only: an untimed P allocates nothing
 	for {
 		sp.mu.Lock()
 		if sp.count > 0 {
@@ -158,34 +159,20 @@ func (sp *Sema) pLocal(t *core.Thread, d time.Duration) error {
 		sp.mu.Unlock()
 		if chaosOf(t).SpuriousWakeup() {
 			t.Checkpoint() // chaos: spurious wakeup, park elided
-		} else if d > 0 {
-			if bi == nil {
-				bi = sp.blockInfo()
-			}
-			t.NoteBlocked(bi)
-			timedOut := parkTimed(t, clk, deadline, func() bool {
-				sp.mu.Lock()
-				removed := sp.waiters.remove(t)
-				sp.mu.Unlock()
-				return removed
-			})
-			t.NoteUnblocked()
-			if timedOut {
-				return ErrTimedOut
-			}
 		} else {
 			if bi == nil {
 				bi = sp.blockInfo()
 			}
-			t.NoteBlocked(bi)
-			t.Park()
-			t.NoteUnblocked()
+			if d > 0 && dequeue == nil {
+				dequeue = func() bool { return sp.waiters.removeUnder(&sp.mu, t) }
+			}
+			if block(t, bi, false, clk, deadline, dequeue) {
+				return ErrTimedOut
+			}
 		}
 		// Mesa semantics: re-check; a barger may have taken the
 		// count.
-		sp.mu.Lock()
-		sp.waiters.remove(t)
-		sp.mu.Unlock()
+		sp.waiters.removeUnder(&sp.mu, t)
 	}
 }
 

@@ -28,6 +28,7 @@ package tsync
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"sunosmt/internal/chaos"
@@ -109,14 +110,6 @@ const (
 	VariantErrorCheck
 )
 
-// adaptiveSpinCap bounds the owner-running spin phase of
-// adaptive/default mutexes: a waiter keeps probing only while the
-// owner is observed on a processor (core.Thread.OnCPU), so the spin
-// budget tracks observed owner-running time rather than a fixed
-// iteration count, and a waiter whose owner is preempted parks
-// immediately. The cap catches pathological long critical sections.
-const adaptiveSpinCap = 128
-
 // waitq is a queue of parked threads — ordered by descending
 // effective priority, FIFO among equals, so pop always wakes the best
 // waiter — fronted by the primitive's internal word lock. The word lock (a plain Go mutex) models the
@@ -139,15 +132,16 @@ func (w *waitq) chanOf() core.WaitChan {
 	return w.wc
 }
 
-// chanOfFIFO allocates the queue as a strict arrival-order channel
-// instead — the hand-off lock policies' discipline. A given waitq is
-// allocated exactly one way (the policy is pinned before its first
-// enqueue), so the two allocators never race on one queue.
-func (w *waitq) chanOfFIFO() core.WaitChan {
-	if !w.wc.Valid() {
+// chanFor is chanOf, except that fifo allocates the queue as a strict
+// arrival-order channel instead — the hand-off lock policies'
+// discipline. A given waitq is allocated exactly one way (the policy
+// is pinned before its first enqueue), so the two allocators never
+// race on one queue.
+func (w *waitq) chanFor(fifo bool) core.WaitChan {
+	if fifo && !w.wc.Valid() {
 		w.wc = core.AllocWaitChanFIFO()
 	}
-	return w.wc
+	return w.chanOf()
 }
 
 func (w *waitq) push(t *core.Thread) { w.chanOf().Enqueue(t) }
@@ -164,6 +158,16 @@ func (w *waitq) remove(t *core.Thread) bool {
 		return false
 	}
 	return w.wc.Remove(t)
+}
+
+// removeUnder is remove for a caller outside the primitive's word lock
+// mu — a timer, or a waiter back from a park. False means a waker
+// already popped t.
+func (w *waitq) removeUnder(mu *sync.Mutex, t *core.Thread) bool {
+	mu.Lock()
+	removed := w.remove(t)
+	mu.Unlock()
+	return removed
 }
 
 func (w *waitq) len() int {

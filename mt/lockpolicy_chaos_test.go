@@ -14,10 +14,6 @@ import (
 // the sweep pins down, per policy:
 //
 //   - Mutual exclusion and no lost updates (counter + holders gauge).
-//   - Queue-node integrity for the MCS/CLH policy: the release path
-//     panics if its node chain ever diverges from the waiter queue,
-//     so a corrupted hand-off fails the seed loudly rather than
-//     silently granting out of order.
 //   - Priority inheritance across hand-off: a high-priority closer
 //     thread acquires the same lock while low-priority holders
 //     deschedule inside their critical sections; the run completing

@@ -97,7 +97,7 @@ type (
 	Variant = tsync.Variant
 	// LockPolicy selects a mutex lock/wake policy (adaptive, ticket,
 	// MCS/CLH queue, parking-lot), per-lock via Mutex.InitPolicy or
-	// per-process via ProcConfig.LockPolicy / Options.LockPolicy.
+	// per-process via ProcConfig.LockPolicy.
 	LockPolicy = tsync.Policy
 	// RWType selects reader or writer acquisition.
 	RWType = tsync.RWType
@@ -280,11 +280,6 @@ type Options struct {
 	// jitter composes: jitter perturbs deadlines as they are armed,
 	// and the jump honors the jittered order.
 	FastForward bool
-	// LockPolicy is the machine-wide default mutex lock/wake policy:
-	// processes whose ProcConfig leaves LockPolicy at PolicyDefault
-	// inherit it. PolicyDefault here selects adaptive, the paper's
-	// discipline. Ablatable per-lock with Mutex.InitPolicy.
-	LockPolicy LockPolicy
 }
 
 // Chaos re-exports: seeded schedule exploration and fault injection.
@@ -318,8 +313,6 @@ type System struct {
 	Reg   *usync.Registry
 	tr    *trace.Buffer
 	rings *trace.Rings
-
-	lockPolicy LockPolicy // machine default; see Options.LockPolicy
 }
 
 // NewSystem boots a machine.
@@ -368,12 +361,11 @@ func NewSystem(o Options) *System {
 		})
 	}
 	s := &System{
-		Kern:       k,
-		FS:         vfs.NewFS(k),
-		Reg:        usync.NewRegistry(k),
-		tr:         tr,
-		rings:      rings,
-		lockPolicy: o.LockPolicy,
+		Kern:  k,
+		FS:    vfs.NewFS(k),
+		Reg:   usync.NewRegistry(k),
+		tr:    tr,
+		rings: rings,
 	}
 	return s
 }
@@ -610,8 +602,7 @@ type ProcConfig struct {
 	// (/proc/<pid>/health, mtstat -health). Zero selects 1s.
 	WatchdogDeadline time.Duration
 	// LockPolicy is the process-default mutex lock/wake policy
-	// (adaptive, ticket, queue, parkinglot); PolicyDefault inherits
-	// the system's Options.LockPolicy, which itself defaults to
+	// (adaptive, ticket, queue, parkinglot); PolicyDefault is
 	// adaptive. Individual locks override with Mutex.InitPolicy. The
 	// per-process ablation knob of the lock-policy shootout, beside
 	// NoPriorityInheritance.
@@ -664,10 +655,6 @@ func (s *System) buildProc(kp *sim.Process, main Func, arg any, cfg ProcConfig, 
 		p.AS.SetCommitLimit(cfg.CommitLimitBytes)
 	}
 	p.AS.SetChaos(s.Kern.Chaos())
-	pol := cfg.LockPolicy
-	if pol == PolicyDefault {
-		pol = s.lockPolicy
-	}
 	p.RT = core.NewRuntime(s.Kern, kp, core.Config{
 		Trace:                 s.tr,
 		MaxAutoLWPs:           cfg.MaxAutoLWPs,
@@ -678,7 +665,7 @@ func (s *System) buildProc(kp *sim.Process, main Func, arg any, cfg ProcConfig, 
 		MaxThreads:            cfg.MaxThreads,
 		ThreadCacheSize:       cfg.ThreadCacheSize,
 		WatchdogDeadline:      cfg.WatchdogDeadline,
-		LockPolicy:            int(pol),
+		LockPolicy:            int(cfg.LockPolicy),
 		LockWaitSampleCap:     cfg.LockWaitSampleCap,
 		InitialLWP:            initial,
 		StackMem:              p.AS,
