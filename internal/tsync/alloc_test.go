@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sunosmt/internal/core"
+	"sunosmt/internal/vm"
 )
 
 // These tests pin the zero-alloc block path: a primitive's wait-for
@@ -94,6 +95,33 @@ func TestCondWaitZeroAlloc(t *testing.T) {
 		mu.Exit(self)
 		if _, err := self.Wait(peer.ID()); err != nil {
 			t.Error(err)
+		}
+	})
+	waitRT(t, m)
+}
+
+// TestSharedUncontendedZeroAlloc pins the process-shared fast paths:
+// a section works on the variable's own word image and the registry
+// keeps one Var per identity, so an uncontended shared Enter+Exit, a
+// shared V+P and a repeat lookup of a known identity allocate
+// nothing. Before the image every word load or store heap-allocated
+// its 8-byte buffer (9 per Enter+Exit) and every lookup a handle.
+func TestSharedUncontendedZeroAlloc(t *testing.T) {
+	w := newWorld(1)
+	obj := vm.NewAnon(vm.PageSize)
+	m := w.boot(t, "p", core.Config{}, func(self *core.Thread, _ any) {
+		var mu Mutex
+		mu.InitShared(w.reg.Var(obj, 0))
+		var sem Sema
+		sem.InitShared(w.reg.Var(obj, 64), 0)
+		for name, op := range map[string]func(){
+			"shared mutex Enter+Exit":          func() { mu.Enter(self); mu.Exit(self) },
+			"shared sema V+P":                  func() { sem.V(self); sem.P(self) },
+			"Registry.Var on a known identity": func() { w.reg.Var(obj, 0) },
+		} {
+			if avg := testing.AllocsPerRun(200, op); avg > 0 {
+				t.Errorf("%s allocates %.1f objects/op, want 0", name, avg)
+			}
 		}
 	})
 	waitRT(t, m)

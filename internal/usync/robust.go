@@ -69,12 +69,11 @@ func DecodeOwner(w uint64) (pid sim.PID, tid int) {
 
 // Declare records the variable's kind so the owner-death sweep knows
 // its word layout. Idempotent; every process sharing the variable
-// declares the same kind when it initializes its local handle.
-func (v *Var) Declare(kind Kind) {
-	v.reg.mu.Lock()
-	v.st.kind = kind
-	v.reg.mu.Unlock()
-}
+// declares the same kind when it binds a primitive to it.
+func (v *Var) Declare(kind Kind) { v.kind.Store(int32(kind)) }
+
+// declared returns the kind last declared, KindNone if none was.
+func (v *Var) declared() Kind { return Kind(v.kind.Load()) }
 
 // SweepOwnerDead scans every declared shared variable owned by a
 // thread of the dead process, clears the holder, marks the robust
@@ -84,46 +83,40 @@ func (v *Var) Declare(kind Kind) {
 // death). The visit order rotates under chaos so seeds explore which
 // waiter observes OWNERDEAD first.
 func (r *Registry) SweepOwnerDead(pid sim.PID) {
-	type entry struct {
-		key  varKey
-		st   *varState
-		kind Kind
-	}
 	r.mu.Lock()
-	entries := make([]entry, 0, len(r.vars))
-	for key, st := range r.vars {
-		if st.kind != KindNone {
-			entries = append(entries, entry{key, st, st.kind})
+	vars := make([]*Var, 0, len(r.vars))
+	for _, v := range r.vars {
+		if v.declared() != KindNone {
+			vars = append(vars, v)
 		}
 	}
 	r.mu.Unlock()
-	if len(entries) == 0 {
+	if len(vars) == 0 {
 		return
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].key.obj != entries[j].key.obj {
-			return entries[i].key.obj < entries[j].key.obj
+	sort.Slice(vars, func(i, j int) bool {
+		a, b := vars[i].key, vars[j].key
+		if a.obj != b.obj {
+			return a.obj < b.obj
 		}
-		return entries[i].key.off < entries[j].key.off
+		return a.off < b.off
 	})
 	start := 0
-	if alt := r.kern.Chaos().SweepReorder(len(entries)); alt >= 0 {
+	if alt := r.kern.Chaos().SweepReorder(len(vars)); alt >= 0 {
 		start = alt
 	}
-	for i := 0; i < len(entries); i++ {
-		e := entries[(start+i)%len(entries)]
-		v := &Var{reg: r, obj: e.st.obj, off: e.key.off, st: e.st}
-		r.sweepVar(v, e.kind, pid)
+	for i := range vars {
+		r.sweepVar(vars[(start+i)%len(vars)], pid)
 	}
 }
 
 // sweepVar recovers one variable if a thread of the dead process owns
 // it. Waiters are woken outside the word-lock, like every other
 // operation on the variable.
-func (r *Registry) sweepVar(v *Var, kind Kind, pid sim.PID) {
+func (r *Registry) sweepVar(v *Var, pid sim.PID) {
 	swept := false
 	v.Atomically(func(w Words) {
-		switch kind {
+		switch v.declared() {
 		case KindMutex:
 			opid, _ := DecodeOwner(w.Load(2))
 			if opid != pid || w.Load(0) == 0 {

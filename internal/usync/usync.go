@@ -9,21 +9,25 @@
 // A shared synchronization variable is identified by the (object,
 // offset) pair of the underlying mapped object — never by a virtual
 // address, since the sharing processes may map the object at
-// different addresses. This package keeps one kernel wait queue and
-// one word-lock per variable identity; the word-lock stands in for
-// the hardware atomic instructions that real implementations use on
-// the shared word, so the uncontended paths of the primitives built
-// on top never enter the (simulated) kernel.
+// different addresses. This package keeps one Var — one kernel wait
+// queue and one word-lock — per variable identity; the word-lock
+// stands in for the hardware atomic instructions that real
+// implementations use on the shared word, so the uncontended paths of
+// the primitives built on top never enter the (simulated) kernel.
 //
 // The state words themselves live in the mapped object's bytes, so a
 // synchronization variable placed in a file keeps its state across
-// process lifetimes, exactly as the paper requires.
+// process lifetimes, exactly as the paper requires. An atomic section
+// is one access to those bytes: it reads the variable's words into an
+// image under the word-lock, loads and stores work on the image, and
+// the words that were stored are written back once when it ends.
 package usync
 
 import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sunosmt/internal/sim"
@@ -35,7 +39,7 @@ import (
 type Registry struct {
 	kern *sim.Kernel
 	mu   sync.Mutex
-	vars map[varKey]*varState
+	vars map[varKey]*Var
 }
 
 type varKey struct {
@@ -43,22 +47,17 @@ type varKey struct {
 	off int64
 }
 
-type varState struct {
-	wordMu sync.Mutex // models the hardware atomic on the shared words
-	wq     *sim.WaitQ
-	// obj is the backing object, retained so the owner-death sweep
-	// can reach the state words without a per-process handle; kind
-	// tells the sweep which word layout the variable uses. Both are
-	// guarded by Registry.mu.
-	obj  vm.Object
-	kind Kind
-}
+// maxWords is the size of the largest declared word layout (KindRW).
+// A section sees exactly this many words of the variable; an index
+// past it is some other datum in the mapped object, not part of the
+// variable.
+const maxWords = 6
 
 // NewRegistry creates a registry bound to a kernel. The registry
 // hooks process death so shared variables owned by a dead process are
 // marked OWNERDEAD and their waiters woken (robust-mutex semantics).
 func NewRegistry(kern *sim.Kernel) *Registry {
-	r := &Registry{kern: kern, vars: make(map[varKey]*varState)}
+	r := &Registry{kern: kern, vars: make(map[varKey]*Var)}
 	kern.AddDeathHook(func(p *sim.Process) { r.SweepOwnerDead(p.PID()) })
 	return r
 }
@@ -66,19 +65,20 @@ func NewRegistry(kern *sim.Kernel) *Registry {
 // Kernel returns the registry's kernel.
 func (r *Registry) Kernel() *sim.Kernel { return r.kern }
 
-// Var returns the handle for the synchronization variable at (obj,
-// off). Handles obtained by different processes for the same identity
-// share one wait queue and one word-lock.
+// Var returns the synchronization variable at (obj, off). There is
+// one Var per identity: every process that resolves the same identity
+// gets the same pointer, and with it the same wait queue and
+// word-lock.
 func (r *Registry) Var(obj vm.Object, off int64) *Var {
 	key := varKey{obj.ObjectID(), off}
 	r.mu.Lock()
-	st, ok := r.vars[key]
+	v, ok := r.vars[key]
 	if !ok {
-		st = &varState{wq: sim.NewWaitQ(fmt.Sprintf("usync:%d+%d", key.obj, key.off)), obj: obj}
-		r.vars[key] = st
+		v = &Var{reg: r, obj: obj, key: key, wq: sim.NewWaitQ(fmt.Sprintf("usync:%d+%d", key.obj, key.off))}
+		r.vars[key] = v
 	}
 	r.mu.Unlock()
-	return &Var{reg: r, obj: obj, off: off, st: st}
+	return v
 }
 
 // NumVars reports how many variable identities the registry tracks.
@@ -88,53 +88,97 @@ func (r *Registry) NumVars() int {
 	return len(r.vars)
 }
 
-// Var is a handle on one shared synchronization variable. The
-// variable's state is an array of 64-bit words in the backing
-// object's bytes starting at the variable's offset.
+// Var is one shared synchronization variable. The variable's state is
+// an array of 64-bit words in the backing object's bytes starting at
+// the variable's offset.
 type Var struct {
 	reg *Registry
-	obj vm.Object
-	off int64
-	st  *varState
+	obj vm.Object // the backing object, as first resolved
+	key varKey
+	wq  *sim.WaitQ
+	// kind is the word layout the owner-death sweep recovers
+	// (Declare); atomic so declaring and sweeping take no lock.
+	kind atomic.Int32
+
+	wordMu sync.Mutex // models the hardware atomic on the shared words
+	// The current section's image of the variable's words, and the
+	// byte range of it that stores have dirtied (lo >= hi: none).
+	// Guarded by wordMu; meaningless between sections.
+	img    [8 * maxWords]byte
+	lo, hi int
 }
 
 // WaitQ exposes the variable's kernel wait queue (for tests and
 // debugging tools).
-func (v *Var) WaitQ() *sim.WaitQ { return v.st.wq }
+func (v *Var) WaitQ() *sim.WaitQ { return v.wq }
 
 // Name returns the variable's system-wide identity string (the wait
 // queue name), stable across the processes sharing it.
-func (v *Var) Name() string { return v.st.wq.Name() }
+func (v *Var) Name() string { return v.wq.Name() }
 
 // Words provides load/store access to the variable's state words
-// while the word-lock is held.
+// while the word-lock is held. It works on the section's image of the
+// mapped words, never on the object.
 type Words struct{ v *Var }
 
 // Load returns state word i.
 func (w Words) Load(i int) uint64 {
-	var b [8]byte
-	if err := w.v.obj.ReadObject(b[:], w.v.off+int64(8*i)); err != nil {
-		panic(fmt.Sprintf("usync: load word %d: %v", i, err))
+	if uint(i) >= maxWords {
+		badWord(i)
 	}
-	return binary.LittleEndian.Uint64(b[:])
+	return binary.LittleEndian.Uint64(w.v.img[8*i:])
 }
 
 // Store sets state word i.
 func (w Words) Store(i int, x uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], x)
-	if err := w.v.obj.WriteObject(b[:], w.v.off+int64(8*i)); err != nil {
-		panic(fmt.Sprintf("usync: store word %d: %v", i, err))
+	if uint(i) >= maxWords {
+		badWord(i)
+	}
+	v := w.v
+	binary.LittleEndian.PutUint64(v.img[8*i:], x)
+	v.lo = min(v.lo, 8*i)
+	v.hi = max(v.hi, 8*i+8)
+}
+
+func badWord(i int) {
+	panic(fmt.Sprintf("usync: word %d is outside the variable (largest layout has %d words)", i, maxWords))
+}
+
+// begin opens a section: take the word-lock and read the variable's
+// words from the mapped object, once. A read never grows the object;
+// words past its end read as zero.
+func (v *Var) begin() {
+	v.wordMu.Lock()
+	if err := v.obj.ReadObject(v.img[:], v.key.off); err != nil {
+		v.wordMu.Unlock()
+		panic(fmt.Sprintf("usync: load %s: %v", v.Name(), err))
+	}
+	v.lo, v.hi = len(v.img), 0
+}
+
+// end closes a section: write the dirtied words back in one store —
+// through the highest word stored and no further, so the object grows
+// exactly as far as the stores reached — and drop the word-lock.
+func (v *Var) end() {
+	var err error
+	if v.lo < v.hi {
+		err = v.obj.WriteObject(v.img[v.lo:v.hi], v.key.off+int64(v.lo))
+	}
+	v.wordMu.Unlock()
+	if err != nil {
+		panic(fmt.Sprintf("usync: store %s: %v", v.Name(), err))
 	}
 }
 
 // Atomically runs f with the variable's word-lock held, giving f
 // consistent access to the state words. This stands in for the
 // load-store-conditional / test-and-set sequence of a real
-// implementation: it involves no kernel entry.
+// implementation: it involves no kernel entry, and costs one read and
+// at most one write of the mapped words however many f loads and
+// stores.
 func (v *Var) Atomically(f func(Words)) {
-	v.st.wordMu.Lock()
-	defer v.st.wordMu.Unlock()
+	v.begin()
+	defer v.end()
 	f(Words{v})
 }
 
@@ -156,9 +200,9 @@ func (v *Var) SleepWhile(l *sim.LWP, cond func(Words) bool, opts SleepOpts) (sim
 	k := v.reg.kern
 	k.SyscallEnter(l)
 	defer k.SyscallExit(l)
-	return k.SleepIf(l, v.st.wq, func() bool {
-		v.st.wordMu.Lock()
-		defer v.st.wordMu.Unlock()
+	return k.SleepIf(l, v.wq, func() bool {
+		v.begin()
+		defer v.end()
 		return cond(Words{v})
 	}, opts)
 }
@@ -167,11 +211,11 @@ func (v *Var) SleepWhile(l *sim.LWP, cond func(Words) bool, opts SleepOpts) (sim
 // returns how many were woken. Callers must not hold the word-lock
 // (i.e. call it after Atomically returns).
 func (v *Var) Wake(n int) int {
-	return v.reg.kern.Wakeup(v.st.wq, n)
+	return v.reg.kern.Wakeup(v.wq, n)
 }
 
 // Waiters reports how many LWPs are blocked on the variable.
-func (v *Var) Waiters() int { return v.st.wq.Len(v.reg.kern) }
+func (v *Var) Waiters() int { return v.wq.Len(v.reg.kern) }
 
 // SleepWhileTimeout is SleepWhile with a bound.
 func (v *Var) SleepWhileTimeout(l *sim.LWP, cond func(Words) bool, d time.Duration) (sim.WakeResult, bool) {

@@ -34,9 +34,13 @@ func TestSameIdentitySharesState(t *testing.T) {
 	reg := NewRegistry(k)
 	obj := vm.NewAnon(vm.PageSize)
 	v1 := reg.Var(obj, 64)
+	v1.Declare(KindMutex)
 	v2 := reg.Var(obj, 64)
-	if v1.WaitQ() != v2.WaitQ() {
-		t.Fatal("same identity produced different wait queues")
+	if v1 != v2 {
+		t.Fatalf("same identity produced two Vars: %p and %p", v1, v2)
+	}
+	if got := v2.declared(); got != KindMutex {
+		t.Fatalf("declared kind after a repeat lookup = %d, want KindMutex", got)
 	}
 	v3 := reg.Var(obj, 128)
 	if v3.WaitQ() == v1.WaitQ() {

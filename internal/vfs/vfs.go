@@ -96,14 +96,11 @@ func (f *File) ReadObject(b []byte, off int64) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for i := range b {
-		p := off + int64(i)
-		if p < int64(len(f.data)) {
-			b[i] = f.data[p]
-		} else {
-			b[i] = 0
-		}
+	n := 0
+	if off < int64(len(f.data)) {
+		n = copy(b, f.data[off:])
 	}
+	clear(b[n:])
 	return nil
 }
 

@@ -127,14 +127,11 @@ func (a *Anon) ReadObject(b []byte, off int64) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for i := range b {
-		p := off + int64(i)
-		if p < int64(len(a.data)) {
-			b[i] = a.data[p]
-		} else {
-			b[i] = 0
-		}
+	n := 0
+	if off < int64(len(a.data)) {
+		n = copy(b, a.data[off:])
 	}
+	clear(b[n:])
 	return nil
 }
 
@@ -786,18 +783,21 @@ func (as *AddressSpace) Write(va int64, b []byte) error {
 }
 
 // Resolve maps a virtual address to the identity of the backing
-// object and the offset within it. Synchronization variables placed
-// in shared memory are named by this (object, offset) pair, which is
-// how threads in different processes find the same variable even when
-// the object is mapped at different virtual addresses.
-func (as *AddressSpace) Resolve(va int64) (Object, int64, error) {
+// object and the offset within it, and reports the mapping's flags.
+// Synchronization variables placed in shared memory are named by this
+// (object, offset) pair, which is how threads in different processes
+// find the same variable even when the object is mapped at different
+// virtual addresses — but only a MapShared mapping has an identity
+// that survives fork, so callers naming a shared variable check for
+// that flag.
+func (as *AddressSpace) Resolve(va int64) (Object, int64, MapFlags, error) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	s := as.findLocked(va)
 	if s == nil {
-		return nil, 0, fmt.Errorf("%w: va %#x", ErrFault, va)
+		return nil, 0, 0, fmt.Errorf("%w: va %#x", ErrFault, va)
 	}
-	return s.obj, s.objOff + (va - s.Base), nil
+	return s.obj, s.objOff + (va - s.Base), s.Flags, nil
 }
 
 // Brk sets the break to addr, like brk(2). It fails with ErrNoMem

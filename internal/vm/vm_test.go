@@ -130,16 +130,23 @@ func TestResolveGivesSameIdentityAtDifferentVAs(t *testing.T) {
 	as2 := New(nil)
 	va1, _ := as1.Mmap(0, PageSize, ProtRead|ProtWrite, MapShared, obj, 0)
 	va2, _ := as2.Mmap(0, PageSize, ProtRead|ProtWrite, MapShared, obj, 0)
-	o1, off1, err := as1.Resolve(va1 + 64)
+	o1, off1, fl1, err := as1.Resolve(va1 + 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, off2, err := as2.Resolve(va2 + 64)
+	o2, off2, _, err := as2.Resolve(va2 + 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o1.ObjectID() != o2.ObjectID() || off1 != off2 {
 		t.Fatalf("identities differ: (%d,%d) vs (%d,%d)", o1.ObjectID(), off1, o2.ObjectID(), off2)
+	}
+	if fl1&MapShared == 0 {
+		t.Fatalf("flags %#x of a MapShared mapping lack MapShared", fl1)
+	}
+	vp, _ := as1.Mmap(0, PageSize, ProtRead|ProtWrite, MapPrivate, obj, 0)
+	if _, _, fl, err := as1.Resolve(vp); err != nil || fl&MapShared != 0 {
+		t.Fatalf("private mapping resolves with flags %#x, err %v", fl, err)
 	}
 }
 

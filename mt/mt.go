@@ -25,6 +25,8 @@
 package mt
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"time"
 
@@ -142,6 +144,9 @@ var (
 	// ErrDeadlock: the acquisition would close a wait-for cycle
 	// (EDEADLK); returned by error-check mutexes at lock time.
 	ErrDeadlock = tsync.ErrDeadlock
+	// ErrNotShared: SharedVar or a Shared*At constructor was given an
+	// address outside any MAP_SHARED mapping (EINVAL).
+	ErrNotShared = errors.New("mt: address is not in a MAP_SHARED mapping")
 )
 
 // Resource-exhaustion errors. Every layer that can run out — the
@@ -722,17 +727,23 @@ func (p *Proc) Kill(sig Signal) error {
 	return p.Sys.Kern.PostSignal(p.proc, sig)
 }
 
-// SharedVar returns the process-shared synchronization variable
-// handle for the mapped object identity at the given virtual address
-// in this process's address space. Use it with the InitShared
-// initializers:
+// SharedVar returns the process-shared synchronization variable for
+// the mapped object identity at the given virtual address in this
+// process's address space. Use it with the InitShared initializers:
 //
 //	var mu mt.Mutex
 //	mu.InitShared(p.SharedVar(t, va))
+//
+// va must lie in a MAP_SHARED mapping (ErrNotShared otherwise):
+// private memory is copied at fork, so a variable in it would quietly
+// stop excluding the child.
 func (p *Proc) SharedVar(t *Thread, va int64) (*usync.Var, error) {
-	obj, off, err := p.AS.Resolve(va)
+	obj, off, flags, err := p.AS.Resolve(va)
 	if err != nil {
 		return nil, err
+	}
+	if flags&vm.MapShared == 0 {
+		return nil, fmt.Errorf("%w: va %#x", ErrNotShared, va)
 	}
 	return p.Sys.Reg.Var(obj, off), nil
 }

@@ -105,6 +105,48 @@ func TestSharedLockHeldAcrossFork(t *testing.T) {
 	}
 }
 
+// TestSharedVarRejectsPrivateMapping: a lock placed in MAP_PRIVATE
+// memory would get a fresh object identity in each process at fork
+// and exclude nothing, so naming a shared variable there is refused —
+// in the parent and, through the copied mapping, in the child — for
+// anonymous and file-backed private mappings alike.
+func TestSharedVarRejectsPrivateMapping(t *testing.T) {
+	sys := NewSystem(Options{NCPU: 2})
+	p := spawn(t, sys, "parent", ProcConfig{}, func(p *Proc, tt *Thread) {
+		fd, _ := p.Open(tt, "/tmp/private", OCreate|ORdWr)
+		anon, err := p.Mmap(tt, 0, PageSize, ProtRead|ProtWrite, MapPrivate, -1, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		file, err := p.Mmap(tt, 0, PageSize, ProtRead|ProtWrite, MapPrivate, fd, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		check := func(who string, p *Proc, tt *Thread) {
+			for _, va := range []int64{anon, file} {
+				if _, err := p.SharedVar(tt, va); !errors.Is(err, ErrNotShared) {
+					t.Errorf("%s: SharedVar(%#x) in a MAP_PRIVATE mapping: err = %v, want ErrNotShared", who, va, err)
+				}
+				if mu, err := p.SharedMutexAt(tt, va); !errors.Is(err, ErrNotShared) || mu != nil {
+					t.Errorf("%s: SharedMutexAt(%#x) in a MAP_PRIVATE mapping: (%v, %v), want (nil, ErrNotShared)", who, va, mu, err)
+				}
+			}
+		}
+		check("parent", p, tt)
+		childCh := make(chan *Proc, 1)
+		child, err := p.Fork1(tt, func(ct *Thread, _ any) { check("child", <-childCh, ct) }, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		childCh <- child
+		p.WaitChild(tt, -1)
+	})
+	waitProc(t, p)
+}
+
 // TestWaitChildSpecificPID waits for one particular child among two.
 func TestWaitChildSpecificPID(t *testing.T) {
 	sys := NewSystem(Options{NCPU: 2})
