@@ -6,23 +6,23 @@
 //
 // Usage:
 //
-//	mtbench [-n iterations] [-fig 5,..,12|0|-1] [-json file] [-baseline file] [-threshold x] [-traceoverhead x] [-allocs] [-memceiling bytes] [-seeds n] [-fastforward x] [-lockfull]
+//	mtbench [-n iterations] [-fig 5,6,7,9,..,12|0|-1] [-json file] [-baseline file] [-threshold x] [-traceoverhead x] [-allocs] [-memceiling bytes] [-seeds n] [-fastforward x] [-lockfull]
 //
 // -fig 7 is the priority-inversion table (not in the paper): the
 // contended-acquisition triangle with turnstile priority inheritance
 // on and off. The "off" row reproduces the inversion; the gate keeps
 // the "on" row's bounded latency from regressing.
 //
-// -fig 8 is the dispatch-scaling table (not in the paper): per-op
-// ready-queue cost at NCPU in {1,4,16,64} with the pre-sharding shared
-// queue vs the per-CPU shards. -fig 9 reports the best-of-five-trials
+// There is no -fig 8: it compared a sharded library run queue with a
+// shared one, and the library has one queue again (EXPERIMENTS.md,
+// "Dispatch scaling (retired)"). -fig 9 reports the best-of-five-trials
 // median cross-CPU wakeup latency, computed from the per-CPU event
 // rings, plus the kernel dispatcher's pooled dispatch/steal counters.
 // The run fails outright when no steal happened — the deterministic
 // structural property — while the latency row holds a baseline
 // threshold half the old steal-rate backstop, because best-of-N
 // discards the trials the host degraded.
-// -fig accepts a comma list ("5,6,7,8") so CI can gate figures in
+// -fig accepts a comma list ("5,6,7") so CI can gate figures in
 // separate invocations.
 //
 // -fig 12 is the lock-policy shootout (not in the paper): every lock
@@ -201,22 +201,19 @@ func compareBaseline(doc jsonDoc, path string, threshold float64) ([]string, err
 
 // parseFigs turns the -fig value into the set of figures to run:
 // "0" means all, "-1" means none, otherwise a comma-separated list
-// drawn from 5-12 (e.g. "5,6,7,8").
+// drawn from 5-7 and 9-12 (e.g. "5,6,7").
 func parseFigs(s string) (map[int]bool, error) {
 	want := make(map[int]bool)
 	switch s {
 	case "0":
-		for f := 5; f <= 12; f++ {
-			want[f] = true
-		}
-		return want, nil
+		s = "5,6,7,9,10,11,12"
 	case "-1":
 		return want, nil
 	}
 	for _, part := range strings.Split(s, ",") {
 		f, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || f < 5 || f > 12 {
-			return nil, fmt.Errorf("-fig must be a comma list from 5-12, 0 (all) or -1 (none); got %q", s)
+		if err != nil || f < 5 || f > 12 || f == 8 {
+			return nil, fmt.Errorf("-fig must be a comma list from 5-7 and 9-12, 0 (all) or -1 (none); got %q", s)
 		}
 		want[f] = true
 	}
@@ -225,7 +222,7 @@ func parseFigs(s string) (map[int]bool, error) {
 
 func main() {
 	n := flag.Int("n", 20000, "iterations per measurement")
-	fig := flag.String("fig", "0", "figures to run: comma list from 5-10, 0 (all) or -1 (none)")
+	fig := flag.String("fig", "0", "figures to run: comma list from 5-7 and 9-12, 0 (all) or -1 (none)")
 	jsonPath := flag.String("json", "", "also write rows as JSON to this file (- for stdout)")
 	basePath := flag.String("baseline", "", "compare against this baseline JSON; exit 1 on regression")
 	threshold := flag.Float64("threshold", 1.5, "per-op regression ratio tolerated by -baseline")
@@ -269,12 +266,6 @@ func main() {
 		fmt.Print(benchkit.FormatTable("Priority inversion (turnstile inheritance on/off; not in paper)", rows))
 		fmt.Println()
 		doc.Rows = append(doc.Rows, toJSONRows(7, rows)...)
-	}
-	if want[8] {
-		rows := benchkit.Figure8(*n)
-		fmt.Print(benchkit.FormatTable("Dispatch scaling (shared queue vs per-CPU shards; not in paper)", rows))
-		fmt.Println()
-		doc.Rows = append(doc.Rows, toJSONRows(8, rows)...)
 	}
 	var fig9 *benchkit.Fig9Stats
 	if want[9] {

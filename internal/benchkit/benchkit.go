@@ -483,32 +483,6 @@ func PriorityInversion(n int, inherit bool) time.Duration {
 	return elapsed
 }
 
-// DispatchScaling measures the library ready-queue layer at a given
-// width: ncpu workers hammer a dispatcher configured with either one
-// shard (the pre-sharding shared queue, every pop under one lock) or
-// ncpu shards (each worker popping from its affine shard). The
-// returned durations cover ncpu*iters pop+push pairs each; the
-// shared/sharded per-op ratio is the dispatch throughput gain.
-//
-// Both sides warm up once and keep the best of three runs,
-// interleaved like gateTraceOverhead, so host noise and first-run
-// effects (allocator, cold code paths) hit shared and sharded alike.
-func DispatchScaling(ncpu, iters int) (shared, sharded time.Duration) {
-	best := func(cur, d time.Duration) time.Duration {
-		if cur == 0 || d < cur {
-			return d
-		}
-		return cur
-	}
-	mt.DispatchBench(1, ncpu, iters/4+1)
-	mt.DispatchBench(ncpu, ncpu, iters/4+1)
-	for i := 0; i < 3; i++ {
-		shared = best(shared, mt.DispatchBench(1, ncpu, iters))
-		sharded = best(sharded, mt.DispatchBench(ncpu, ncpu, iters))
-	}
-	return shared, sharded
-}
-
 // StealWakeup runs a steal- and wakeup-heavy kernel workload — pairs
 // of bound threads ping-ponging on semaphores while bound yielders
 // keep every CPU busy, three times as many LWPs as CPUs — and reports
@@ -709,27 +683,6 @@ func Figure7(n int) []Row {
 		{Name: "Contended enter, inheritance", Measured: PriorityInversion(nOn, true), Ops: nOn},
 		{Name: "Contended enter, inversion", Measured: PriorityInversion(nOff, false), Ops: nOff},
 	})
-}
-
-// Figure8 runs the dispatch-scaling experiment (not in the paper,
-// which measured a uniprocessor): per-op ready-queue cost at NCPU in
-// {1, 4, 16, 64}, shared single queue vs per-CPU shards. Adjacent
-// rows share an NCPU, so the table's ratio column under each "per-CPU
-// shards" row is its speedup over the shared queue (< 1 is faster).
-func Figure8(n int) []Row {
-	if n <= 0 {
-		n = 20000
-	}
-	var rows []Row
-	for _, ncpu := range []int{1, 4, 16, 64} {
-		shared, sharded := DispatchScaling(ncpu, n)
-		ops := ncpu * n
-		rows = append(rows,
-			Row{Name: fmt.Sprintf("Dispatch NCPU=%d shared queue", ncpu), Measured: shared, Ops: ops},
-			Row{Name: fmt.Sprintf("Dispatch NCPU=%d per-CPU shards", ncpu), Measured: sharded, Ops: ops},
-		)
-	}
-	return unmeasured(rows)
 }
 
 // Fig9Stats carries the deterministic side of the figure 9 run: the

@@ -54,18 +54,6 @@ func TestFigure6Smoke(t *testing.T) {
 	}
 }
 
-func TestFigure8Smoke(t *testing.T) {
-	rows := Figure8(100)
-	if len(rows) != 8 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Measured <= 0 || r.Ops <= 0 {
-			t.Fatalf("row %q not measured: %+v", r.Name, r)
-		}
-	}
-}
-
 // TestFigure9Smoke checks the structural property behind the fig 9
 // rows: with low-priority spinners holding every CPU, each ping-pong
 // wakeup must queue behind them, so the run exercises preemption and

@@ -94,9 +94,8 @@ type Config struct {
 	// detection pass. Cycles found are order-independent; the site
 	// exercises the walk itself.
 	DetectReorder int
-	// StealReorder makes a work-stealing dispatcher (kernel per-CPU
-	// queues and the library's sharded run queue alike) steal from a
-	// different victim queue than the best one. The thief still
+	// StealReorder makes the kernel's work-stealing dispatcher steal
+	// from a different victim queue than the best one. The thief still
 	// takes *a* queued item, so perturbation never idles a CPU or
 	// LWP while work exists — only placement is explored.
 	StealReorder int

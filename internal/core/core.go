@@ -34,14 +34,11 @@
 //
 // # Locking
 //
-// Runtime.mu guards the library-level scheduling state except the
-// ready queue, which is sharded per simulated CPU under its own locks
-// (see dispatcher.go) so dispatch traffic does not serialize on
-// Runtime.mu. Lock order is Runtime.mu -> shard lock (a switch pops
-// its successor under Runtime.mu); the dispatcher never takes
-// Runtime.mu. Runtime.mu is never held across a kernel
-// call that can block (Park, Sleep, Start); it may be held across
-// non-blocking kernel calls (Unpark).
+// Runtime.mu guards the library-level scheduling state, the run queue
+// included: every transition that queues or dequeues a thread already
+// holds it. Runtime.mu is never held across a kernel call that can
+// block (Park, Sleep, Start); it may be held across non-blocking
+// kernel calls (Unpark).
 package core
 
 import (
@@ -143,13 +140,15 @@ type Runtime struct {
 	nlive   int // threads not yet zombies
 	ndaemon int // live daemon threads
 
-	// disp is the per-CPU sharded ready queue; its shard locks are
-	// leaves under mu (see dispatcher.go). dying is atomic so the
-	// dispatch fast path reads it without mu.
-	disp     *dispatcher
-	dying    atomic.Bool
-	idle     []*poolLWP // idle pool LWPs, LIFO
-	pool     []*poolLWP // all pool LWPs
+	// runq is the one set of runnable unbound threads the pool LWPs
+	// pick from (paper Figure 2); guarded by mu, as is every transition
+	// that feeds or drains it. rqPushes/rqPops count its traffic.
+	runq     runQueue
+	rqPushes uint64
+	rqPops   uint64
+	dying    atomic.Bool // atomic: a woken thread reads it without mu (awaitDispatch)
+	idle     []*poolLWP  // idle pool LWPs, LIFO
+	pool     []*poolLWP  // all pool LWPs
 	nparked  int
 	retiring int // pool LWPs asked to exit
 	agedOut  int // pool LWPs retired by idle aging (stats)
@@ -291,7 +290,6 @@ func NewRuntime(kern *sim.Kernel, proc *sim.Process, cfg Config) *Runtime {
 		zombies:  make(map[ThreadID]*Thread),
 		anyWC:    AllocWaitChan(),
 		exitedCh: make(chan struct{}),
-		disp:     newDispatcher(kern.NCPU()),
 	}
 	// The library consumes SIGWAITING privately (the hook is its
 	// ASLWP stand-in) and grows the pool when the kernel reports
@@ -368,7 +366,7 @@ func (m *Runtime) sweepDying() {
 			parked = append(parked, t)
 		}
 	}
-	m.disp.clear()
+	m.runq.clear()
 	// Shutdown releases the recycling caches; a dying process makes
 	// no more threads. Standby animators are told to exit so exitWG
 	// can drain.
@@ -440,12 +438,7 @@ func (m *Runtime) poolLoop(pl *poolLWP) {
 		m.sweepIfDying()
 	}()
 	m.kern.Start(pl.l)
-	for {
-		t := m.nextThread(pl)
-		if t == nil {
-			return // retired
-		}
-		m.dispatch(pl, t)
+	for m.dispatch(pl) {
 	}
 }
 
@@ -456,12 +449,19 @@ func (m *Runtime) removePoolLocked(pl *poolLWP) {
 			break
 		}
 	}
+	m.dropIdleLocked(pl)
+}
+
+// dropIdleLocked takes pl off the idle list, reporting whether it was
+// on it. Caller holds m.mu.
+func (m *Runtime) dropIdleLocked(pl *poolLWP) bool {
 	for i, x := range m.idle {
 		if x == pl {
 			m.idle = append(m.idle[:i], m.idle[i+1:]...)
-			break
+			return true
 		}
 	}
+	return false
 }
 
 func (m *Runtime) sweepIfDying() {
@@ -470,73 +470,69 @@ func (m *Runtime) sweepIfDying() {
 	}
 }
 
-// nextThread returns the next thread for pl to run, parking the LWP
-// in the kernel while there is no work. A nil return retires the LWP.
-func (m *Runtime) nextThread(pl *poolLWP) *Thread {
-	for {
-		if pl.die.Load() || m.dying.Load() {
-			pl.die.Store(true)
-			return nil
-		}
-		// Pop straight off the dispatcher shard of the CPU this LWP
-		// is on — Runtime.mu is not involved while work is available.
-		if t := m.disp.pop(m.kern.Chaos(), pl.l.CurCPU(), false); t != nil {
-			return t
-		}
-		m.mu.Lock()
-		if pl.die.Load() || m.dying.Load() {
-			pl.die.Store(true)
-			m.mu.Unlock()
-			return nil
-		}
-		m.idle = append(m.idle, pl)
-		m.nparked++
-		// Re-check after registering idle: a pusher publishes its
-		// thread before consulting the idle list (both under mu),
-		// so either it saw us here and will unpark, or this load
-		// sees its push and we retry instead of parking.
-		if m.disp.len() > 0 {
-			m.idle = m.idle[:len(m.idle)-1]
-			m.nparked--
-			m.mu.Unlock()
-			continue
-		}
-		// Idle LWPs mask everything: an interrupt must be routed
-		// to an LWP that is executing a thread with the signal
-		// unmasked, never to an idle dispatcher.
-		pushMask := m.setMaskLocked(pl, allSigs)
+// dispatch is the pool goroutine's turn with pl. In one m.mu section
+// it either pops a thread and starts the Figure 2 cycle with it —
+// blocking until the threads running on pl, which pass the LWP among
+// themselves (switchFrom), find no successor and hand it back — or
+// registers pl idle and parks it in the kernel. A push and the idle
+// list are under the same lock, so a pusher either finds pl idle and
+// unparks it or pl finds the push. It reports false when pl must
+// retire.
+func (m *Runtime) dispatch(pl *poolLWP) bool {
+	m.mu.Lock()
+	if pl.die.Load() || m.dying.Load() {
+		pl.die.Store(true)
 		m.mu.Unlock()
-		if pushMask {
-			m.kern.SetLWPMask(pl.l, sim.SigSetMask, allSigs)
-		}
-		// Arm the idle age-out timer: an LWP that finds no work for
-		// LWPAgeTime is retired (ageOut re-checks eligibility under
-		// the lock, so a racing enqueue always wins). Chaos can
-		// expire the grace period immediately — early expiry is the
-		// safe direction, since SIGWAITING regrows the pool.
-		var ageTimer ktime.Timer
-		if d := m.cfg.LWPAgeTime; d > 0 {
-			if m.kern.Chaos().AgeOutEarly() {
-				d = time.Nanosecond
-			}
-			ageTimer = m.kern.Clock().AfterFunc(d, func() { m.ageOut(pl) })
-		}
-		m.kern.Park(pl.l)
-		if ageTimer != nil {
-			ageTimer.Stop()
-		}
-		m.mu.Lock()
-		m.nparked--
-		// We may still be on the idle list if the unpark came
-		// from a permit; drop ourselves.
-		for i, x := range m.idle {
-			if x == pl {
-				m.idle = append(m.idle[:i], m.idle[i+1:]...)
-				break
-			}
-		}
-		m.mu.Unlock()
+		return false
 	}
+	if t := m.popLocked(); t != nil {
+		m.runOn(pl, t, m.kern.Clock().Now())
+		<-pl.back
+		return true
+	}
+	m.idle = append(m.idle, pl)
+	m.nparked++
+	// Idle LWPs mask everything: an interrupt must be routed to an LWP
+	// that is executing a thread with the signal unmasked, never to an
+	// idle dispatcher.
+	pushMask := m.setMaskLocked(pl, allSigs)
+	m.mu.Unlock()
+	if pushMask {
+		m.kern.SetLWPMask(pl.l, sim.SigSetMask, allSigs)
+	}
+	// Arm the idle age-out timer: an LWP that finds no work for
+	// LWPAgeTime is retired (ageOut re-checks eligibility under the
+	// lock, so a racing enqueue always wins). Chaos can expire the
+	// grace period immediately — early expiry is the safe direction,
+	// since SIGWAITING regrows the pool.
+	var ageTimer ktime.Timer
+	if d := m.cfg.LWPAgeTime; d > 0 {
+		if m.kern.Chaos().AgeOutEarly() {
+			d = time.Nanosecond
+		}
+		ageTimer = m.kern.Clock().AfterFunc(d, func() { m.ageOut(pl) })
+	}
+	m.kern.Park(pl.l)
+	if ageTimer != nil {
+		ageTimer.Stop()
+	}
+	m.mu.Lock()
+	m.nparked--
+	// We may still be on the idle list if the unpark came from a
+	// permit; drop ourselves.
+	m.dropIdleLocked(pl)
+	m.mu.Unlock()
+	return true
+}
+
+// popLocked takes the best runnable thread off the run queue, or nil.
+// Caller holds m.mu.
+func (m *Runtime) popLocked() *Thread {
+	t := m.runq.pop(m.kern.Chaos())
+	if t != nil {
+		m.rqPops++
+	}
+	return t
 }
 
 // ageOut retires pl if it is still idle when its age timer fires. It
@@ -544,14 +540,7 @@ func (m *Runtime) nextThread(pl *poolLWP) *Thread {
 // enqueue can never hand work to a dying LWP (no lost wakeups).
 func (m *Runtime) ageOut(pl *poolLWP) {
 	m.mu.Lock()
-	idle := false
-	for i, x := range m.idle {
-		if x == pl {
-			m.idle = append(m.idle[:i], m.idle[i+1:]...)
-			idle = true
-			break
-		}
-	}
+	idle := m.dropIdleLocked(pl)
 	if !idle || pl.die.Load() || m.dying.Load() || m.concurrency != 0 || len(m.pool)-m.retiring <= 1 {
 		if idle {
 			m.idle = append(m.idle, pl) // not eligible after all
@@ -575,23 +564,6 @@ func (m *Runtime) AgedOut() int {
 	return m.agedOut
 }
 
-// dispatch starts the Figure 2 cycle on pl with t and blocks until
-// the threads running on pl hand it back: they pass the LWP among
-// themselves (switchFrom) and return it only when there is no
-// successor to load.
-func (m *Runtime) dispatch(pl *poolLWP, t *Thread) {
-	m.mu.Lock()
-	if t.hasReq(tfKilled) || m.dying.Load() {
-		// Process death raced the lock-free pop in nextThread: grant
-		// t only so that its goroutine (if any) can unwind.
-		m.mu.Unlock()
-		t.grant()
-		return
-	}
-	m.runOn(pl, t, m.kern.Clock().Now())
-	<-pl.back
-}
-
 // runOn loads t onto pl and hands it the CPU: Figure 2 steps (a)
 // thread chosen, (b) assume its identity — state, the LWP's claim, the
 // microstate charge, and the signal mask, pushed to the kernel only if
@@ -613,8 +585,8 @@ func (m *Runtime) runOn(pl *poolLWP, t *Thread, now time.Duration) {
 	if pushMask {
 		m.kern.SetLWPMask(pl.l, sim.SigSetMask, mask)
 	}
-	m.rings.RecordAt(now, pl.l.CurCPU(), trace.EvThreadRun, int(m.proc.PID()), int(pl.l.ID()), int(t.id),
-		uint64(t.poppedFrom.Load()+1))
+	// Arg 1: dispatched from the run queue.
+	m.rings.RecordAt(now, pl.l.CurCPU(), trace.EvThreadRun, int(m.proc.PID()), int(pl.l.ID()), int(t.id), 1)
 	if first {
 		// First dispatch: the thread is about to push its first
 		// frame, so commit the top of its (reserved-only) stack and
@@ -654,17 +626,16 @@ func (m *Runtime) setMaskLocked(pl *poolLWP, set sim.Sigset) bool {
 //
 // Called with m.mu held — every unbound off-LWP transition ends here —
 // and returns with it released. The caller then blocks on its own gate
-// or unwinds; it must not touch pl again. fair selects the thr_yield
-// pop order (oldest equal on any shard). A nil pl (the caller was not
+// or unwinds; it must not touch pl again. A nil pl (the caller was not
 // loaded on an LWP) only releases the lock.
-func (m *Runtime) switchFrom(pl *poolLWP, now time.Duration, fair bool) {
+func (m *Runtime) switchFrom(pl *poolLWP, now time.Duration) {
 	if pl == nil {
 		m.mu.Unlock()
 		return
 	}
 	pl.cur = nil
 	if !pl.die.Load() && !m.dying.Load() {
-		if next := m.disp.pop(m.kern.Chaos(), pl.l.CurCPU(), fair); next != nil {
+		if next := m.popLocked(); next != nil {
 			m.sw.Direct++
 			m.runOn(pl, next, now)
 			return
@@ -757,7 +728,7 @@ const (
 // blocked set is unchanged).
 func (m *Runtime) onSigwaiting() {
 	m.mu.Lock()
-	need := m.disp.len() > 0 && !m.dying.Load() &&
+	need := m.runq.len() > 0 && !m.dying.Load() &&
 		len(m.pool)-m.retiring < m.cfg.MaxAutoLWPs &&
 		m.concurrency == 0
 	now := m.kern.Clock().Now()
@@ -830,10 +801,11 @@ func (m *Runtime) PoolSize() int {
 	return len(m.pool)
 }
 
-// RunnableThreads reports the length of the user-level run queue
-// (lock-free: the dispatcher keeps a global count).
+// RunnableThreads reports the length of the user-level run queue.
 func (m *Runtime) RunnableThreads() int {
-	return m.disp.len()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.runq.len()
 }
 
 // LockPolicy reports the process-default lock policy configured for

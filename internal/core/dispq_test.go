@@ -1,15 +1,19 @@
 package core
 
 import (
+	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// TestDispatchOrder pins the priority semantics the dispatcher queue
-// must preserve: FIFO among equal priorities, higher priorities first,
-// and SetPriority on a queued runnable thread taking effect at the
-// next pop (the thread moves to its new level immediately, not at
-// some later requeue).
+// TestDispatchOrder pins the priority semantics of the run queue:
+// FIFO among equal priorities, higher priorities first, and
+// SetPriority on a queued runnable thread taking effect at the next
+// pop (the thread moves to its new level immediately, not at some
+// later requeue).
 func TestDispatchOrder(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -93,158 +97,175 @@ func TestDispatchOrder(t *testing.T) {
 	}
 }
 
-// qt builds a bare thread for dispatcher unit tests: priority prio,
-// affinity shard si (-1 for none).
-func qt(prio, si int) *Thread {
-	t := &Thread{}
-	t.effPrio.Store(int32(prio))
-	t.shard.Store(int32(si))
-	return t
-}
-
-// TestDispatcherShardPolicy pins the sharded ready queue's pop policy:
-// affinity-first among equals, priority steal when a sibling holds
-// strictly better work, steal of any work when the own shard is empty
-// — and the popped thread's affinity following the popper.
-func TestDispatcherShardPolicy(t *testing.T) {
-	cases := []struct {
-		name string
-		// threads pushed in order: {prio, shard}
-		push [][2]int
-		hint int
-		want int // index into push of the expected first pop
-	}{
-		{"own-shard-wins-ties", [][2]int{{1, 1}, {1, 0}}, 0, 1},
-		{"priority-steal", [][2]int{{1, 0}, {5, 1}}, 0, 1},
-		{"own-empty-steals", [][2]int{{1, 1}}, 0, 0},
-		{"steal-takes-highest-of-siblings", [][2]int{{3, 1}, {5, 2}, {4, 1}}, 0, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			d := newDispatcher(3)
-			ths := make([]*Thread, len(tc.push))
-			for i, ps := range tc.push {
-				ths[i] = qt(ps[0], ps[1])
-				d.push(ths[i])
-			}
-			got := d.pop(nil, tc.hint, false)
-			if got != ths[tc.want] {
-				t.Fatalf("pop = %+v, want thread %d", got, tc.want)
-			}
-			if int(got.shard.Load()) != tc.hint {
-				t.Errorf("popped thread's affinity = %d, want popper's shard %d",
-					got.shard.Load(), tc.hint)
-			}
-		})
-	}
-}
-
-// TestDispatcherAgedSteal: an equal-priority thread on a shard no LWP
-// is affine to must not starve — once its head has been passed over by
-// stealAge newer pushes, a popper with equal-priority work of its own
-// takes it anyway, at the latest on its next periodic scan.
-func TestDispatcherAgedSteal(t *testing.T) {
-	d := newDispatcher(2)
-	orphan := qt(1, 1) // lands on shard 1; no popper ever uses hint 1
-	d.push(orphan)
-	// A yield loop on shard 0: push self, pop — the orphan must be
-	// taken within stealAge pushes plus one scan period.
-	self := qt(1, 0)
-	d.push(self)
-	for i := 0; i < stealAge+scanEvery+2; i++ {
-		got := d.pop(nil, 0, false)
-		if got == orphan {
-			if i < 2 {
-				t.Fatalf("orphan stolen immediately (i=%d); affinity should win first", i)
-			}
+// TestOneQueueOrder pins what the single run queue guarantees on a
+// multi-CPU kernel (NCPU 4, one pool LWP so the order is exact): a
+// priority raise on a queued thread takes effect at the next pop, and
+// a yielder joins the tail of its level, so it never outruns an
+// earlier-queued equal — equals that yield run strictly round-robin.
+func TestOneQueueOrder(t *testing.T) {
+	const yields = 3
+	var mu sync.Mutex
+	var order []string
+	m := rt(t, 4, Config{}, func(self *Thread, _ any) {
+		r := self.Runtime()
+		// Main outranks everything, so it neither joins the rotation
+		// nor is flagged for preemption by the raise below.
+		if _, err := r.SetPriority(self, 9); err != nil {
+			t.Error(err)
 			return
 		}
-		d.push(got)
-	}
-	t.Fatalf("orphan starved beyond stealAge+scanEvery=%d pops", stealAge+scanEvery)
-}
-
-// TestDispatcherFairPop: the yield handoff (fair pop) restores the
-// shared queue's global FIFO-among-equals — the oldest queued equal
-// wins regardless of shard, so a yielder re-queued behind it cannot
-// outrun it.
-func TestDispatcherFairPop(t *testing.T) {
-	d := newDispatcher(2)
-	older := qt(1, 1)
-	d.push(older)
-	yielder := qt(1, 0)
-	d.push(yielder)
-	if got := d.pop(nil, 0, true); got != older {
-		t.Fatalf("fair pop = %+v, want the older thread on the foreign shard", got)
-	}
-	if got := d.pop(nil, 0, true); got != yielder {
-		t.Fatalf("second fair pop = %+v, want the yielder", got)
-	}
-	// Priority still dominates fairness.
-	lo := qt(1, 0)
-	hi := qt(5, 1)
-	d.push(hi) // older AND higher
-	d.push(lo)
-	if got := d.pop(nil, 0, true); got != hi {
-		t.Fatalf("fair pop with mixed levels = %+v, want the high-priority thread", got)
-	}
-	d.clear()
-}
-
-// TestDispatcherRequeueAcrossShards: SetPriority's requeue must take
-// effect on whichever shard the thread is queued on — a boost on a
-// foreign shard becomes visible to other poppers as stealable work at
-// the new level.
-func TestDispatcherRequeueAcrossShards(t *testing.T) {
-	d := newDispatcher(2)
-	own := qt(3, 0)
-	far := qt(1, 1)
-	d.push(own)
-	d.push(far)
-	// At prio 1 the foreign thread would lose to own prio 3...
-	far.effPrio.Store(5)
-	d.requeue(far)
-	// ...but after the requeue it outranks it from shard 1.
-	if got := d.pop(nil, 0, false); got != far {
-		t.Fatalf("pop after cross-shard requeue = %+v, want the boosted thread", got)
-	}
-	if got := d.pop(nil, 0, false); got != own {
-		t.Fatalf("second pop = %+v, want the original thread", got)
-	}
-	// remove is exact-once across shards too.
-	gone := qt(2, 1)
-	d.push(gone)
-	if !d.remove(gone) {
-		t.Fatal("remove of a queued thread = false")
-	}
-	if d.remove(gone) {
-		t.Fatal("second remove = true, want false")
-	}
-	if d.len() != 0 {
-		t.Fatalf("dispatcher not empty: %d", d.len())
+		ths := make(map[string]*Thread)
+		for _, name := range []string{"a", "b", "c", "d"} {
+			name := name
+			th, err := r.Create(func(c *Thread, _ any) {
+				for i := 0; i < yields; i++ {
+					mu.Lock()
+					order = append(order, name)
+					mu.Unlock()
+					c.Yield()
+				}
+			}, nil, CreateOpts{Flags: ThreadWait, Priority: 1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ths[name] = th
+		}
+		if _, err := r.SetPriority(ths["d"], 5); err != nil {
+			t.Error(err)
+			return
+		}
+		for _, th := range ths {
+			if _, err := self.Wait(th.ID()); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	waitExit(t, m)
+	// d, raised while queued last, runs first and — alone at its level
+	// — keeps the LWP through its yields; a, b, c then rotate.
+	want := "d d d a b c a b c a b c"
+	if got := strings.Join(order, " "); got != want {
+		t.Errorf("run order = %q, want %q", got, want)
 	}
 }
 
-// TestDispatchStatsCountsSteals: the per-shard counters feed /proc and
-// mtstat; a cross-shard pop must show up as the victim shard's stolen.
-func TestDispatchStatsCountsSteals(t *testing.T) {
-	d := newDispatcher(2)
-	d.push(qt(1, 1))
-	if got := d.pop(nil, 0, false); got == nil {
-		t.Fatal("pop returned nil")
+// TestRunQueueHammer drives the run queue from every side at once on
+// four LWPs: workers yield (push + pop in one section) while the main
+// thread re-prioritizes them wherever they are — queued ones move
+// level — and stops them, which dequeues a runnable one, then
+// continues them. Every worker must still finish its count, and
+// nothing may be left queued or linked.
+func TestRunQueueHammer(t *testing.T) {
+	const workers, count, rounds = 12, 100, 30
+	var counts [workers]atomic.Int64
+	m := rt(t, 4, Config{}, func(self *Thread, _ any) {
+		r := self.Runtime()
+		if err := r.SetConcurrency(4); err != nil {
+			t.Error(err)
+			return
+		}
+		// Above every priority the workers are given, so the hammering
+		// is never starved by the yield loops.
+		if _, err := r.SetPriority(self, 9); err != nil {
+			t.Error(err)
+			return
+		}
+		ths := make([]*Thread, workers)
+		for i := range ths {
+			i := i
+			th, err := r.Create(func(c *Thread, _ any) {
+				for n := 0; n < count; n++ {
+					counts[i].Add(1)
+					c.Yield()
+				}
+			}, nil, CreateOpts{Flags: ThreadWait})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ths[i] = th
+		}
+		for round := 0; round < rounds; round++ {
+			for i, th := range ths {
+				if _, err := r.SetPriority(th, 1+(round+i)%3); err != nil {
+					t.Errorf("SetPriority: %v", err)
+				}
+				// Either reports ErrNoThread once the worker has
+				// finished; a Stop it finishes under returns nil.
+				if err := self.Stop(th); err != nil && err != ErrNoThread {
+					t.Errorf("Stop: %v", err)
+				}
+				if err := r.Continue(th); err != nil && err != ErrNoThread {
+					t.Errorf("Continue: %v", err)
+				}
+			}
+		}
+		for _, th := range ths {
+			if _, err := self.Wait(th.ID()); err != nil {
+				t.Error(err)
+			}
+		}
+		if n := r.RunnableThreads(); n != 0 {
+			t.Errorf("%d threads still queued after every worker was reaped", n)
+		}
+		if sq, ts := r.ResidualLinks(); sq != 0 || ts != 0 {
+			t.Errorf("residual links: %d sleep-queue, %d turnstile", sq, ts)
+		}
+	})
+	waitExit(t, m)
+	for i := range counts {
+		if n := counts[i].Load(); n != count {
+			t.Errorf("worker %d counted %d, want %d", i, n, count)
+		}
 	}
-	var m Runtime
-	m.disp = d
-	st := m.DispatchStats()
-	if len(st) != 2 {
-		t.Fatalf("got %d shard rows, want 2", len(st))
+}
+
+// TestStopOfExitingThreadReturns: thread_stop waits for a running
+// target to stop at its next checkpoint; a target that exits instead,
+// never reaching one, must end the wait too (it used to strand the
+// caller parked forever).
+func TestStopOfExitingThreadReturns(t *testing.T) {
+	var release atomic.Bool
+	var mainThread atomic.Pointer[Thread]
+	m := rt(t, 2, Config{}, func(self *Thread, _ any) {
+		r := self.Runtime()
+		if err := r.SetConcurrency(2); err != nil {
+			t.Error(err)
+			return
+		}
+		var running atomic.Bool
+		target, err := r.Create(func(*Thread, any) {
+			running.Store(true)
+			for !release.Load() {
+				runtime.Gosched() // on its LWP, at no checkpoint
+			}
+		}, nil, CreateOpts{Flags: ThreadWait})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for !running.Load() {
+			self.Yield()
+		}
+		mainThread.Store(self)
+		if err := self.Stop(target); err != nil {
+			t.Errorf("Stop of a thread that exits = %v, want nil", err)
+		}
+		if _, err := self.Wait(target.ID()); err != nil {
+			t.Error(err)
+		}
+	})
+	// Let the target exit only once main is parked waiting for it.
+	deadline := time.Now().Add(10 * time.Second)
+	for mt := mainThread.Load(); mt == nil || mt.State() != ThreadWaiting; mt = mainThread.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("main never parked in Stop")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
-	if st[1].Pops != 1 || st[1].Stolen != 1 {
-		t.Errorf("victim shard stats = %+v, want pops=1 stolen=1", st[1])
-	}
-	if st[0].Stolen != 0 {
-		t.Errorf("thief shard shows stolen=%d, want 0", st[0].Stolen)
-	}
+	release.Store(true)
+	waitExit(t, m)
 }
 
 // TestStopRemovesQueuedThreadOnce: thread_stop on a queued runnable

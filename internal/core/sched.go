@@ -2,7 +2,10 @@ package core
 
 import (
 	"math/bits"
+	"runtime"
 	"sort"
+	"sync"
+	"time"
 
 	"sunosmt/internal/chaos"
 	"sunosmt/internal/sim"
@@ -69,14 +72,7 @@ func (r *runQueue) push(t *Thread) {
 
 // topLevel returns the highest active level, or -1 when empty: one
 // bits.Len64 per bitmap word, never a queue scan.
-func (r *runQueue) topLevel() int {
-	for w := len(r.bitmap) - 1; w >= 0; w-- {
-		if word := r.bitmap[w]; word != 0 {
-			return w<<6 + bits.Len64(word) - 1
-		}
-	}
-	return -1
-}
+func (r *runQueue) topLevel() int { return r.levelBelow(NumPrioLevels) }
 
 // pop removes and returns the highest-priority thread (FIFO among
 // equals), or nil. A chaos source (nil when disabled) may pick a
@@ -98,11 +94,30 @@ func (r *runQueue) pop(src *chaos.Source) *Thread {
 	return t
 }
 
+// levelBelow returns the highest active level below lvl, or -1: with
+// topLevel it walks the occupied levels through the bitmap instead of
+// visiting all NumPrioLevels queues.
+func (r *runQueue) levelBelow(lvl int) int {
+	lvl--
+	if lvl < 0 {
+		return -1
+	}
+	w := lvl >> 6
+	word := r.bitmap[w] & (^uint64(0) >> (63 - lvl&63))
+	for word == 0 {
+		if w--; w < 0 {
+			return -1
+		}
+		word = r.bitmap[w]
+	}
+	return w<<6 + bits.Len64(word) - 1
+}
+
 // nth returns the alt-th queued thread in priority-then-FIFO order
 // (chaos exploration only: this is the one O(n) path, taken solely
 // when a chaos source fires).
 func (r *runQueue) nth(alt int) *Thread {
-	for lvl := NumPrioLevels - 1; lvl >= 0; lvl-- {
+	for lvl := r.topLevel(); lvl >= 0; lvl = r.levelBelow(lvl) {
 		for t := r.qs[lvl].head; t != nil; t = t.rqNext {
 			if alt == 0 {
 				return t
@@ -144,8 +159,20 @@ func (r *runQueue) remove(t *Thread) bool {
 	return true
 }
 
+// requeue moves a queued thread to the tail of the level its effective
+// priority now selects (thread_priority, turnstile inheritance), so the
+// change takes effect at the next pop. No-op when t is not queued.
+func (r *runQueue) requeue(t *Thread) {
+	if t.rqOn {
+		r.unlink(t)
+		r.push(t)
+	}
+}
+
+// clear empties the queue (process teardown). The threads' states are
+// owned by the dying sweep.
 func (r *runQueue) clear() {
-	for lvl := 0; lvl < NumPrioLevels; lvl++ {
+	for lvl := r.topLevel(); lvl >= 0; lvl = r.levelBelow(lvl) {
 		for t := r.qs[lvl].head; t != nil; {
 			next := t.rqNext
 			t.rqNext, t.rqPrev = nil, nil
@@ -154,9 +181,7 @@ func (r *runQueue) clear() {
 		}
 		r.qs[lvl] = dispQ{}
 	}
-	for i := range r.bitmap {
-		r.bitmap[i] = 0
-	}
+	r.bitmap = [len(r.bitmap)]uint64{}
 	r.n = 0
 }
 
@@ -187,26 +212,20 @@ type PrioCount struct {
 	Count int
 }
 
-// RunqStats reports the total run-queue depth (across every
-// dispatcher shard) and the per-priority occupancy (ascending
-// priority), for mtstat and /proc. Counts are by actual effective
-// thread priority — what the dispatcher orders by — not queue level,
-// so clamped priorities above the level cap report distinctly. See
-// DispatchStats for the per-shard view.
+// RunqStats reports the run-queue depth and the per-priority occupancy
+// (ascending priority), for mtstat and /proc. Counts are by actual
+// effective thread priority — what the queue orders by — not queue
+// level, so clamped priorities above the level cap report distinctly.
 func (m *Runtime) RunqStats() (int, []PrioCount) {
-	depth := 0
 	counts := make(map[int]int)
-	for i := range m.disp.shards {
-		s := &m.disp.shards[i]
-		s.mu.Lock()
-		depth += s.q.n
-		for lvl := 0; lvl < NumPrioLevels; lvl++ {
-			for t := s.q.qs[lvl].head; t != nil; t = t.rqNext {
-				counts[int(t.effPrio.Load())]++
-			}
+	m.mu.Lock()
+	depth := m.runq.len()
+	for lvl := m.runq.topLevel(); lvl >= 0; lvl = m.runq.levelBelow(lvl) {
+		for t := m.runq.qs[lvl].head; t != nil; t = t.rqNext {
+			counts[int(t.effPrio.Load())]++
 		}
-		s.mu.Unlock()
 	}
+	m.mu.Unlock()
 	prios := make([]int, 0, len(counts))
 	for p := range counts {
 		prios = append(prios, p)
@@ -217,6 +236,61 @@ func (m *Runtime) RunqStats() (int, []PrioCount) {
 		occ = append(occ, PrioCount{Prio: p, Count: counts[p]})
 	}
 	return depth, occ
+}
+
+// ShardStat is the run queue's row of DispatchStats: its instantaneous
+// depth plus monotonic push/pop counters. The name, the Shard index
+// (always 0) and Stolen (always 0) are left from the sharded queue for
+// the frozen bench/ module, which sums the rows.
+type ShardStat struct {
+	Shard  int
+	Depth  int
+	Pushes uint64
+	Pops   uint64
+	Stolen uint64
+}
+
+// DispatchStats reports the run queue's depth and traffic counters, as
+// one row.
+func (m *Runtime) DispatchStats() []ShardStat {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return []ShardStat{{Depth: m.runq.len(), Pushes: m.rqPushes, Pops: m.rqPops}}
+}
+
+// DispatchBench measures the run-queue layer in isolation: workers
+// goroutines each pass a token through one runtime's queue, a push and
+// a pop per operation, each in its own Runtime.mu section as on the
+// switch path; iters operations per worker. Returns the wall-clock
+// elapsed. The first parameter was a shard count and is ignored; the
+// frozen bench/ module calls (1, 1, n).
+//
+// GOMAXPROCS is set to the worker count for the duration and restored
+// before returning.
+func DispatchBench(_, workers, iters int) time.Duration {
+	var m Runtime
+	prev := runtime.GOMAXPROCS(workers)
+	defer runtime.GOMAXPROCS(prev)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t := &Thread{}
+			t.effPrio.Store(1)
+			for i := 0; i < iters; i++ {
+				m.mu.Lock()
+				m.runq.push(t)
+				m.mu.Unlock()
+				m.mu.Lock()
+				t = m.runq.pop(nil)
+				m.mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	return time.Since(start)
 }
 
 // Find returns the live thread with the given ID.
@@ -338,7 +412,7 @@ func (caller *Thread) Stop(target *Thread) error {
 		m.mu.Unlock()
 		return nil
 	case ThreadRunnable:
-		if m.disp.remove(target) {
+		if m.runq.remove(target) {
 			target.state = ThreadStopped
 			target.msSwitchLocked(m.kern.Clock().Now(), MSStopped)
 			m.mu.Unlock()

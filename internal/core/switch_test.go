@@ -15,7 +15,8 @@ import (
 // TestSwitchStatsPingPong: over 10 000 unbound ping-pong rounds on
 // one LWP — two user-level switches a round — every switch is a direct
 // hand-off: the pool goroutine never runs and, both threads sharing
-// one mask, the kernel is never told about a mask.
+// one mask, the kernel is never told about a mask. The run queue sees
+// exactly one push and one pop per switch.
 func TestSwitchStatsPingPong(t *testing.T) {
 	const rounds = 10000
 	m := rt(t, 1, Config{}, func(self *Thread, _ any) {
@@ -41,11 +42,22 @@ func TestSwitchStatsPingPong(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			cycle() // first dispatch, animator start, mask install
 		}
-		before := r.SwitchStats()
+		before, qBefore := r.SwitchStats(), r.DispatchStats()
 		for i := 0; i < rounds; i++ {
 			cycle()
 		}
-		after := r.SwitchStats()
+		after, qAfter := r.SwitchStats(), r.DispatchStats()
+		// One run queue, one row: each switch is one push (the wake)
+		// and one pop (the departing thread's pick).
+		if len(qBefore) != 1 || len(qAfter) != 1 {
+			t.Fatalf("DispatchStats rows = %d, %d; want 1", len(qBefore), len(qAfter))
+		}
+		if pushes, pops := qAfter[0].Pushes-qBefore[0].Pushes, qAfter[0].Pops-qBefore[0].Pops; pushes != 2*rounds || pops != 2*rounds {
+			t.Errorf("run-queue pushes, pops = %d, %d; want %d each", pushes, pops, 2*rounds)
+		}
+		if qAfter[0].Stolen != 0 {
+			t.Errorf("stolen = %d, want 0", qAfter[0].Stolen)
+		}
 		if d := after.Direct - before.Direct; d != 2*rounds {
 			t.Errorf("direct switches = %d, want %d", d, 2*rounds)
 		}

@@ -125,27 +125,11 @@ type Thread struct {
 
 	gate chan struct{} // run grant; buffered(1)
 
-	// Intrusive run-queue node (Solaris: t_link on the disp_q). All
-	// four fields are guarded by the lock of the dispatcher shard
-	// the thread is (or was last) queued on.
+	// Intrusive run-queue node (Solaris: t_link on the disp_q).
+	// Guarded by Runtime.mu, like the queue itself.
 	rqNext, rqPrev *Thread
 	rqLevel        int
 	rqOn           bool
-	rqSeq          uint64 // global push sequence; cross-shard FIFO tiebreak
-
-	// shard is the dispatcher shard the thread queues on: the shard
-	// it is queued on now, or the one it last ran from (wakeups
-	// queue it back there, cache-affine). -1 before the first
-	// enqueue. Atomic: remove/requeue read it lock-free and confirm
-	// under the shard lock.
-	shard atomic.Int32
-
-	// poppedFrom is the shard index the most recent dispatcher pop
-	// took the thread from, or -1 before its first pop. The dispatch
-	// trace records it (as shard+1) in EvThreadRun's Arg so a
-	// schedule journal captures which queue the pop chose — the one
-	// dispatcher decision the event stream otherwise loses.
-	poppedFrom atomic.Int32
 
 	// Intrusive sleep-queue node. sqNext/sqPrev are guarded by the
 	// shard lock of the channel the thread is queued on; sqBkt
@@ -398,8 +382,6 @@ func (m *Runtime) Create(fn Func, arg any, opts CreateOpts) (*Thread, error) {
 		t.prio = opts.Priority
 	}
 	t.effPrio.Store(int32(t.prio))
-	t.shard.Store(-1) // first enqueue places round-robin
-	t.poppedFrom.Store(-1)
 	t.stack = stack
 	t.stkBase, t.stkSize = span.base, span.size
 	t.stackOwn = own
@@ -490,7 +472,8 @@ func (m *Runtime) enqueue(t *Thread) {
 func (m *Runtime) readyLocked(t *Thread, now time.Duration) {
 	t.state = ThreadRunnable
 	t.msSwitchLocked(now, MSRunq)
-	m.disp.push(t)
+	m.runq.push(t)
+	m.rqPushes++
 }
 
 // placeLocked finds LWPs for n threads just queued, the best of them
@@ -605,7 +588,7 @@ func (t *Thread) releaseOnUnwind() {
 			break
 		}
 	}
-	m.switchFrom(pl, m.kern.Clock().Now(), false)
+	m.switchFrom(pl, m.kern.Clock().Now())
 	m.sweepIfDying()
 }
 
@@ -695,7 +678,7 @@ func (t *Thread) parkSelf(state ThreadState) {
 	pl := t.lwp
 	t.lwp = nil
 	m.rings.RecordAt(now, pl.l.CurCPU(), trace.EvThreadPark, int(m.proc.PID()), int(pl.l.ID()), int(t.id), uint64(state))
-	m.switchFrom(pl, now, false)
+	m.switchFrom(pl, now)
 	t.awaitDispatch()
 	t.stopIfRequested(state)
 }
@@ -832,14 +815,14 @@ func (t *Thread) Yield() {
 }
 
 // requeueSelf puts the calling unbound thread back on the run queue
-// and switches to the best runnable thread — possibly itself — chosen
-// by a fair pop: the oldest equal on any shard, not affinity-first, so
-// the yielder cannot outrun earlier-queued equals. It reports false,
-// having changed nothing, when no other thread is runnable.
+// and switches to the best runnable thread — possibly itself. It joins
+// the tail of its level, so it cannot outrun earlier-queued equals. It
+// reports false, having changed nothing, when no other thread is
+// runnable.
 func (t *Thread) requeueSelf() bool {
 	m := t.m
 	m.mu.Lock()
-	if m.disp.len() == 0 {
+	if m.runq.len() == 0 {
 		m.mu.Unlock()
 		return false
 	}
@@ -848,7 +831,7 @@ func (t *Thread) requeueSelf() bool {
 	t.lwp = nil
 	t.onCPU.Store(false)
 	m.readyLocked(t, now)
-	m.switchFrom(pl, now, true)
+	m.switchFrom(pl, now)
 	t.awaitDispatch()
 	return true
 }
@@ -929,7 +912,12 @@ func (t *Thread) retire() {
 	bound := t.bound()
 	bl := t.bndLWP
 	var single *Thread
-	var wake []*Thread
+	var wake, stoppers []*Thread
+	if a := t.aux; a != nil {
+		// thread_stop callers still waiting for this thread to stop:
+		// its exit ends their wait instead.
+		stoppers, a.stopWaiters = a.stopWaiters, nil
+	}
 	if t.flags&ThreadWait != 0 {
 		// The shell lives on as a zombie until thread_wait reaps it.
 		// At most one waiter can be parked on waitWC (double waits
@@ -956,6 +944,7 @@ func (t *Thread) retire() {
 		m.unparkInto(single)
 	}
 	m.unparkBatch(wake)
+	m.unparkBatch(stoppers)
 	if last && !m.proc.Dying() {
 		// The last non-daemon thread exited: the process exits,
 		// destroying all LWPs. The kernel unwind is caught by
@@ -974,7 +963,7 @@ func (t *Thread) retire() {
 		return // boundMain's defer retires the LWP
 	}
 	m.mu.Lock()
-	m.switchFrom(pl, m.kern.Clock().Now(), false)
+	m.switchFrom(pl, m.kern.Clock().Now())
 }
 
 // ExitProcess implements exit(2) from a thread: all threads and LWPs
@@ -1028,7 +1017,7 @@ func (t *Thread) Exec(name string) (*sim.LWP, error) {
 	pl := t.lwp
 	t.lwp = nil
 	t.bndLWP = l2
-	m.switchFrom(pl, m.kern.Clock().Now(), false)
+	m.switchFrom(pl, m.kern.Clock().Now())
 	k.Start(l2)
 	nl, err := k.Exec(l2, name)
 	if err != nil {
@@ -1050,7 +1039,7 @@ func (m *Runtime) threadGone(t *Thread) {
 	t.msFinalLocked(m.kern.Clock().Now())
 	m.dropTurnstilesLocked(t)
 	t.lwp = nil
-	m.disp.remove(t)
+	m.runq.remove(t)
 	delete(m.threads, t.id)
 	m.nlive--
 	if t.flags&ThreadDaemon != 0 {

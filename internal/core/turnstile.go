@@ -259,7 +259,7 @@ func (m *Runtime) setEffLocked(t *Thread, p int) bool {
 		return false
 	}
 	t.effPrio.Store(int32(p))
-	m.disp.requeue(t)
+	m.runq.requeue(t)
 	if t.state == ThreadRunnable {
 		m.flagPreemptionLocked(p)
 	}

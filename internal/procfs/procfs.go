@@ -261,13 +261,8 @@ func (pfs *ProcFS) threadStatus(rt *core.Runtime) []byte {
 	// popped from this queue, or back to the pool goroutine.
 	sw := rt.SwitchStats()
 	fmt.Fprintf(&sb, "  switches: direct %d fallback %d mask-pushes %d\n", sw.Direct, sw.Fallback, sw.MaskPushes)
-	// The ready queue is sharded per CPU; the depth above is the sum.
-	// One line per shard with its steal counter (pops taken by an LWP
-	// affine to another shard).
-	for _, ss := range rt.DispatchStats() {
-		fmt.Fprintf(&sb, "runq-shard%d: depth %d  pushes %d  pops %d  stolen %d\n",
-			ss.Shard, ss.Depth, ss.Pushes, ss.Pops, ss.Stolen)
-	}
+	q := rt.DispatchStats()[0]
+	fmt.Fprintf(&sb, "runq: depth %d  pushes %d  pops %d\n", q.Depth, q.Pushes, q.Pops)
 	return []byte(sb.String())
 }
 

@@ -109,13 +109,8 @@ func TestProcStatusAndThreads(t *testing.T) {
 		if !strings.Contains(threads, "runq-depth:") || !strings.Contains(threads, "occupancy:") || !strings.Contains(threads, "switches: direct ") {
 			t.Errorf("threads footer missing run-queue stats:\n%s", threads)
 		}
-		// The runnable total must be the sum over per-CPU shards, and
-		// each shard reports its own depth and steal counter.
-		if !strings.Contains(threads, "runq-shard0:") || !strings.Contains(threads, "runq-shard1:") {
-			t.Errorf("threads footer missing per-shard run-queue lines:\n%s", threads)
-		}
-		if !strings.Contains(threads, "stolen") {
-			t.Errorf("threads footer missing steal counters:\n%s", threads)
+		if !strings.Contains(threads, "runq: depth ") || strings.Contains(threads, "runq-shard") {
+			t.Errorf("threads footer should carry one run-queue traffic line:\n%s", threads)
 		}
 		psinfo := readAll(t, k, opf, l, "/proc/"+itoa(int(pid))+"/psinfo")
 		if !strings.Contains(psinfo, "PSET") || !strings.Contains(psinfo, "BOUND-CPU") {

@@ -215,11 +215,7 @@ func WritePerfetto(w io.Writer, recs []Record) error {
 			k := pfThreadKey{r.PID, r.TID}
 			nameThread(k)
 			closeThr(k, r.When)
-			args := map[string]any{"lwp": r.LWP}
-			if r.Arg > 0 {
-				args["popped_from_shard"] = r.Arg - 1
-			}
-			thrOpen[k] = &openSlice{at: r.When, name: "run", args: args}
+			thrOpen[k] = &openSlice{at: r.When, name: "run", args: map[string]any{"lwp": r.LWP}}
 		case EvThreadPark:
 			k := pfThreadKey{r.PID, r.TID}
 			nameThread(k)

@@ -74,8 +74,8 @@ func TestWritePerfetto(t *testing.T) {
 		t.Fatalf("on-CPU slice ts/dur = %v/%v, want 2000/4000", cpu0[0]["ts"], cpu0[0]["dur"])
 	}
 
-	// Thread 7 has a run slice (3ms..5ms) carrying the pop choice,
-	// then a sleeping park slice (5ms..10ms) cut by its next run.
+	// Thread 7 has a run slice (3ms..5ms) naming its LWP, then a
+	// sleeping park slice (5ms..10ms) cut by its next run.
 	run := pfFilter(evs, "X", "run")
 	if len(run) != 2 {
 		t.Fatalf("run slices: %v", run)
@@ -83,11 +83,8 @@ func TestWritePerfetto(t *testing.T) {
 	if run[0]["ts"].(float64) != 3000 || run[0]["dur"].(float64) != 2000 {
 		t.Fatalf("first run slice ts/dur = %v/%v, want 3000/2000", run[0]["ts"], run[0]["dur"])
 	}
-	if args := run[0]["args"].(map[string]any); args["popped_from_shard"].(float64) != 0 {
-		t.Fatalf("run slice args = %v, want popped_from_shard 0", args)
-	}
-	if _, ok := run[1]["args"].(map[string]any)["popped_from_shard"]; ok {
-		t.Fatal("Arg 0 (no pop info) still produced popped_from_shard")
+	if args := run[0]["args"].(map[string]any); len(args) != 1 || args["lwp"].(float64) != 2 {
+		t.Fatalf("run slice args = %v, want only lwp 2", args)
 	}
 	park := pfFilter(evs, "X", "sleeping")
 	if len(park) != 1 || park[0]["ts"].(float64) != 5000 || park[0]["dur"].(float64) != 5000 {

@@ -38,6 +38,7 @@ const (
 	// synchronization object and is about to park.
 	EvLockBlock
 	// EvThreadRun: the library dispatched a thread onto a pool LWP.
+	// Arg is 1 (dispatched from the run queue).
 	EvThreadRun
 	// EvThreadPark: a thread parked, handing its LWP back to the
 	// dispatcher. Arg is the library thread state it parked in.

@@ -176,7 +176,7 @@ func (cv *Cond) waitShared(t *core.Thread, mp *Mutex, d time.Duration) bool {
 	var gen uint64
 	cv.sv.Atomically(func(w usync.Words) { gen = w.Load(0) })
 	mp.Exit(t)
-	opts := usync.SleepOpts{}
+	opts := usync.SleepOpts{Indefinite: d <= 0} // see Sema.pShared
 	if d > 0 {
 		opts.Timeout = d
 	}

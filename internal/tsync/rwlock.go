@@ -464,7 +464,7 @@ func (rw *RWLock) enterShared(t *core.Thread, typ RWType, d time.Duration) error
 			wwait = true
 			rw.sv.Atomically(func(w usync.Words) { w.Store(2, w.Load(2)+1) })
 		}
-		opts := usync.SleepOpts{}
+		opts := usync.SleepOpts{Indefinite: d <= 0} // see Sema.pShared
 		if d > 0 {
 			opts.Timeout = deadline - clk.Now()
 		}

@@ -280,7 +280,9 @@ func (sp *Sema) pShared(t *core.Thread, d time.Duration) error {
 		if d > 0 && clk.Now() >= deadline {
 			return ErrTimedOut
 		}
-		opts := usync.SleepOpts{}
+		// An untimed wait is indefinite: it counts toward SIGWAITING,
+		// so the pool grows if this LWP was the last one running.
+		opts := usync.SleepOpts{Indefinite: d <= 0}
 		if d > 0 {
 			opts.Timeout = deadline - clk.Now()
 		}

@@ -480,8 +480,6 @@ type (
 	PsetInfo = sim.PsetInfo
 	// CPUStat is one CPU's dispatch-queue snapshot and counters.
 	CPUStat = sim.CPUStat
-	// ShardStat is one library ready-queue shard's snapshot.
-	ShardStat = core.ShardStat
 )
 
 // Scheduling classes and the default processor set.
@@ -545,11 +543,10 @@ func (s *System) Priocntl(t *Thread, class Class, prio int) error {
 // processor set, queue depth, and dispatch/steal/migration counters.
 func (s *System) SchedStats() []CPUStat { return s.Kern.SchedStats() }
 
-// DispatchBench measures the library ready-queue layer in isolation:
-// workers goroutines pass tokens through a dispatcher with nshards
-// shards, iters pop+push pairs per worker. nshards == 1 is the
-// pre-sharding shared-queue configuration; the nshards == NCPU vs 1
-// ratio is the dispatch throughput gain of sharding (mtbench -fig 8).
+// DispatchBench measures the library run-queue layer in isolation:
+// workers goroutines pass tokens through one run queue under its lock,
+// iters push+pop pairs per worker. nshards is ignored (the queue is no
+// longer sharded); the parameter stays for the frozen bench/ module.
 func DispatchBench(nshards, workers, iters int) time.Duration {
 	return core.DispatchBench(nshards, workers, iters)
 }

@@ -355,6 +355,37 @@ func TestPollDrivesSIGWAITINGGrowth(t *testing.T) {
 	}
 }
 
+// TestSharedSemaWaitDrivesSIGWAITINGGrowth: the process's only pool
+// LWP blocks in the kernel on a process-shared semaphore while the
+// unbound thread that would V it sits runnable. The untimed shared
+// wait is indefinite, so the kernel posts SIGWAITING and the pool
+// grows to run the helper; a wait that did not count would hang here.
+func TestSharedSemaWaitDrivesSIGWAITINGGrowth(t *testing.T) {
+	sys := NewSystem(Options{NCPU: 2})
+	var pool atomic.Int32
+	p := spawn(t, sys, "shared-p", ProcConfig{}, func(p *Proc, tt *Thread) {
+		fd, _ := p.Open(tt, "/shm", OCreate|ORdWr)
+		va, _ := p.Mmap(tt, 0, PageSize, ProtRead|ProtWrite, MapShared, fd, 0)
+		s, err := p.SharedSemaAt(tt, va, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := tt.Runtime().Create(func(c *Thread, _ any) {
+			s.V(c)
+		}, nil, CreateOpts{}); err != nil {
+			t.Error(err)
+			return
+		}
+		s.P(tt)
+		pool.Store(int32(tt.Runtime().PoolSize()))
+	})
+	waitProc(t, p)
+	if got := pool.Load(); got != 2 {
+		t.Errorf("PoolSize = %d after the blocked shared wait, want 2 (grown by SIGWAITING)", got)
+	}
+}
+
 func TestKillFromOutside(t *testing.T) {
 	sys := NewSystem(Options{NCPU: 1})
 	p := spawn(t, sys, "victim", ProcConfig{}, func(p *Proc, tt *Thread) {

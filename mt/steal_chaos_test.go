@@ -153,6 +153,9 @@ func TestChaosStealPsetConfinement(t *testing.T) {
 					for !bound.Load() {
 						ct.Yield()
 					}
+					// A rebind of a running LWP takes effect at its next
+					// checkpoint; take it before the first check.
+					ct.Checkpoint()
 					for j := 0; j < iters; j++ {
 						// Between checkpoints this goroutine is the
 						// LWP's dispatched body, so CurCPU is our CPU.
