@@ -20,6 +20,14 @@
 // The client and directory-service processes are fork1() children of
 // the server, so they inherit the pipe descriptors exactly as UNIX
 // processes would.
+//
+// The pipe Reads and the WaitChild here are plain blocking calls with
+// nothing bounding them, so the demo depends on those sleeps never
+// losing a wake-up: each commits under the kernel lock with its
+// condition re-checked there (DESIGN.md, "Which sleeps commit under
+// k.mu"). Only the listener's Poll, being over several pipes, is still
+// re-checked by the kernel every millisecond. mt/netsoak_test.go runs
+// the blocking-Read shape for 200 000 requests.
 package main
 
 import (

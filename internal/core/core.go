@@ -575,13 +575,13 @@ func (m *Runtime) runOn(pl *poolLWP, t *Thread, now time.Duration) {
 	t.state = ThreadRunning
 	t.msSwitchLocked(now, MSUser)
 	t.lwp = pl
+	t.carrier.Store(pl.l)
 	pl.cur = t
 	first := !t.started
 	t.started = true
 	mask := t.sigmask
 	pushMask := m.setMaskLocked(pl, mask)
 	m.mu.Unlock()
-	t.onCPU.Store(true)
 	if pushMask {
 		m.kern.SetLWPMask(pl.l, sim.SigSetMask, mask)
 	}

@@ -500,7 +500,7 @@ func TestSigwaitingGrowsPool(t *testing.T) {
 		wq := sim.NewWaitQ("ext")
 		k := r.Kernel()
 		k.SyscallEnter(self.LWP())
-		res := k.Sleep(self.LWP(), wq, sim.SleepOpts{Indefinite: true, Timeout: time.Second})
+		res, _ := k.SleepIf(self.LWP(), wq, nil, sim.SleepOpts{Indefinite: true, Timeout: time.Second})
 		k.SyscallExit(self.LWP())
 		_ = res
 		for i := 0; i < 1000 && !grew.Load(); i++ {
@@ -522,7 +522,7 @@ func TestNoGrowthWhenSigwaitingDisabled(t *testing.T) {
 		wq := sim.NewWaitQ("ext")
 		k := r.Kernel()
 		k.SyscallEnter(self.LWP())
-		k.Sleep(self.LWP(), wq, sim.SleepOpts{Indefinite: true, Timeout: 50 * time.Millisecond})
+		k.SleepIf(self.LWP(), wq, nil, sim.SleepOpts{Indefinite: true, Timeout: 50 * time.Millisecond})
 		k.SyscallExit(self.LWP())
 	})
 	waitExit(t, m)

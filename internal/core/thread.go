@@ -142,10 +142,11 @@ type Thread struct {
 	// after create.
 	waitWC WaitChan
 
-	// onCPU mirrors whether the thread currently holds a processor
-	// grant. Advisory (read lock-free by the adaptive mutex spin
-	// policy: spin while the owner is observed running).
-	onCPU atomic.Bool
+	// carrier names the LWP the thread is loaded on: a bound thread's
+	// own LWP for life, an unbound thread's pool LWP (t.lwp.l) from
+	// runOn until the thread takes itself off it, nil in between.
+	// Stored under m.mu, next to t.lwp; read lock-free by LWP and OnCPU.
+	carrier atomic.Pointer[sim.LWP]
 
 	// blocked is the wait-for edge published just before parking on
 	// a synchronization object; atomic so the hot park/unpark path
@@ -291,19 +292,23 @@ func (t *Thread) BoundLWP() *sim.LWP { return t.bndLWP }
 
 func (t *Thread) bound() bool { return t.bndLWP != nil }
 
-// LWP returns the LWP currently executing the thread. For bound
-// threads this never changes; for unbound threads it is only
-// meaningful from the thread itself while running.
-func (t *Thread) LWP() *sim.LWP {
-	if t.bndLWP != nil {
-		return t.bndLWP
+// LWP returns the LWP carrying the thread, with one atomic load: a
+// bound thread's own LWP, an unbound thread's pool LWP while it is
+// loaded, nil otherwise. It is for the thread itself, which is loaded
+// whenever it runs and stays on that LWP until it parks, yields or
+// exits — the handle it passes to the kernel calls it makes. Any other
+// caller gets an answer that may be stale by the time it is used.
+func (t *Thread) LWP() *sim.LWP { return t.carrier.Load() }
+
+// unloadLocked takes an unbound thread off the pool LWP it is loaded
+// on, if any, and returns that LWP for switchFrom. Caller holds m.mu.
+func (t *Thread) unloadLocked() *poolLWP {
+	pl := t.lwp
+	if pl != nil {
+		t.lwp = nil
+		t.carrier.Store(nil)
 	}
-	t.m.mu.Lock()
-	defer t.m.mu.Unlock()
-	if t.lwp != nil {
-		return t.lwp.l
-	}
-	return nil
+	return pl
 }
 
 // grant hands the CPU to the thread's goroutine.
@@ -419,6 +424,7 @@ func (m *Runtime) Create(fn Func, arg any, opts CreateOpts) (*Thread, error) {
 			return nil, err
 		}
 		t.bndLWP = l
+		t.carrier.Store(l)
 		m.exitWG.Add(1)
 		m.mu.Lock()
 		t.started = true
@@ -618,7 +624,6 @@ func (t *Thread) boundMain() {
 		t.msSwitchLocked(m.kern.Clock().Now(), MSUser)
 	}
 	m.mu.Unlock()
-	t.onCPU.Store(true)
 	if stopped {
 		t.parkSelf(ThreadStopped)
 	}
@@ -655,7 +660,6 @@ func (t *Thread) parkSelf(state ThreadState) {
 	now := m.kern.Clock().Now()
 	t.state = state
 	t.msSwitchLocked(now, t.msParkState(state))
-	t.onCPU.Store(false)
 	if a := t.aux; state == ThreadStopped && a != nil {
 		// Release thread_stop callers before the switch, so one of
 		// them can be the successor. Unpark is a non-blocking kernel
@@ -671,12 +675,10 @@ func (t *Thread) parkSelf(state ThreadState) {
 		t.state = ThreadRunning
 		t.msSwitchLocked(m.kern.Clock().Now(), MSUser)
 		m.mu.Unlock()
-		t.onCPU.Store(true)
 		t.stopIfRequested(state)
 		return
 	}
-	pl := t.lwp
-	t.lwp = nil
+	pl := t.unloadLocked()
 	m.rings.RecordAt(now, pl.l.CurCPU(), trace.EvThreadPark, int(m.proc.PID()), int(pl.l.ID()), int(t.id), uint64(state))
 	m.switchFrom(pl, now)
 	t.awaitDispatch()
@@ -721,10 +723,16 @@ func (m *Runtime) unparkInto(t *Thread) {
 // uses this as the wake half of its sleep queues.
 func (t *Thread) Unpark() { t.m.unparkInto(t) }
 
-// OnCPU reports whether the thread currently holds a processor grant.
-// Advisory and lock-free: the adaptive mutex spin policy uses it to
-// spin only while the lock owner is observed running.
-func (t *Thread) OnCPU() bool { return t.onCPU.Load() }
+// OnCPU reports whether the thread is running on a processor: loaded
+// on an LWP, and that LWP holding a simulated CPU. A thread whose LWP
+// is asleep in the kernel (poll, pipe I/O, a shared wait), parked, or
+// preempted onto the kernel run queue is not running, loaded or not.
+// Anyone may call it; the answer is two atomic loads and advisory —
+// the adaptive mutex spins only while the lock owner reads as running.
+func (t *Thread) OnCPU() bool {
+	l := t.carrier.Load()
+	return l != nil && l.CurCPU() >= 0
+}
 
 // UnparkAll wakes a batch of parked threads — the multi-thread wakeup
 // of Cond.Broadcast, rwlock release, and thread exit. Threads of one
@@ -827,9 +835,7 @@ func (t *Thread) requeueSelf() bool {
 		return false
 	}
 	now := m.kern.Clock().Now()
-	pl := t.lwp
-	t.lwp = nil
-	t.onCPU.Store(false)
+	pl := t.unloadLocked()
 	m.readyLocked(t, now)
 	m.switchFrom(pl, now)
 	t.awaitDispatch()
@@ -889,11 +895,9 @@ func (t *Thread) retire() {
 		return
 	}
 	t.state = ThreadZombie
-	t.onCPU.Store(false)
 	t.msFinalLocked(m.kern.Clock().Now())
 	m.dropTurnstilesLocked(t)
-	pl := t.lwp
-	t.lwp = nil
+	pl := t.unloadLocked()
 	delete(m.threads, t.id)
 	m.nlive--
 	if t.flags&ThreadDaemon != 0 {
@@ -1014,9 +1018,9 @@ func (t *Thread) Exec(name string) (*sim.LWP, error) {
 		return nil, err
 	}
 	m.mu.Lock()
-	pl := t.lwp
-	t.lwp = nil
+	pl := t.unloadLocked()
 	t.bndLWP = l2
+	t.carrier.Store(l2)
 	m.switchFrom(pl, m.kern.Clock().Now())
 	k.Start(l2)
 	nl, err := k.Exec(l2, name)
@@ -1038,7 +1042,7 @@ func (m *Runtime) threadGone(t *Thread) {
 	t.state = ThreadZombie
 	t.msFinalLocked(m.kern.Clock().Now())
 	m.dropTurnstilesLocked(t)
-	t.lwp = nil
+	t.unloadLocked()
 	m.runq.remove(t)
 	delete(m.threads, t.id)
 	m.nlive--
@@ -1046,7 +1050,6 @@ func (m *Runtime) threadGone(t *Thread) {
 		m.ndaemon--
 	}
 	m.mu.Unlock()
-	t.onCPU.Store(false)
 	// A torn-down thread may still be linked on a sleep queue (it was
 	// parked on a primitive when the process died); unlink it so the
 	// global sharded table does not retain it.

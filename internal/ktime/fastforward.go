@@ -284,6 +284,27 @@ func (t *ffTimer) Stop() bool {
 	return true
 }
 
+// Reset implements Timer. Like arming, it kicks the advancer. A
+// stopped timer is still in the heap until it reaches the top, so it is
+// moved in place; a fired one is pushed back.
+func (t *ffTimer) Reset(d time.Duration) bool {
+	ff := t.owner
+	ff.mu.Lock()
+	pending := !t.fired && !t.stopped
+	ff.seq++
+	t.when, t.seq = ff.Now()+d, ff.seq
+	t.fired, t.stopped = false, false
+	if t.index >= 0 {
+		heap.Fix(&ff.timers, t.index)
+	} else {
+		heap.Push(&ff.timers, t)
+	}
+	ff.rearmHostLocked()
+	ff.mu.Unlock()
+	ff.Kick()
+	return pending
+}
+
 // ffHeap orders timers by deadline, FIFO among equals (same contract
 // as the Manual clock's heap).
 type ffHeap []*ffTimer
@@ -310,6 +331,7 @@ func (h *ffHeap) Pop() any {
 	t := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
+	t.index = -1
 	return t
 }
 

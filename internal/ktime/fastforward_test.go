@@ -33,9 +33,13 @@ func TestFastForwardJumpsIdleTime(t *testing.T) {
 	ff := NewFastForward()
 	ff.SetIdle(alwaysIdle)
 	ch := make(chan int, 8)
+	// Arm with jumping off, or the kick of the first arming can leap
+	// to 3h before the other two exist.
+	ff.SetEnabled(false)
 	ff.AfterFunc(3*time.Hour, func() { ch <- 3 })
 	ff.AfterFunc(1*time.Hour, func() { ch <- 1 })
 	ff.AfterFunc(2*time.Hour, func() { ch <- 2 })
+	ff.SetEnabled(true)
 	got := collect(t, ch, 3)
 	for i, want := range []int{1, 2, 3} {
 		if got[i] != want {

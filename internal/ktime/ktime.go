@@ -31,6 +31,12 @@ type Timer interface {
 	// Stop cancels the timer. It reports whether the call was
 	// prevented from running.
 	Stop() bool
+	// Reset re-arms the timer — pending, fired or stopped — to call
+	// its function once d from now, and reports whether it was
+	// pending. The earlier deadline no longer fires, but a call the
+	// clock had already started may still arrive: an owner that reuses
+	// one timer must be able to tell such a call from the new one.
+	Reset(d time.Duration) bool
 }
 
 // Real is a Clock backed by the machine's monotonic clock.
@@ -55,6 +61,8 @@ func (r *Real) AfterFunc(d time.Duration, fn func()) Timer {
 type realTimer struct{ t *time.Timer }
 
 func (rt realTimer) Stop() bool { return rt.t.Stop() }
+
+func (rt realTimer) Reset(d time.Duration) bool { return rt.t.Reset(d) }
 
 // Manual is a deterministic Clock driven by explicit Advance calls.
 // It never moves on its own, which makes time-dependent kernel
@@ -150,6 +158,24 @@ func (t *manualTimer) Stop() bool {
 	return true
 }
 
+// Reset implements Timer. A stopped timer is still in the heap until
+// Advance pops it, so it is moved in place; a fired one is pushed back.
+func (t *manualTimer) Reset(d time.Duration) bool {
+	m := t.owner
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	pending := !t.fired && !t.stopped
+	m.seq++
+	t.when, t.seq = m.now+d, m.seq
+	t.fired, t.stopped = false, false
+	if t.index >= 0 {
+		heap.Fix(&m.timers, t.index)
+	} else {
+		heap.Push(&m.timers, t)
+	}
+	return pending
+}
+
 type timerHeap []*manualTimer
 
 func (h timerHeap) Len() int { return len(h) }
@@ -174,6 +200,7 @@ func (h *timerHeap) Pop() any {
 	t := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
+	t.index = -1
 	return t
 }
 
@@ -205,10 +232,18 @@ func (j *Jittered) Base() Clock { return j.base }
 // Now implements Clock.
 func (j *Jittered) Now() time.Duration { return j.base.Now() }
 
-// AfterFunc implements Clock, perturbing d.
+// AfterFunc implements Clock, perturbing d — and, through the timer it
+// returns, every later Reset.
 func (j *Jittered) AfterFunc(d time.Duration, fn func()) Timer {
-	if j.jitter != nil {
-		d = j.jitter(d)
+	if j.jitter == nil {
+		return j.base.AfterFunc(d, fn)
 	}
-	return j.base.AfterFunc(d, fn)
+	return jitteredTimer{j.base.AfterFunc(j.jitter(d), fn), j.jitter}
 }
+
+type jitteredTimer struct {
+	Timer
+	jitter func(time.Duration) time.Duration
+}
+
+func (t jitteredTimer) Reset(d time.Duration) bool { return t.Timer.Reset(t.jitter(d)) }

@@ -156,6 +156,9 @@ type Kernel struct {
 	procs   map[PID]*Process
 	nextPID PID
 
+	// sleepq is where SleepFor's sleepers wait; nothing wakes it.
+	sleepq WaitQ
+
 	// Dispatcher state (per-CPU queues live on the CPUs; see
 	// dispq.go). nrunnable and gangQueued are the global counts the
 	// hot paths consult instead of scanning queues.
@@ -235,6 +238,8 @@ func NewKernel(cfg Config) *Kernel {
 		chaos: cfg.Chaos,
 		procs: make(map[PID]*Process),
 		psets: make(map[PsetID]*pset),
+
+		sleepq: WaitQ{name: "nanosleep"},
 	}
 	def := &pset{id: PsetDefault}
 	k.psets[PsetDefault] = def
@@ -983,8 +988,9 @@ func (k *Kernel) ExitLWP(l *LWP) {
 		l.psBound = false
 	}
 	if l.sleepTimer != nil {
+		// An unwind out of a bounded sleep leaves it armed.
 		l.sleepTimer.Stop()
-		l.sleepTimer = nil
+		l.sleepDeadline = 0
 	}
 	k.setLWPStateLocked(l, now, LWPZombie)
 	p.deadUser += l.userTime

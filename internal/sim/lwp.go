@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"sunosmt/internal/ktime"
 )
 
 // LWPID identifies an LWP within its process. There is no system-wide
@@ -119,13 +121,17 @@ type LWP struct {
 	curCPU  atomic.Int32
 
 	// Sleep state; guarded by Kernel.mu. wqNext/wqPrev are the
-	// intrusive links of the WaitQ the LWP sleeps on.
+	// intrusive links of the WaitQ the LWP sleeps on. sleepTimer is the
+	// LWP's one timer for bounded sleeps, made at the first of them and
+	// re-armed by each; sleepDeadline is when the current sleep times
+	// out, 0 when it has no bound or the LWP is not sleeping.
 	wq            *WaitQ
 	wqNext        *LWP
 	wqPrev        *LWP
 	wakeRes       WakeResult
 	woken         bool
-	sleepTimer    interface{ Stop() bool }
+	sleepTimer    ktime.Timer
+	sleepDeadline time.Duration
 	parkPermit    bool
 	indefinite    bool
 	interruptible bool

@@ -144,7 +144,7 @@ func TestSleepWakeup(t *testing.T) {
 	wq := NewWaitQ("test")
 	got := make(chan WakeResult, 1)
 	sleeper, d1 := animate(k, p, func(l *LWP) {
-		got <- k.Sleep(l, wq, SleepOpts{})
+		got <- sleepOn(k, l, wq, SleepOpts{})
 	})
 	// Wait for the sleeper to block.
 	for sleeper.State() != LWPSleeping {
@@ -168,7 +168,7 @@ func TestSleepTimeout(t *testing.T) {
 	wq := NewWaitQ("test")
 	got := make(chan WakeResult, 1)
 	_, d := animate(k, p, func(l *LWP) {
-		got <- k.Sleep(l, wq, SleepOpts{Timeout: time.Millisecond})
+		got <- sleepOn(k, l, wq, SleepOpts{Timeout: time.Millisecond})
 	})
 	waitClosed(t, d, "sleeper")
 	if res := <-got; res != WakeTimeout {
@@ -188,7 +188,7 @@ func TestSleepInterruptedBySignal(t *testing.T) {
 	wq := NewWaitQ("test")
 	got := make(chan WakeResult, 1)
 	sleeper, d := animate(k, p, func(l *LWP) {
-		got <- k.Sleep(l, wq, SleepOpts{Interruptible: true})
+		got <- sleepOn(k, l, wq, SleepOpts{Interruptible: true})
 	})
 	for sleeper.State() != LWPSleeping {
 		time.Sleep(100 * time.Microsecond)
@@ -209,7 +209,7 @@ func TestUninterruptibleSleepIgnoresSignal(t *testing.T) {
 	wq := NewWaitQ("test")
 	got := make(chan WakeResult, 1)
 	sleeper, d := animate(k, p, func(l *LWP) {
-		got <- k.Sleep(l, wq, SleepOpts{Interruptible: false})
+		got <- sleepOn(k, l, wq, SleepOpts{Interruptible: false})
 	})
 	for sleeper.State() != LWPSleeping {
 		time.Sleep(100 * time.Microsecond)
@@ -366,7 +366,7 @@ func TestDefaultActionExitKillsProcess(t *testing.T) {
 	p := k.NewProcess("p", nil)
 	wq := NewWaitQ("forever")
 	_, d := animate(k, p, func(l *LWP) {
-		k.Sleep(l, wq, SleepOpts{}) // uninterruptible; death still unwinds
+		sleepOn(k, l, wq, SleepOpts{}) // uninterruptible; death still unwinds
 	})
 	k.PostSignal(p, SIGTERM)
 	waitClosed(t, d, "victim")
@@ -397,7 +397,7 @@ func TestSIGKILLUncatchable(t *testing.T) {
 	}
 	wq := NewWaitQ("forever")
 	_, d := animate(k, p, func(l *LWP) {
-		k.Sleep(l, wq, SleepOpts{})
+		sleepOn(k, l, wq, SleepOpts{})
 	})
 	k.PostSignal(p, SIGKILL)
 	waitClosed(t, d, "victim")
@@ -502,7 +502,7 @@ func TestSIGWAITINGWhenAllLWPsBlockIndefinitely(t *testing.T) {
 	var dones []<-chan struct{}
 	for i := 0; i < 2; i++ {
 		l, d := animate(k, p, func(l *LWP) {
-			k.Sleep(l, wq, SleepOpts{Indefinite: true})
+			sleepOn(k, l, wq, SleepOpts{Indefinite: true})
 		})
 		lwps = append(lwps, l)
 		dones = append(dones, d)
@@ -540,7 +540,7 @@ func TestNoSIGWAITINGWhileOneLWPRuns(t *testing.T) {
 	// Both LWPs exist before the sleeper can block: alone, it would be
 	// "every LWP blocked" and SIGWAITING would rightly fire.
 	ls, dones := animateAll(k, p, func(l *LWP) {
-		k.Sleep(l, wq, SleepOpts{Indefinite: true})
+		sleepOn(k, l, wq, SleepOpts{Indefinite: true})
 	}, func(l *LWP) {
 		for {
 			select {
@@ -572,7 +572,7 @@ func TestExitKillsAllLWPs(t *testing.T) {
 	p := k.NewProcess("p", nil)
 	wq := NewWaitQ("forever")
 	_, d1 := animate(k, p, func(l *LWP) {
-		k.Sleep(l, wq, SleepOpts{})
+		sleepOn(k, l, wq, SleepOpts{})
 	})
 	_, d2 := animate(k, p, func(l *LWP) {
 		time.Sleep(2 * time.Millisecond)
@@ -640,7 +640,7 @@ func TestForkAllDuplicatesLWPsAndEINTRsSleepers(t *testing.T) {
 	wq := NewWaitQ("pollish")
 	sleepRes := make(chan WakeResult, 1)
 	sleeper, dSleep := animate(k, p, func(l *LWP) {
-		sleepRes <- k.Sleep(l, wq, SleepOpts{Interruptible: true, Indefinite: true})
+		sleepRes <- sleepOn(k, l, wq, SleepOpts{Interruptible: true, Indefinite: true})
 	})
 	for sleeper.State() != LWPSleeping {
 		time.Sleep(100 * time.Microsecond)
@@ -703,7 +703,7 @@ func TestExecTearsDownOtherLWPs(t *testing.T) {
 	p := k.NewProcess("p", nil)
 	wq := NewWaitQ("forever")
 	_, dOther := animate(k, p, func(l *LWP) {
-		k.Sleep(l, wq, SleepOpts{})
+		sleepOn(k, l, wq, SleepOpts{})
 	})
 	var newLWP *LWP
 	_, dExec := animate(k, p, func(l *LWP) {
@@ -958,4 +958,12 @@ func TestSleepForManualClock(t *testing.T) {
 	if err := <-slept; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sleepOn sleeps unconditionally: the tests that use it wake the queue
+// only after they have seen the LWP asleep, so there is nothing for a
+// commit condition to check.
+func sleepOn(k *Kernel, l *LWP, wq *WaitQ, o SleepOpts) WakeResult {
+	res, _ := k.SleepIf(l, wq, nil, o)
+	return res
 }

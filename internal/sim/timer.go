@@ -147,8 +147,7 @@ func (k *Kernel) SleepFor(l *LWP, d time.Duration) error {
 	}
 	k.SyscallEnter(l)
 	defer k.SyscallExit(l)
-	wq := NewWaitQ("nanosleep")
-	if res := k.Sleep(l, wq, SleepOpts{Interruptible: true, Timeout: d}); res == WakeInterrupted {
+	if res, _ := k.SleepIf(l, &k.sleepq, nil, SleepOpts{Interruptible: true, Timeout: d}); res == WakeInterrupted {
 		return ErrIntr
 	}
 	return nil

@@ -90,22 +90,18 @@ type SleepOpts struct {
 	Timeout time.Duration
 }
 
-// Sleep blocks the LWP on wq until Wakeup, signal interruption, or
-// timeout. The LWP's CPU is released for the duration; on return the
-// LWP holds a CPU again. Sleep panics with *Unwind if the process
-// dies while sleeping.
-func (k *Kernel) Sleep(l *LWP, wq *WaitQ, o SleepOpts) WakeResult {
-	res, _ := k.SleepIf(l, wq, nil, o)
-	return res
-}
-
-// SleepIf is Sleep with a commit condition evaluated under the kernel
-// lock immediately before the LWP is queued: if cond returns false
-// the sleep is abandoned and SleepIf returns (WakeNormal, false).
-// This is the futex-style race-free block used by process-shared
-// synchronization variables — the waker's state change and Wakeup
-// cannot slip between the caller's user-level check and the enqueue.
-// cond must not call back into the kernel.
+// SleepIf blocks the LWP on wq until Wakeup, signal interruption, or
+// timeout, and reports true. The LWP's CPU is released for the
+// duration; on return the LWP holds a CPU again. SleepIf panics with
+// *Unwind if the process dies while sleeping.
+//
+// cond is the commit condition, evaluated under the kernel lock
+// immediately before the LWP is queued: if it returns false the sleep
+// is abandoned and SleepIf returns (WakeNormal, false). This is the
+// futex-style race-free block every wait for another LWP's action
+// uses — the waker's state change and Wakeup cannot slip between the
+// caller's check and the enqueue. cond must not call back into the
+// kernel. Only a sleep nothing but its timeout ends passes nil.
 func (k *Kernel) SleepIf(l *LWP, wq *WaitQ, cond func() bool, o SleepOpts) (WakeResult, bool) {
 	spinFor(k.cfg.KernelSwitchCost) // simulated trap entry + switch
 	k.mu.Lock()
@@ -143,14 +139,12 @@ func (k *Kernel) SleepIf(l *LWP, wq *WaitQ, cond func() bool, o SleepOpts) (Wake
 		}
 	}
 	if o.Timeout > 0 {
-		ll := l
-		l.sleepTimer = k.clock.AfterFunc(o.Timeout, func() {
-			k.mu.Lock()
-			if ll.state == LWPSleeping && !ll.woken {
-				k.wakeLWPLocked(ll, WakeTimeout)
-			}
-			k.mu.Unlock()
-		})
+		l.sleepDeadline = k.clock.Now() + o.Timeout
+		if l.sleepTimer == nil {
+			l.sleepTimer = k.clock.AfterFunc(o.Timeout, l.sleepTimeout)
+		} else {
+			l.sleepTimer.Reset(o.Timeout)
+		}
 	}
 	for !l.woken {
 		l.cond.Wait()
@@ -158,14 +152,34 @@ func (k *Kernel) SleepIf(l *LWP, wq *WaitQ, cond func() bool, o SleepOpts) (Wake
 			k.unwindLocked(l, reason)
 		}
 	}
-	if l.sleepTimer != nil {
+	if l.sleepDeadline != 0 {
+		l.sleepDeadline = 0
 		l.sleepTimer.Stop()
-		l.sleepTimer = nil
 	}
 	res := l.wakeRes
 	k.makeRunnableLocked(l)
 	k.waitOnCPULocked(l)
 	return res, true
+}
+
+// sleepTimeout is the callback of the LWP's sleep timer. The timer is
+// reused from sleep to sleep, so a call can arrive late — started by the
+// clock for one sleep, it gets k.mu only after the LWP woke some other
+// way and slept again — or, under chaos jitter, early. It times out only
+// a sleep whose deadline has passed; an early call re-arms the timer
+// for what remains.
+func (l *LWP) sleepTimeout() {
+	k := l.proc.kern
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if l.state != LWPSleeping || l.woken || l.sleepDeadline == 0 {
+		return
+	}
+	if rem := l.sleepDeadline - k.clock.Now(); rem > 0 {
+		l.sleepTimer.Reset(rem)
+		return
+	}
+	k.wakeLWPLocked(l, WakeTimeout)
 }
 
 // wakeLWPLocked pulls a sleeping LWP off its wait queue and marks it

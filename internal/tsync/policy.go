@@ -254,7 +254,8 @@ func (mp *Mutex) enterLocal(t *core.Thread, d time.Duration) error {
 			// adaptive mutex: the owner is executing on a processor, so
 			// its release is likely imminent and cheaper to catch than
 			// two context switches. The moment the owner is seen
-			// off-CPU (preempted, blocked), fall through and park.
+			// off-CPU — unloaded, or loaded on an LWP that is asleep in
+			// the kernel, parked or preempted — fall through and park.
 			t.Yield()
 			continue
 		}

@@ -71,14 +71,23 @@ func (p *Pipe) addEnd(read bool, delta int) {
 }
 
 // read implements pipe reads: blocks while empty and writers remain;
-// returns EOF when empty with no writers.
+// returns EOF when empty with no writers. The sleep commits under the
+// kernel lock only if the pipe is still empty (lock order k.mu → p.mu;
+// every Wakeup here is issued with p.mu released), so a write that
+// lands after the check above cannot be missed.
 func (p *Pipe) read(l *sim.LWP, b []byte) (int, error) {
 	k := p.fs.kern
 	for {
 		p.mu.Lock()
 		if len(p.buf) > 0 {
 			n := copy(b, p.buf)
-			p.buf = p.buf[n:]
+			if n == len(p.buf) {
+				// Drained: keep the start of the backing array, or each
+				// round trip walks the capacity away and append regrows it.
+				p.buf = p.buf[:0]
+			} else {
+				p.buf = p.buf[n:]
+			}
 			p.mu.Unlock()
 			k.Wakeup(p.wq, -1)
 			k.Wakeup(p.pollq, -1)
@@ -89,7 +98,7 @@ func (p *Pipe) read(l *sim.LWP, b []byte) (int, error) {
 			return 0, io.EOF
 		}
 		p.mu.Unlock()
-		res := k.Sleep(l, p.rq, sim.SleepOpts{Interruptible: true, Indefinite: true})
+		res, _ := k.SleepIf(l, p.rq, p.readBlocks, sim.SleepOpts{Interruptible: true, Indefinite: true})
 		if res == sim.WakeInterrupted {
 			return 0, sim.ErrIntr
 		}
@@ -97,7 +106,7 @@ func (p *Pipe) read(l *sim.LWP, b []byte) (int, error) {
 }
 
 // write implements pipe writes: blocks while full; raises SIGPIPE and
-// returns EPIPE with no readers.
+// returns EPIPE with no readers. Its sleep commits like read's.
 func (p *Pipe) write(l *sim.LWP, b []byte) (int, error) {
 	k := p.fs.kern
 	total := 0
@@ -120,7 +129,7 @@ func (p *Pipe) write(l *sim.LWP, b []byte) (int, error) {
 			continue
 		}
 		p.mu.Unlock()
-		res := k.Sleep(l, p.wq, sim.SleepOpts{Interruptible: true, Indefinite: true})
+		res, _ := k.SleepIf(l, p.wq, p.writeBlocks, sim.SleepOpts{Interruptible: true, Indefinite: true})
 		if res == sim.WakeInterrupted {
 			return total, sim.ErrIntr
 		}
@@ -128,16 +137,27 @@ func (p *Pipe) write(l *sim.LWP, b []byte) (int, error) {
 	return total, nil
 }
 
-func (p *Pipe) pollReadable() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.buf) > 0 || p.writers == 0
-}
+// readBlocks and writeBlocks are the sleep conditions of read and
+// write: whether the call still has to wait.
+func (p *Pipe) readBlocks() bool  { return p.poll(PollIn)&PollIn == 0 }
+func (p *Pipe) writeBlocks() bool { return p.poll(PollOut)&PollOut == 0 }
 
-func (p *Pipe) pollWritable() bool {
+// poll reports which of the events in want hold now, plus PollHup once
+// both ends are closed.
+func (p *Pipe) poll(want PollEvents) PollEvents {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.buf) < pipeCap || p.readers == 0
+	var got PollEvents
+	if want&PollIn != 0 && (len(p.buf) > 0 || p.writers == 0) {
+		got |= PollIn
+	}
+	if want&PollOut != 0 && (len(p.buf) < pipeCap || p.readers == 0) {
+		got |= PollOut
+	}
+	if p.writers == 0 && p.readers == 0 {
+		got |= PollHup
+	}
+	return got
 }
 
 // Buffered reports the bytes currently queued in the pipe.

@@ -39,32 +39,26 @@ func (pf *ProcFiles) Poll(l *sim.LWP, fds []PollFD, timeout time.Duration) (int,
 		deadline = timeout
 	}
 	for {
-		ready := 0
-		var pipes []*Pipe
+		// first is the first pipe polled and want what was asked of it;
+		// the wait below is on that pipe.
+		var (
+			ready, npipes int
+			first         *Pipe
+			want          PollEvents
+		)
 		for i := range fds {
-			fds[i].Revents = 0
 			of, err := pf.get(fds[i].FD)
-			if err != nil {
-				fds[i].Revents |= PollErr
-				ready++
-				continue
-			}
-			if of.pipe != nil {
-				pipes = append(pipes, of.pipe)
-				if fds[i].Events&PollIn != 0 && of.pipe.pollReadable() {
-					fds[i].Revents |= PollIn
+			switch {
+			case err != nil:
+				fds[i].Revents = PollErr
+			case of.pipe != nil:
+				if npipes++; first == nil {
+					first, want = of.pipe, fds[i].Events
 				}
-				if fds[i].Events&PollOut != 0 && of.pipe.pollWritable() {
-					fds[i].Revents |= PollOut
-				}
-				of.pipe.mu.Lock()
-				if of.pipe.writers == 0 && of.pipe.readers == 0 {
-					fds[i].Revents |= PollHup
-				}
-				of.pipe.mu.Unlock()
-			} else {
+				fds[i].Revents = of.pipe.poll(fds[i].Events)
+			default:
 				// Regular files are always ready.
-				fds[i].Revents |= fds[i].Events & (PollIn | PollOut)
+				fds[i].Revents = fds[i].Events & (PollIn | PollOut)
 			}
 			if fds[i].Revents != 0 {
 				ready++
@@ -73,23 +67,25 @@ func (pf *ProcFiles) Poll(l *sim.LWP, fds []PollFD, timeout time.Duration) (int,
 		if ready > 0 {
 			return ready, nil
 		}
-		if len(pipes) == 0 {
+		if first == nil {
 			// Nothing can ever become ready; treat as timeout
 			// semantics with no wait channel.
 			return 0, ErrInval
 		}
-		// Block on the first pipe's poll queue. Every state
-		// change on any pipe wakes its pollers; for simplicity a
-		// multi-pipe poll re-checks all after any wake on the
-		// first. To avoid missing wakes from other pipes, bound
-		// the sleep.
+		// Block on the first pipe's poll queue; every state change on a
+		// pipe wakes its pollers. The sleep commits under the kernel lock
+		// only if that pipe still has nothing asked for (k.mu → p.mu, as
+		// in Pipe.read), which makes a single-pipe poll race-free. A
+		// multi-pipe poll still hears nothing from the other pipes, so it
+		// stays bounded at 1 ms and re-checks them all: queueing on every
+		// pollq at once waits for the kernel-wake rewrite (ROADMAP 2).
 		opts := sim.SleepOpts{Interruptible: true, Indefinite: true}
 		if deadline >= 0 {
 			opts.Timeout = deadline
-		} else if len(pipes) > 1 {
+		} else if npipes > 1 {
 			opts.Timeout = time.Millisecond
 		}
-		res := k.Sleep(l, pipes[0].pollq, opts)
+		res, _ := k.SleepIf(l, first.pollq, func() bool { return first.poll(want) == 0 }, opts)
 		switch res {
 		case sim.WakeInterrupted:
 			return 0, sim.ErrIntr
