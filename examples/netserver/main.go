@@ -164,11 +164,13 @@ func main() {
 		cliCh := make(chan *mt.Proc, 1)
 		cli, err := p.Fork1(t, func(ct *mt.Thread, _ any) {
 			cp := <-cliCh
-			// The LWP rlimit is inherited across fork; the overload
-			// experiment constrains the server, not the clients, so
-			// the client child lifts its own limit (setrlimit) to
-			// keep demand at the full 2x the server's rlimit.
+			// The LWP rlimit and the thread cap are inherited across
+			// fork; the overload experiment constrains the server,
+			// not the clients, so the client child lifts its own
+			// limits (setrlimit) to keep demand at the full 2x the
+			// server's rlimit.
 			cp.Process().SetLWPLimit(0)
+			ct.Runtime().SetMaxThreads(0)
 			if err := cp.Close(ct, dreqW); err != nil {
 				fail("client: close dreqW", err)
 			}

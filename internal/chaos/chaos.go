@@ -16,11 +16,11 @@
 // Every decision is a pure function of (seed, site name, per-site
 // counter): the n-th query at a given site always answers the same
 // way for a given seed, no matter how host goroutines are scheduled.
-// Wall-clock time and math/rand are never consulted. Fired decisions
-// are recorded in an event journal (a trace.Buffer with zero
-// timestamps), so two runs of the same seed over the same workload
-// produce byte-identical journals; a failing seed prints as a
-// replayable -chaos.seed=N.
+// Wall-clock time and math/rand are never consulted. After
+// StartRecording every consulted decision is kept in order, so two
+// runs of the same seed over the same workload produce identical
+// decision streams (Schedule serializes them as a journal NewReplay
+// can re-issue); a failing seed prints as a replayable -chaos.seed=N.
 //
 // # Safety
 //
@@ -116,9 +116,6 @@ type Config struct {
 	// StackFail fails a library thread-stack allocation with a
 	// transient EAGAIN. Zero in DefaultConfig (see AllocFail).
 	StackFail int
-
-	// JournalCapacity bounds the event journal (default 4096).
-	JournalCapacity int
 }
 
 // DefaultConfig returns the rates used by the chaos test sweeps:
@@ -160,13 +157,12 @@ func FaultConfig(seed uint64) Config {
 
 // Source issues deterministic perturbation decisions. A nil *Source
 // never fires. One Source must not be shared between systems whose
-// journals are compared: the journal interleaves all sites.
+// schedules are compared: the decision stream interleaves all sites.
 type Source struct {
 	cfg Config
 
 	mu       sync.Mutex
 	counters map[string]uint64
-	journal  *trace.Buffer
 
 	// Recording mode: every consulted decision is appended in global
 	// order, so the run's schedule serializes to a journal.
@@ -210,16 +206,7 @@ func (d *Divergence) String() string {
 
 // New returns a Source with the given configuration.
 func New(cfg Config) *Source {
-	if cfg.JournalCapacity <= 0 {
-		cfg.JournalCapacity = 4096
-	}
-	return &Source{
-		cfg:      cfg,
-		counters: make(map[string]uint64),
-		// nil now: journal events carry zero timestamps, so two
-		// runs of one seed compare equal event-for-event.
-		journal: trace.New(cfg.JournalCapacity, nil),
-	}
+	return &Source{cfg: cfg, counters: make(map[string]uint64)}
 }
 
 // Enabled reports whether the source injects anything (false for nil).
@@ -231,14 +218,6 @@ func (s *Source) Seed() uint64 {
 		return 0
 	}
 	return s.cfg.Seed
-}
-
-// Journal returns the event journal of fired decisions (nil for nil).
-func (s *Source) Journal() *trace.Buffer {
-	if s == nil {
-		return nil
-	}
-	return s.journal
 }
 
 // splitmix64 is the finalizer of the SplitMix64 generator: a cheap,
@@ -300,7 +279,7 @@ func (s *Source) recordLocked(site string, n, value int64) {
 	}
 }
 
-// fire decides a boolean site and journals a hit.
+// fire decides a boolean site.
 func (s *Source) fire(site string, permille int) bool {
 	if s == nil || permille <= 0 {
 		return false
@@ -319,9 +298,6 @@ func (s *Source) fire(site string, permille int) bool {
 		v = 1
 	}
 	s.recordLocked(site, 1, v)
-	if hit {
-		s.journal.Add("chaos", "%s", site)
-	}
 	s.mu.Unlock()
 	return hit
 }
@@ -345,9 +321,6 @@ func (s *Source) choose(site string, n, permille int) int {
 		}
 	}
 	s.recordLocked(site, int64(n), int64(idx))
-	if idx >= 0 {
-		s.journal.Add("chaos", "%s idx=%d/%d", site, idx, n)
-	}
 	s.mu.Unlock()
 	return idx
 }
@@ -522,9 +495,6 @@ func (s *Source) Jitter(d time.Duration) time.Duration {
 		}
 	}
 	s.recordLocked("ktime.jitter", int64(d), int64(nd))
-	if nd != d {
-		s.journal.Add("chaos", "ktime.jitter %v -> %v", d, nd)
-	}
 	s.mu.Unlock()
 	return nd
 }

@@ -3,12 +3,15 @@ package chaos
 import (
 	"testing"
 	"time"
+
+	"sunosmt/internal/trace"
 )
 
 // drive runs a fixed query script against a fresh source and returns
-// the journal lines.
-func drive(seed uint64) []string {
+// the recorded decision stream.
+func drive(seed uint64) []trace.Decision {
 	s := New(DefaultConfig(seed))
+	s.StartRecording()
 	for i := 0; i < 400; i++ {
 		s.Preempt()
 		s.ThreadPreempt()
@@ -20,25 +23,27 @@ func drive(seed uint64) []string {
 		s.Sigwaiting()
 		s.Jitter(time.Millisecond)
 	}
-	var out []string
-	for _, e := range s.Journal().Events() {
-		out = append(out, e.Kind+" "+e.Msg)
-	}
-	return out
+	return s.Schedule().Decisions
 }
 
 func TestSameSeedSameJournal(t *testing.T) {
 	a := drive(42)
 	b := drive(42)
-	if len(a) == 0 {
-		t.Fatal("seed 42 fired no events over 400 rounds; rates too low to explore anything")
+	fired := 0
+	for _, d := range a {
+		if d.Site == "sim.preempt" && d.Value != 0 {
+			fired++
+		}
+	}
+	if fired == 0 {
+		t.Fatal("seed 42 never fired sim.preempt over 400 rounds; rates too low to explore anything")
 	}
 	if len(a) != len(b) {
-		t.Fatalf("journal lengths differ: %d vs %d", len(a), len(b))
+		t.Fatalf("decision streams differ in length: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("journal diverges at event %d:\n  run1: %s\n  run2: %s", i, a[i], b[i])
+			t.Fatalf("decision stream diverges at %d:\n  run1: %+v\n  run2: %+v", i, a[i], b[i])
 		}
 	}
 }
@@ -46,18 +51,12 @@ func TestSameSeedSameJournal(t *testing.T) {
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a := drive(1)
 	b := drive(2)
-	if len(a) == len(b) {
-		same := true
-		for i := range a {
-			if a[i] != b[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatal("seeds 1 and 2 produced identical journals")
+	for i := range a { // same script: same length, same sites
+		if a[i] != b[i] {
+			return
 		}
 	}
+	t.Fatal("seeds 1 and 2 produced identical decision streams")
 }
 
 func TestNilSourceIsInert(t *testing.T) {
@@ -72,7 +71,7 @@ func TestNilSourceIsInert(t *testing.T) {
 	if d := s.Jitter(time.Second); d != time.Second {
 		t.Fatalf("nil source jittered: %v", d)
 	}
-	if s.Journal() != nil || s.Seed() != 0 {
+	if s.Recording() || len(s.Schedule().Decisions) != 0 || s.Seed() != 0 {
 		t.Fatal("nil source has state")
 	}
 }

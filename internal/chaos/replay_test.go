@@ -49,6 +49,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	if !rep.Replaying() {
 		t.Fatal("NewReplay source not in replay mode")
 	}
+	rep.StartRecording()
 	got := driveSites(rep)
 	if len(got) != len(want) {
 		t.Fatalf("replay answered %d decisions, recorded %d", len(got), len(want))
@@ -61,14 +62,14 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	if d := rep.Divergence(); d != nil {
 		t.Fatalf("divergence on a faithful replay: %v", d)
 	}
-	// The chaos journals must match line for line too.
-	a, b := rec.Journal().Events(), rep.Journal().Events()
+	// The replay's own decision stream must match the recording too.
+	a, b := rec.Schedule().Decisions, rep.Schedule().Decisions
 	if len(a) != len(b) {
-		t.Fatalf("journal lengths differ: recorded %d, replayed %d", len(a), len(b))
+		t.Fatalf("decision streams differ in length: recorded %d, replayed %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].Msg != b[i].Msg {
-			t.Fatalf("journal line %d differs: %q vs %q", i, a[i].Msg, b[i].Msg)
+		if a[i] != b[i] {
+			t.Fatalf("decision %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }

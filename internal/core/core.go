@@ -55,24 +55,11 @@ import (
 
 // Config configures a Runtime.
 type Config struct {
-	// Trace, if non-nil, receives library events (thread dispatch,
-	// park, pool growth) for debugging and the Figure 2 demo.
-	Trace *trace.Buffer
 	// MaxAutoLWPs caps SIGWAITING-driven pool growth (default 64).
 	MaxAutoLWPs int
 	// DefaultStackSize is used when thread_create is given no
 	// stack (default 64 KiB, simulated).
 	DefaultStackSize int
-	// StackCacheSize caps how many library-allocated default stacks
-	// are kept for reuse after their threads exit (default 32) —
-	// the cache behind Figure 5's "default stack" creation time.
-	StackCacheSize int
-	// ThreadCacheSize caps the Runtime's Thread freelist: exited
-	// unwaited (or reaped) threads park their Thread struct, gate
-	// channel, and TSD block here for the next Create to recycle,
-	// making steady-state create/exit allocation-free. Zero selects
-	// the default (1024); negative disables recycling.
-	ThreadCacheSize int
 	// StackMem, if non-nil, carves thread stacks from an address
 	// space (reserve on create, commit on first dispatch) instead of
 	// allocating host memory per stack. mt wires the process's
@@ -131,7 +118,6 @@ type Runtime struct {
 	kern  *sim.Kernel
 	proc  *sim.Process
 	cfg   Config
-	tr    *trace.Buffer
 	rings *trace.Rings // kernel's event rings (nil: tracing off)
 
 	mu      sync.Mutex
@@ -270,12 +256,6 @@ func NewRuntime(kern *sim.Kernel, proc *sim.Process, cfg Config) *Runtime {
 	if cfg.DefaultStackSize <= 0 {
 		cfg.DefaultStackSize = 64 << 10
 	}
-	if cfg.StackCacheSize <= 0 {
-		cfg.StackCacheSize = 32
-	}
-	if cfg.ThreadCacheSize == 0 {
-		cfg.ThreadCacheSize = 1024
-	}
 	if cfg.StackMem == nil {
 		cfg.StackMem = newFlatStackMem()
 	}
@@ -284,7 +264,6 @@ func NewRuntime(kern *sim.Kernel, proc *sim.Process, cfg Config) *Runtime {
 		proc:     proc,
 		cfg:      cfg,
 		stackMem: cfg.StackMem,
-		tr:       cfg.Trace,
 		rings:    kern.Rings(),
 		threads:  make(map[ThreadID]*Thread),
 		zombies:  make(map[ThreadID]*Thread),
@@ -411,7 +390,6 @@ func (m *Runtime) addPoolLWP() error {
 	m.mu.Lock()
 	m.pool = append(m.pool, pl)
 	m.mu.Unlock()
-	m.tr.Add("pool", "pool lwp %d created (%d total)", l.ID(), len(m.pool))
 	m.exitWG.Add(1)
 	go m.poolLoop(pl)
 	return nil
@@ -553,7 +531,6 @@ func (m *Runtime) ageOut(pl *poolLWP) {
 	m.retiring++
 	m.agedOut++
 	m.mu.Unlock()
-	m.tr.Add("pool", "idle lwp %d aged out (%d remain)", pl.l.ID(), m.PoolSize()-1)
 	m.kern.Unpark(pl.l)
 }
 
@@ -647,6 +624,17 @@ func (m *Runtime) switchFrom(pl *poolLWP, now time.Duration) {
 }
 
 // --- concurrency control ------------------------------------------------
+
+// SetMaxThreads changes the per-process thread cap (Config.MaxThreads;
+// zero is unlimited) — the library-level setrlimit. A fork child
+// starts under its parent's configured cap, as it starts under the
+// parent's LWP rlimit, and lifts or lowers it here. Threads already
+// live above a lowered cap are not disturbed.
+func (m *Runtime) SetMaxThreads(n int) {
+	m.mu.Lock()
+	m.cfg.MaxThreads = n
+	m.mu.Unlock()
+}
 
 // SetConcurrency implements thread_setconcurrency(n): it sets the
 // number of LWPs available to run unbound threads. n == 0 restores
@@ -742,7 +730,6 @@ func (m *Runtime) onSigwaiting() {
 	if !need {
 		return
 	}
-	m.tr.Add("pool", "SIGWAITING: growing LWP pool")
 	if err := m.addPoolLWP(); err != nil {
 		m.growthFailed(now, err)
 		return
@@ -767,7 +754,6 @@ func (m *Runtime) growthFailed(now time.Duration, err error) {
 	m.growFailures++
 	m.ensureGrowRetryLocked(d)
 	m.mu.Unlock()
-	m.tr.Add("pool", "SIGWAITING growth failed (%v); backing off %v", err, d)
 }
 
 // ensureGrowRetryLocked arms at most one pending retry timer that

@@ -11,6 +11,19 @@ import (
 // Thread-struct freelist that recycles a thread's shell — struct, gate
 // channel, wait channel, and TSD block — from exit to the next Create.
 
+// Cache bounds.
+const (
+	// stackCacheSize caps how many library-allocated default stacks
+	// (and their TLS blocks) are kept for reuse after their threads
+	// exit — the cache behind Figure 5's "default stack" creation time.
+	stackCacheSize = 32
+	// threadCacheSize caps the Thread freelist and the idle animator
+	// pool: exited unwaited (or reaped) threads park their Thread
+	// struct, gate channel, and TSD block there for the next Create to
+	// recycle, making steady-state create/exit allocation-free.
+	threadCacheSize = 1024
+)
+
 // StackMem carves thread stacks out of an address space. MapStack
 // reserves (does not commit) size bytes plus a red-zone guard and
 // returns the base of the usable stack; TouchStack commits the top of
@@ -66,7 +79,7 @@ func (m *Runtime) stackFromCacheLocked(size int64) (stackSpan, error) {
 	}
 	base, err := m.stackMem.MapStack(size)
 	if err != nil {
-		return stackSpan{}, fmt.Errorf("core: stack carve failed: %v: %w", err, ErrAgain)
+		return stackSpan{}, fmt.Errorf("core: stack carve failed: %w: %w", err, ErrAgain)
 	}
 	return stackSpan{base: base, size: size}, nil
 }
@@ -96,12 +109,12 @@ func (m *Runtime) tlsFromCacheLocked() []byte {
 func (m *Runtime) releaseStackLocked(t *Thread) {
 	if t.stackOwn {
 		t.stackOwn = false
-		if len(m.stackCache) < m.cfg.StackCacheSize && !m.dying.Load() {
+		if len(m.stackCache) < stackCacheSize && !m.dying.Load() {
 			m.stackCache = append(m.stackCache, stackSpan{base: t.stkBase, size: t.stkSize})
 		} else {
 			_ = m.stackMem.UnmapStack(t.stkBase, t.stkSize)
 		}
-		if t.tls != nil && len(m.tlsCache) < m.cfg.StackCacheSize && !m.dying.Load() {
+		if t.tls != nil && len(m.tlsCache) < stackCacheSize && !m.dying.Load() {
 			m.tlsCache = append(m.tlsCache, t.tls)
 		}
 	}
@@ -115,10 +128,7 @@ func (m *Runtime) releaseStackLocked(t *Thread) {
 // still reads t.bndLWP after retire. Caller holds m.mu; t must
 // already be off every queue with its stack released.
 func (m *Runtime) pushFreeLocked(t *Thread) {
-	if t.bndLWP != nil || m.cfg.ThreadCacheSize < 0 || m.dying.Load() {
-		return
-	}
-	if len(m.tcache) >= m.cfg.ThreadCacheSize {
+	if t.bndLWP != nil || m.dying.Load() || len(m.tcache) >= threadCacheSize {
 		return
 	}
 	m.tcache = append(m.tcache, t)
@@ -239,7 +249,7 @@ func (m *Runtime) animate(t *Thread) {
 			ch = make(chan *Thread, 1)
 		}
 		m.mu.Lock()
-		if m.dying.Load() || len(m.idleAnim) >= m.cfg.ThreadCacheSize {
+		if m.dying.Load() || len(m.idleAnim) >= threadCacheSize {
 			m.mu.Unlock()
 			return
 		}

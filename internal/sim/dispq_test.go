@@ -357,7 +357,7 @@ func TestBalancerRelevelsAndEvens(t *testing.T) {
 	staleLvl := aged.rqLevel
 	k.mu.Unlock()
 
-	clk.Advance(k.cfg.BalancePeriod + time.Millisecond)
+	clk.Advance(balancePeriod + time.Millisecond)
 	k.mu.Lock()
 	k.maybeBalanceLocked()
 	d0, d1 := k.cpus[0].runq.n, k.cpus[1].runq.n
@@ -384,9 +384,8 @@ func TestBalancerRelevelsAndEvens(t *testing.T) {
 func TestDispatchDeterminism(t *testing.T) {
 	run := func(seed uint64) []trace.Record {
 		clk := ktime.NewManual()
-		rings := trace.NewRings(4, 1024, clk.Now)
 		k := NewKernel(Config{
-			NCPU: 4, Clock: clk, Rings: rings,
+			NCPU: 4, Clock: clk, EventRing: 1024,
 			LWPCreateCost: -1, KernelSwitchCost: -1,
 			Chaos: chaos.New(chaos.DefaultConfig(seed)),
 		})
@@ -422,7 +421,7 @@ func TestDispatchDeterminism(t *testing.T) {
 			}
 			k.mu.Unlock()
 		}
-		recs, _ := rings.Snapshot()
+		recs, _ := k.Rings().Snapshot()
 		return recs
 	}
 

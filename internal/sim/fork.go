@@ -96,7 +96,6 @@ func (k *Kernel) forkLocked(l *LWP, p *Process, all bool) (*Process, *LWP, []For
 		}
 	}
 	hooks := append([]func(parent, child *Process){}, k.forkHooks...)
-	k.tr.Add("proc", "pid %d forked -> pid %d (all=%v, %d extra lwps)", p.pid, child.pid, all, len(others))
 	return child, cl, others, hooks
 }
 
@@ -128,7 +127,6 @@ func (k *Kernel) execInner(l *LWP, p *Process, name string) (*LWP, []func(*Proce
 	}
 	p.execing = true
 	p.execSurvivor = l
-	k.tr.Add("proc", "pid %d exec (%s): tearing down %d LWPs", p.pid, name, p.liveLWPs-1)
 	// Wake everyone; non-survivors unwind at their next kernel
 	// entry. Exec blocks until all the LWPs are destroyed (paper).
 	for _, x := range p.lwps {

@@ -58,22 +58,24 @@ import (
 // retry or degrade, never to crash.
 var ErrAgain = errors.New("sim: resource temporarily unavailable (EAGAIN)")
 
-// Config configures a Kernel.
+// Config configures a Kernel. mt.Options is an alias of this type:
+// booting a System adds a file system and a shared-variable registry
+// to a kernel and configures nothing itself.
 type Config struct {
 	// NCPU is the number of simulated processors (default 1).
 	NCPU int
-	// Clock supplies time; default is a shared real clock.
+	// Clock drives time; nil selects the real clock, or the
+	// fast-forward clock when FastForward is set.
 	Clock ktime.Clock
 	// TimeSlice is the timeshare scheduling quantum checked at
 	// preemption points; 0 disables time slicing.
 	TimeSlice time.Duration
-	// Trace, if non-nil, receives kernel events.
-	Trace *trace.Buffer
-	// Rings, if non-nil, receives hot-path scheduler events
-	// (dispatch, preemption, wakeup, migration, SIGWAITING) in the
-	// per-CPU binary event rings. Nil disables event tracing with no
-	// cost at the recording sites.
-	Rings *trace.Rings
+	// EventRing enables the per-CPU binary event rings with the given
+	// per-CPU capacity (rounded up to a power of two, minimum 64):
+	// dispatch, preemption, wakeup, migration, SIGWAITING and
+	// fast-forward jumps are recorded there. Zero disables event
+	// tracing; the recording sites then cost nothing.
+	EventRing int
 	// SignalOnAnyBlock makes the kernel treat every kernel sleep as
 	// an indefinite wait for SIGWAITING purposes. This is the
 	// "send signals on faster events" experiment the paper proposes
@@ -96,27 +98,23 @@ type Config struct {
 	// costs a multiple of user-level unbound synchronization, as in
 	// the paper's Figure 6.
 	KernelSwitchCost time.Duration
-	// BalancePeriod is how often the dispatcher's periodic balancer
-	// evens out per-CPU run-queue depths within each processor set
-	// (and re-levels queued timeshare LWPs whose decayed usage moved
-	// their priority). Zero selects the default (10ms); negative
-	// disables periodic balancing, leaving only idle/priority
-	// stealing. The balancer runs at scheduling points against the
-	// configured Clock, never on its own goroutine, so balanced
-	// schedules stay seed-replayable.
-	BalancePeriod time.Duration
-	// Chaos, if non-nil, perturbs scheduling decisions (forced
-	// preemption, dispatch pick order, wakeup order, injected
-	// EINTR, early SIGWAITING) deterministically from its seed.
+	// Chaos, if non-nil, deterministically perturbs the system from
+	// its seed: forced preemptions at preemption points, dispatch
+	// and run-queue pick reordering, kernel wakeup reordering,
+	// spurious wakeups at library park sites, injected EINTR on
+	// interruptible kernel sleeps, early SIGWAITING, and timer jitter
+	// (the clock is wrapped in ktime.Jittered). Same seed, same
+	// machine, same workload structure — same decision sequence;
+	// Chaos.StartRecording keeps it for replay.
 	Chaos *chaos.Source
-	// FastForward, when Clock is nil, boots the kernel on a
-	// ktime.FastForward clock: whenever every LWP is sleeping or
-	// parked with a timer pending, virtual time jumps to the next
-	// deadline instead of waiting for it. A caller-supplied
-	// fast-forward Clock (including one wrapped in ktime.Jittered)
-	// is detected and driven the same way, so mt composes chaos
-	// jitter with fast-forward. Real-time configurations are
-	// untouched: with neither, nothing jumps.
+	// FastForward selects the virtual fast-forward clock (ignored
+	// when Clock is set): time tracks the wall clock while any LWP
+	// can run, but the moment every LWP is sleeping or parked with a
+	// timer pending, the clock jumps straight to the next deadline and
+	// fires it. A caller-supplied fast-forward Clock is detected and
+	// driven the same way. Chaos timer jitter composes: jitter
+	// perturbs deadlines as they are armed, and the jump honors the
+	// jittered order.
 	FastForward bool
 }
 
@@ -124,8 +122,15 @@ type Config struct {
 const (
 	defaultLWPCreateCost    = 20 * time.Microsecond
 	defaultKernelSwitchCost = 1500 * time.Nanosecond
-	defaultBalancePeriod    = 10 * time.Millisecond
 )
+
+// balancePeriod is how often the dispatcher's periodic balancer evens
+// out per-CPU run-queue depths within each processor set (and
+// re-levels queued timeshare LWPs whose decayed usage moved their
+// priority). The balancer runs at scheduling points against the
+// kernel's clock, never on its own goroutine, so balanced schedules
+// stay seed-replayable.
+const balancePeriod = 10 * time.Millisecond
 
 // spinFor models a fixed kernel path length by burning host CPU.
 func spinFor(d time.Duration) {
@@ -142,7 +147,6 @@ type Kernel struct {
 	cfg   Config
 	clock ktime.Clock
 	ff    *ktime.FastForward // non-nil when the clock fast-forwards
-	tr    *trace.Buffer
 	rings *trace.Rings
 	chaos *chaos.Source
 
@@ -200,7 +204,10 @@ func IsUnwind(r any) bool {
 	return ok
 }
 
-// NewKernel boots a kernel with the given configuration.
+// NewKernel boots a kernel with the given configuration. It is the
+// one place that picks the clock — the caller's, fast-forward, or
+// real, wrapped in chaos timer jitter when a chaos source is
+// configured — and builds the event rings on it.
 func NewKernel(cfg Config) *Kernel {
 	if cfg.NCPU <= 0 {
 		cfg.NCPU = 1
@@ -211,6 +218,9 @@ func NewKernel(cfg Config) *Kernel {
 		} else {
 			cfg.Clock = ktime.NewReal()
 		}
+	}
+	if cfg.Chaos.Enabled() {
+		cfg.Clock = ktime.NewJittered(cfg.Clock, cfg.Chaos.Jitter)
 	}
 	switch {
 	case cfg.LWPCreateCost < 0:
@@ -224,22 +234,17 @@ func NewKernel(cfg Config) *Kernel {
 	case cfg.KernelSwitchCost == 0:
 		cfg.KernelSwitchCost = defaultKernelSwitchCost
 	}
-	switch {
-	case cfg.BalancePeriod < 0:
-		cfg.BalancePeriod = 0
-	case cfg.BalancePeriod == 0:
-		cfg.BalancePeriod = defaultBalancePeriod
-	}
 	k := &Kernel{
 		cfg:   cfg,
 		clock: cfg.Clock,
-		tr:    cfg.Trace,
-		rings: cfg.Rings,
 		chaos: cfg.Chaos,
 		procs: make(map[PID]*Process),
 		psets: make(map[PsetID]*pset),
 
 		sleepq: WaitQ{name: "nanosleep"},
+	}
+	if cfg.EventRing > 0 {
+		k.rings = trace.NewRings(cfg.NCPU, cfg.EventRing, k.clock.Now)
 	}
 	def := &pset{id: PsetDefault}
 	k.psets[PsetDefault] = def
@@ -251,6 +256,13 @@ func NewKernel(cfg Config) *Kernel {
 	if ff := ktime.FastForwardOf(k.clock); ff != nil {
 		k.ff = ff
 		ff.SetIdle(k.allIdle)
+		if rings := k.rings; rings != nil {
+			// Stamp every jump into the rings so a trace of a
+			// fast-forwarded run shows where virtual time leapt.
+			ff.SetOnJump(func(from, to time.Duration) {
+				rings.Record(-1, trace.EvFastForward, 0, 0, 0, uint64(to-from))
+			})
+		}
 	}
 	return k
 }
@@ -288,9 +300,6 @@ func (k *Kernel) Clock() ktime.Clock { return k.clock }
 
 // NCPU returns the number of simulated CPUs.
 func (k *Kernel) NCPU() int { return len(k.cpus) }
-
-// Trace returns the kernel trace buffer (may be nil).
-func (k *Kernel) Trace() *trace.Buffer { return k.tr }
 
 // Rings returns the per-CPU event rings (nil when event tracing is
 // off).
@@ -357,7 +366,6 @@ func (k *Kernel) newProcessLocked(name string, parent *Process) *Process {
 		parent.children[p.pid] = p
 	}
 	k.procs[p.pid] = p
-	k.tr.Add("proc", "created pid %d (%s)", p.pid, name)
 	return p
 }
 
@@ -394,11 +402,9 @@ func (k *Kernel) NewLWP(p *Process, class Class, prio int) (*LWP, error) {
 		return nil, fmt.Errorf("sim: process %d is exiting", p.pid)
 	}
 	if p.lwpLimit > 0 && p.liveLWPs >= p.lwpLimit {
-		k.tr.Add("lwp", "pid %d: LWP rlimit (%d) reached", p.pid, p.lwpLimit)
 		return nil, fmt.Errorf("pid %d at LWP rlimit %d: %w", p.pid, p.lwpLimit, ErrAgain)
 	}
 	if k.chaos.LWPSpawnFail() {
-		k.tr.Add("lwp", "pid %d: chaos LWP spawn failure", p.pid)
 		return nil, fmt.Errorf("pid %d transient spawn failure: %w", p.pid, ErrAgain)
 	}
 	return k.newLWPLocked(p, class, prio), nil
@@ -428,7 +434,6 @@ func (k *Kernel) newLWPLocked(p *Process, class Class, prio int) *LWP {
 	// A fresh LWP can run threads, so the all-blocked condition no
 	// longer holds.
 	p.sigwaitingOn = false
-	k.tr.Add("lwp", "pid %d: created lwp %d class %s", p.pid, l.id, class)
 	return l
 }
 
@@ -681,9 +686,7 @@ func (k *Kernel) maybeBalanceLocked() {
 		return
 	}
 	now := k.clock.Now()
-	period := k.cfg.BalancePeriod
-	due := period > 0 && now-k.lastBalance >= period
-	if !due && !k.chaos.BalanceEarly() {
+	if now-k.lastBalance < balancePeriod && !k.chaos.BalanceEarly() {
 		return
 	}
 	k.balanceLocked(now)
@@ -912,7 +915,6 @@ func (k *Kernel) checkpointLocked(l *LWP) {
 		k.chargeLocked(l)
 	}
 	for p.state == ProcStopped {
-		k.tr.Add("proc", "pid %d lwp %d stops", p.pid, l.id)
 		k.releaseCPULocked(l, LWPStopped)
 		for p.state == ProcStopped && !p.dying {
 			l.cond.Wait()
@@ -998,7 +1000,6 @@ func (k *Kernel) ExitLWP(l *LWP) {
 	delete(p.lwps, l.id)
 	p.liveLWPs--
 	close(l.exited)
-	k.tr.Add("lwp", "pid %d lwp %d exits (%d live)", p.pid, l.id, p.liveLWPs)
 	k.scheduleLocked()
 	if p.execing && p.execSurvivor != nil {
 		p.execSurvivor.cond.Broadcast() // exec barrier progress

@@ -115,7 +115,6 @@ func (k *Kernel) postSignalLocked(p *Process, sig Signal, target *LWP) {
 	if p.dying || p.state == ProcZombie || p.state == ProcDead {
 		return
 	}
-	k.tr.Add("sig", "pid %d gets %v%s", p.pid, sig, dirSuffix(target))
 
 	// SIGKILL, SIGSTOP and SIGCONT act immediately; they cannot be
 	// caught or blocked (CONT's continue action happens even if
@@ -220,13 +219,6 @@ func (k *Kernel) postSignalLocked(p *Process, sig Signal, target *LWP) {
 	}
 }
 
-func dirSuffix(l *LWP) string {
-	if l == nil {
-		return ""
-	}
-	return fmt.Sprintf(" (directed at lwp %d)", l.id)
-}
-
 // kickLocked prods an LWP so it notices pending state soon.
 func (k *Kernel) kickLocked(l *LWP) {
 	if l.state == LWPSleeping && l.interruptible {
@@ -307,7 +299,6 @@ func (k *Kernel) TakeSignal(l *LWP) (ts TakenSignal, ok bool) {
 				k.unwindLocked(l, "fatal signal "+sig.String())
 			}
 		}
-		k.tr.Add("sig", "pid %d lwp %d takes %v", l.proc.pid, l.id, sig)
 		return TakenSignal{Sig: sig, Handler: act.handler, Cookie: act.cookie, HandlerMask: act.mask}, true
 	}
 }
@@ -324,7 +315,6 @@ func (k *Kernel) RaiseTrap(l *LWP, sig Signal) (ts TakenSignal, ok bool) {
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.tr.Add("sig", "pid %d lwp %d trap %v", l.proc.pid, l.id, sig)
 	act := l.proc.actions[sig]
 	switch act.disp {
 	case SigIgn:
@@ -414,7 +404,6 @@ func (k *Kernel) maybeSigwaitingLocked(p *Process) {
 		return
 	}
 	p.sigwaitingOn = true
-	k.tr.Add("sig", "pid %d: all %d LWPs blocked indefinitely -> SIGWAITING", p.pid, eligible)
 	k.rings.Record(-1, trace.EvSigwaiting, int(p.pid), 0, 0, uint64(eligible))
 	k.postSignalLocked(p, SIGWAITING, nil)
 }
@@ -431,7 +420,6 @@ func (k *Kernel) killProcLocked(p *Process, status int, sig Signal, core bool) {
 	p.killSig = sig
 	p.dumpedCore = core
 	p.state = ProcRunning // a stopped process being killed resumes to die
-	k.tr.Add("proc", "pid %d dying (sig %v, core %v)", p.pid, sig, core)
 	// Death hooks fire exactly once per process death (the dying
 	// guard above makes re-entry impossible), on fresh goroutines so
 	// they may take the kernel lock themselves.
@@ -465,7 +453,6 @@ func (k *Kernel) Abort(l *LWP, msg string) {
 	p := l.proc
 	if !p.dying && p.state != ProcZombie && p.state != ProcDead {
 		p.abortMsg = msg
-		k.tr.Add("proc", "pid %d aborts: %s", p.pid, msg)
 		k.killProcLocked(p, 0, SIGABRT, true)
 	}
 	k.unwindLocked(l, "abort")
@@ -476,7 +463,6 @@ func (k *Kernel) stopProcLocked(p *Process) {
 		return
 	}
 	p.state = ProcStopped
-	k.tr.Add("proc", "pid %d stopped", p.pid)
 	// On-CPU LWPs park at their next checkpoint; nothing to do for
 	// sleepers (they stop when they wake and hit a checkpoint).
 }
@@ -486,7 +472,6 @@ func (k *Kernel) contProcLocked(p *Process) {
 		return
 	}
 	p.state = ProcRunning
-	k.tr.Add("proc", "pid %d continued", p.pid)
 	for _, l := range p.lwps {
 		l.cond.Broadcast()
 	}
@@ -499,7 +484,6 @@ func (k *Kernel) finalizeProcLocked(p *Process) {
 		return
 	}
 	p.state = ProcZombie
-	k.tr.Add("proc", "pid %d zombie (status %d sig %v)", p.pid, p.exitStatus, p.killSig)
 	// Reparent live children to nobody (the kernel reaps their
 	// zombies directly), and release zombie children now.
 	for _, c := range p.children {

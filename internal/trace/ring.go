@@ -1,3 +1,7 @@
+// Package trace is the system's one event recorder — fixed-size
+// per-CPU binary event rings (this file) — plus the two formats a ring
+// snapshot is written in: the schedule journal that chaos replay reads
+// back (journal.go) and Chrome/perfetto trace JSON (perfetto.go).
 package trace
 
 import (
@@ -7,11 +11,11 @@ import (
 	"time"
 )
 
-// This file is the hot-path tracer: fixed-size per-CPU binary event
-// rings under one small mutex. The printf Buffer in trace.go stays for
-// cold-path events (process/LWP lifecycle, pool growth); the scheduler
-// transition points record here instead, so tracing costs a timestamp,
-// a lock held for a struct store, and never an allocation or a format.
+// The rings sit under one small mutex and the scheduler transition
+// points record into them, so tracing costs a timestamp, a lock held
+// for a struct store, and never an allocation or a format. Only events
+// with a reader have a kind; process/LWP lifecycle events are not
+// recorded anywhere.
 
 // EventKind identifies one class of scheduler event.
 type EventKind uint8

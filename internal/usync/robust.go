@@ -155,7 +155,6 @@ func (r *Registry) sweepVar(v *Var, pid sim.PID) {
 			return
 		}
 		swept = true
-		r.kern.Trace().Add("usync", "pid %d died owning %s -> OWNERDEAD", pid, v.Name())
 	})
 	if swept {
 		v.Wake(-1)

@@ -161,11 +161,13 @@ func TestChaosExhaustionUnwind(t *testing.T) {
 // rlimit under allocation faults. Refused mappings must be ENOMEM and
 // must leave the address space untouched: the mapped-byte gauge never
 // exceeds the limit and returns exactly to its starting point after
-// everything is unmapped.
+// everything is unmapped. A second process does the same against the
+// committed-byte rlimit.
 func TestChaosExhaustionAddressSpace(t *testing.T) {
 	const (
-		asLimit = 512 << 10
-		mapLen  = 64 << 10
+		asLimit     = 512 << 10
+		mapLen      = 64 << 10
+		commitLimit = 64 << 10 // a handful of stack chunks (at most 16 KiB each)
 	)
 	sweep(t, func(t *testing.T, seed uint64) {
 		sys := chaosSystem(t, faultOpts(2, seed))
@@ -212,6 +214,71 @@ func TestChaosExhaustionAddressSpace(t *testing.T) {
 			}
 			if m := p.AS.Mapped(); m != base {
 				t.Errorf("mapped %d bytes after full unmap, want %d (accounting leak)", m, base)
+			}
+		})
+		waitProc(t, p)
+
+		// The committed-byte rlimit, same seed: reservations sail past
+		// it, the first touch of a lazily committed stack past it is
+		// ENOMEM and commits nothing, a create refused by an injected
+		// fault gives back every byte it reserved, and threads created
+		// at the limit still run — the process survives.
+		cfg = ProcConfig{CommitLimitBytes: commitLimit}
+		p = spawnFault(t, sys, "exhaust-commit", cfg, func(p *Proc, tt *Thread) {
+			var stacks []int64
+			refused := 0
+			for i := 0; i < 32 && refused == 0; i++ {
+				sb, err := p.MapStack(tt, 32<<10)
+				if err != nil {
+					if !errors.Is(err, ErrNoMem) {
+						t.Errorf("mapstack %d: non-ENOMEM failure: %v", i, err)
+					}
+					continue // injected carve fault
+				}
+				stacks = append(stacks, sb)
+				before := p.AS.Committed()
+				if err := p.AS.TouchStack(sb, 32<<10); err != nil {
+					refused++
+					if !errors.Is(err, ErrNoMem) {
+						t.Errorf("touch %d: non-ENOMEM failure: %v", i, err)
+					}
+					if c := p.AS.Committed(); c != before {
+						t.Errorf("refused touch committed %d bytes", c-before)
+					}
+				}
+				if c := p.AS.Committed(); c > commitLimit {
+					t.Errorf("committed %d bytes exceeds limit %d", c, commitLimit)
+				}
+			}
+			if refused == 0 {
+				t.Errorf("%d stacks touched under a %d-byte commit limit and none was refused", len(stacks), commitLimit)
+			}
+			var ran atomic.Int64
+			var ids []ThreadID
+			for i := 0; i < 4; i++ {
+				reserved := p.AS.Reserved()
+				c, err := tt.Runtime().Create(func(*Thread, any) { ran.Add(1) }, nil, CreateOpts{Flags: ThreadWait})
+				if err != nil {
+					if !errors.Is(err, ErrAgain) {
+						t.Errorf("create %d: non-EAGAIN failure: %v", i, err)
+					}
+					if r := p.AS.Reserved(); r != reserved {
+						t.Errorf("refused create left %d bytes reserved", r-reserved)
+					}
+					continue
+				}
+				ids = append(ids, c.ID())
+			}
+			for _, id := range ids {
+				tt.Wait(id)
+			}
+			if int(ran.Load()) != len(ids) {
+				t.Errorf("%d of %d threads created at the commit limit ran", ran.Load(), len(ids))
+			}
+			for _, sb := range stacks {
+				if err := p.UnmapStack(tt, sb, 32<<10); err != nil {
+					t.Errorf("unmapstack %#x: %v", sb, err)
+				}
 			}
 		})
 		waitProc(t, p)

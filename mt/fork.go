@@ -77,7 +77,7 @@ func (p *Proc) forkCommon(t *Thread, childMain Func, childArg any, all bool) (*P
 			main.Runtime().Create(c.fn, c.arg, CreateOpts{})
 		}
 		childMain(main, childArg)
-	}, nil, ProcConfig{}, nil)
+	}, nil, p.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -104,10 +104,7 @@ func (p *Proc) Exec(t *Thread, name string, newMain Func, arg any) error {
 	}
 	p.AS.Reset()
 	p.PF.CloseOnExec()
-	newRT := core.NewRuntime(p.Sys.Kern, p.proc, core.Config{
-		Trace:      p.Sys.tr,
-		InitialLWP: nl,
-	})
+	newRT := core.NewRuntime(p.Sys.Kern, p.proc, p.runtimeConfig(nl))
 	p.RT = newRT
 	if _, err := newRT.Start(newMain, arg); err != nil {
 		return err

@@ -237,55 +237,12 @@ const (
 	SigCatch   = sim.SigCatch
 )
 
-// Options configures a System.
-type Options struct {
-	// NCPU is the number of simulated processors (default 1).
-	NCPU int
-	// Clock drives time; nil selects the real clock.
-	Clock ktime.Clock
-	// TimeSlice enables kernel time slicing at preemption points.
-	TimeSlice time.Duration
-	// TraceCapacity enables a system-wide trace ring of the given
-	// size.
-	TraceCapacity int
-	// EventRing enables the per-CPU binary event rings with the
-	// given per-CPU capacity (rounded up to a power of two, minimum
-	// 64). Zero disables event tracing; the recording sites then
-	// cost nothing.
-	EventRing int
-	// SignalOnAnyBlock turns on the paper's proposed "signals on
-	// faster events" variant of SIGWAITING (see internal/sim).
-	SignalOnAnyBlock bool
-	// BalancePeriod sets how often the kernel dispatcher re-levels
-	// and evens out the per-CPU run queues (default 10ms, negative
-	// disables the balancer).
-	BalancePeriod time.Duration
-	// LWPCreateCost and KernelSwitchCost override the simulated
-	// kernel path lengths (see internal/sim.Config). Zero selects
-	// the calibrated defaults; negative disables the simulated
-	// cost, which test sweeps use for speed.
-	LWPCreateCost    time.Duration
-	KernelSwitchCost time.Duration
-	// Chaos, if non-nil, deterministically perturbs the system from
-	// its seed: forced preemptions at preemption points, dispatch
-	// and run-queue pick reordering, kernel wakeup reordering,
-	// spurious wakeups at library park sites, injected EINTR on
-	// interruptible kernel sleeps, early SIGWAITING, and timer
-	// jitter. Same seed, same machine, same workload structure —
-	// same decision sequence; Chaos.Journal() records every
-	// perturbation for replay. Build one with NewChaos or
-	// chaos.New.
-	Chaos *ChaosSource
-	// FastForward selects the virtual fast-forward clock (ignored
-	// when Clock is set): time tracks the wall clock while any LWP
-	// can run, but the moment every LWP is blocked with a timer
-	// pending, the clock jumps straight to the next deadline and
-	// fires it. Sleep-heavy workloads finish in the time their
-	// computation takes rather than the time they sleep. Chaos timer
-	// jitter composes: jitter perturbs deadlines as they are armed,
-	// and the jump honors the jittered order.
-	FastForward bool
-}
+// Options configures a System. A System is a kernel plus a file system
+// and a shared-variable registry, and only the kernel has anything to
+// configure, so Options is the kernel's Config: NCPU, Clock,
+// TimeSlice, EventRing, SignalOnAnyBlock, LWPCreateCost,
+// KernelSwitchCost, Chaos (build one with NewChaos) and FastForward.
+type Options = sim.Config
 
 // Chaos re-exports: seeded schedule exploration and fault injection.
 type (
@@ -313,75 +270,20 @@ func NewFaultChaos(seed uint64) *ChaosSource {
 // System is one simulated machine: CPUs, kernel, file system, and the
 // registry for process-shared synchronization variables.
 type System struct {
-	Kern  *sim.Kernel
-	FS    *vfs.FS
-	Reg   *usync.Registry
-	tr    *trace.Buffer
-	rings *trace.Rings
+	Kern *sim.Kernel
+	FS   *vfs.FS
+	Reg  *usync.Registry
 }
 
 // NewSystem boots a machine.
 func NewSystem(o Options) *System {
-	var tr *trace.Buffer
-	clk := o.Clock
-	if clk == nil {
-		if o.FastForward {
-			clk = ktime.NewFastForward()
-		} else {
-			clk = ktime.NewReal()
-		}
-	}
-	if o.Chaos != nil && o.Chaos.Enabled() {
-		clk = ktime.NewJittered(clk, o.Chaos.Jitter)
-	}
-	cfg := sim.Config{
-		NCPU:             o.NCPU,
-		Clock:            clk,
-		TimeSlice:        o.TimeSlice,
-		SignalOnAnyBlock: o.SignalOnAnyBlock,
-		LWPCreateCost:    o.LWPCreateCost,
-		KernelSwitchCost: o.KernelSwitchCost,
-		BalancePeriod:    o.BalancePeriod,
-		Chaos:            o.Chaos,
-	}
-	if o.TraceCapacity > 0 {
-		tr = trace.New(o.TraceCapacity, clk.Now)
-		cfg.Trace = tr
-	}
-	var rings *trace.Rings
-	if o.EventRing > 0 {
-		ncpu := o.NCPU
-		if ncpu <= 0 {
-			ncpu = 1
-		}
-		rings = trace.NewRings(ncpu, o.EventRing, clk.Now)
-		cfg.Rings = rings
-	}
-	k := sim.NewKernel(cfg)
-	if ff := k.FastForward(); ff != nil && rings != nil {
-		// Stamp every jump into the rings so a trace of a
-		// fast-forwarded run shows where virtual time leapt.
-		ff.SetOnJump(func(from, to time.Duration) {
-			rings.Record(-1, trace.EvFastForward, 0, 0, 0, uint64(to-from))
-		})
-	}
-	s := &System{
-		Kern:  k,
-		FS:    vfs.NewFS(k),
-		Reg:   usync.NewRegistry(k),
-		tr:    tr,
-		rings: rings,
-	}
-	return s
+	k := sim.NewKernel(o)
+	return &System{Kern: k, FS: vfs.NewFS(k), Reg: usync.NewRegistry(k)}
 }
-
-// Trace returns the system trace buffer (nil unless TraceCapacity was
-// set).
-func (s *System) Trace() *trace.Buffer { return s.tr }
 
 // Events returns the per-CPU binary event rings (nil unless EventRing
 // was set).
-func (s *System) Events() *trace.Rings { return s.rings }
+func (s *System) Events() *trace.Rings { return s.Kern.Rings() }
 
 // Observability re-exports: the microstate accounting and binary
 // event tracing layer.
@@ -458,9 +360,8 @@ func FirstEventDivergence(a, b []EventRecord) int { return trace.FirstEventDiver
 // and replay it with NewReplayChaos.
 func (s *System) Schedule() *ScheduleJournal {
 	j := s.Kern.Chaos().Schedule()
-	if s.rings != nil {
-		recs, _ := s.rings.Snapshot()
-		j.Events = recs
+	if rings := s.Kern.Rings(); rings != nil {
+		j.Events, _ = rings.Snapshot()
 	}
 	return j
 }
@@ -581,7 +482,8 @@ type ProcConfig struct {
 	// MaxThreads caps live threads in the process; Create fails with
 	// ErrAgain at the cap, the admission-control watermark of a
 	// server that would rather shed a request than thrash. Zero is
-	// unlimited.
+	// unlimited. Fork children and exec images keep the cap;
+	// Runtime.SetMaxThreads changes it at run time.
 	MaxThreads int
 	// LWPLimit is the process's LWP rlimit: kernel LWP creation
 	// (bound threads, pool growth, SIGWAITING) fails with ErrAgain
@@ -596,9 +498,6 @@ type ProcConfig struct {
 	// stacks) fail with ErrNoMem past it. The RSS-style rlimit, as
 	// opposed to ASLimitBytes's reservation rlimit. Zero is unlimited.
 	CommitLimitBytes int64
-	// ThreadCacheSize caps the Thread-struct freelist (zero: library
-	// default; negative: recycling disabled).
-	ThreadCacheSize int
 	// WatchdogDeadline sets the deadman watchdog's deadline for
 	// flagging LWPs stuck on-CPU and threads blocked too long
 	// (/proc/<pid>/health, mtstat -health). Zero selects 1s.
@@ -625,64 +524,71 @@ type Proc struct {
 	AS  *vm.AddressSpace
 
 	proc *sim.Process
+	cfg  ProcConfig // library configuration; fork children and exec images keep it
 }
 
 // Spawn creates a process whose main thread runs main(arg).
 func (s *System) Spawn(name string, main Func, arg any, cfg ProcConfig) (*Proc, error) {
 	kp := s.Kern.NewProcess(name, nil)
-	return s.buildProc(kp, main, arg, cfg, nil)
+	as := vm.New(kp.AddFault)
+	kp.Mem = as
+	// The rlimits live in the kernel process and the address space,
+	// which fork duplicates with the values then in force; only a
+	// fresh process takes them from its configuration.
+	if cfg.LWPLimit > 0 {
+		kp.SetLWPLimit(cfg.LWPLimit)
+	}
+	if cfg.ASLimitBytes > 0 {
+		as.SetLimit(cfg.ASLimitBytes)
+	}
+	if cfg.CommitLimitBytes > 0 {
+		as.SetCommitLimit(cfg.CommitLimitBytes)
+	}
+	return s.buildProc(kp, main, arg, cfg)
 }
 
-func (s *System) buildProc(kp *sim.Process, main Func, arg any, cfg ProcConfig, initial *sim.LWP) (*Proc, error) {
-	p := &Proc{Sys: s, proc: kp}
+// buildProc wraps a kernel process that already has its address space
+// (fresh from Spawn, or the parent's copy from fork) in a Proc and
+// starts its threads library.
+func (s *System) buildProc(kp *sim.Process, main Func, arg any, cfg ProcConfig) (*Proc, error) {
+	p := &Proc{Sys: s, proc: kp, cfg: cfg, AS: kp.Mem.(*vm.AddressSpace)}
 	if kp.Files == nil {
 		p.PF = vfs.NewProcFiles(s.FS, kp)
 	} else {
 		p.PF = vfs.Files(kp)
 	}
-	if kp.Mem == nil {
-		p.AS = vm.New(kp.AddFault)
-		kp.Mem = p.AS
-	} else {
-		p.AS = kp.Mem.(*vm.AddressSpace)
-		p.AS.SetFaultFn(kp.AddFault)
-	}
-	if cfg.LWPLimit > 0 {
-		kp.SetLWPLimit(cfg.LWPLimit)
-	}
-	if cfg.ASLimitBytes > 0 {
-		p.AS.SetLimit(cfg.ASLimitBytes)
-	}
-	if cfg.CommitLimitBytes > 0 {
-		p.AS.SetCommitLimit(cfg.CommitLimitBytes)
-	}
 	p.AS.SetChaos(s.Kern.Chaos())
-	p.RT = core.NewRuntime(s.Kern, kp, core.Config{
-		Trace:                 s.tr,
-		MaxAutoLWPs:           cfg.MaxAutoLWPs,
-		DisableSigwaiting:     cfg.DisableSigwaiting,
-		DefaultStackSize:      cfg.DefaultStackSize,
-		LWPAgeTime:            cfg.LWPAgeTime,
-		NoPriorityInheritance: cfg.NoPriorityInheritance,
-		MaxThreads:            cfg.MaxThreads,
-		ThreadCacheSize:       cfg.ThreadCacheSize,
-		WatchdogDeadline:      cfg.WatchdogDeadline,
-		LockPolicy:            int(cfg.LockPolicy),
-		LockWaitSampleCap:     cfg.LockWaitSampleCap,
-		InitialLWP:            initial,
-		StackMem:              p.AS,
-	})
+	p.RT = core.NewRuntime(s.Kern, kp, p.runtimeConfig(nil))
 	// errno is the canonical unshared variable: register it before
 	// the first thread starts, as the run-time linker would.
-	if _, err := p.RT.RegisterUnshared(8); err == nil {
-		// reserved; Thread.Errno uses a dedicated slot, this
-		// models the TLS the C library would claim.
-		_ = err
-	}
+	// Thread.Errno uses a dedicated slot; this models the TLS the C
+	// library would claim. Registration cannot fail before Start.
+	_, _ = p.RT.RegisterUnshared(8)
 	if _, err := p.RT.Start(main, arg); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// runtimeConfig is the one place a threads-library configuration is
+// built from the process's ProcConfig: for the first image, for a
+// fork/fork1 child, and for the image exec builds on the surviving
+// LWP (initial), so every limit and policy, and the address space the
+// stacks are carved from, survive all three.
+func (p *Proc) runtimeConfig(initial *sim.LWP) core.Config {
+	return core.Config{
+		MaxAutoLWPs:           p.cfg.MaxAutoLWPs,
+		DisableSigwaiting:     p.cfg.DisableSigwaiting,
+		DefaultStackSize:      p.cfg.DefaultStackSize,
+		LWPAgeTime:            p.cfg.LWPAgeTime,
+		NoPriorityInheritance: p.cfg.NoPriorityInheritance,
+		MaxThreads:            p.cfg.MaxThreads,
+		WatchdogDeadline:      p.cfg.WatchdogDeadline,
+		LockPolicy:            int(p.cfg.LockPolicy),
+		LockWaitSampleCap:     p.cfg.LockWaitSampleCap,
+		InitialLWP:            initial,
+		StackMem:              p.AS,
+	}
 }
 
 // Deadman-watchdog re-exports (see internal/core/health.go).
