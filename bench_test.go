@@ -81,21 +81,6 @@ func BenchmarkBroadcastWake(b *testing.B) {
 	b.ReportMetric(float64(d.Nanoseconds())/float64(rounds*waiters), "ns/wake")
 }
 
-// BenchmarkContendedAdaptiveMutex measures default-variant mutex
-// throughput with 2–16 LWPs hammering one lock: the adaptive
-// spin-then-park policy against the observed owner-running state.
-func BenchmarkContendedAdaptiveMutex(b *testing.B) {
-	for _, lwps := range []int{2, 4, 8, 16} {
-		lwps := lwps
-		b.Run(itoa(lwps)+"lwps", func(b *testing.B) {
-			workers := 2 * lwps
-			per := b.N/workers + 1
-			d := benchkit.ContendedMutex(lwps, workers, per)
-			b.ReportMetric(float64(d.Nanoseconds())/float64(workers*per), "ns/acquire")
-		})
-	}
-}
-
 // --- Ablations ------------------------------------------------------------
 
 // runInProc runs body as the main thread of a fresh single-process

@@ -2,75 +2,52 @@
 // Multi-thread Architecture" (USENIX Winter '91): Figure 5 (thread
 // creation time) and Figure 6 (thread synchronization time), printing
 // measured numbers next to the paper's, with the paper's ratio
-// columns.
+// columns — and checks, within the same run, that the measured ratios
+// have the paper's shape. Numbers compared across commits are not its
+// job: bench/ measures parent-vs-change pairs.
 //
 // Usage:
 //
-//	mtbench [-n iterations] [-fig 5,6,7,9,..,12|0|-1] [-json file] [-baseline file] [-threshold x] [-traceoverhead x] [-allocs] [-memceiling bytes] [-seeds n] [-fastforward x] [-lockfull]
+//	mtbench [-n iterations] [-fig 5,6,7,10,11|0|-1] [-json file] [-allocs] [-traceoverhead x]
+//
+// -fig accepts a comma list ("5,6,7") so CI can run figures in separate
+// invocations; 0 is all of them, -1 none. Every figure carries its own
+// check, and a violation prints the row and exits 1:
+//
+// Figures 5 and 6: each row's ratio to the row above it (the paper's
+// second column: bound/unbound create; unbound sync/setjmp,
+// bound/unbound sync, cross-process/bound sync) lies within a factor
+// of 5 of the paper's, and is at least 2 wherever the paper's is
+// (benchkit.CheckShape). Host speed moves every row of a run together;
+// the ratios are a property of the commit.
 //
 // -fig 7 is the priority-inversion table (not in the paper): the
 // contended-acquisition triangle with turnstile priority inheritance
-// on and off. The "off" row reproduces the inversion; the gate keeps
-// the "on" row's bounded latency from regressing.
-//
-// There is no -fig 8: it compared a sharded library run queue with a
-// shared one, and the library has one queue again (EXPERIMENTS.md,
-// "Dispatch scaling (retired)"). -fig 9 reports the best-of-five-trials
-// median cross-CPU wakeup latency, computed from the per-CPU event
-// rings, plus the kernel dispatcher's pooled dispatch/steal counters.
-// The run fails outright when no steal happened — the deterministic
-// structural property — while the latency row holds a baseline
-// threshold half the old steal-rate backstop, because best-of-N
-// discards the trials the host degraded.
-// -fig accepts a comma list ("5,6,7") so CI can gate figures in
-// separate invocations.
-//
-// -fig 12 is the lock-policy shootout (not in the paper): every lock
-// policy (adaptive, ticket, queue, parkinglot) crossed with LWP widths
-// and critical-section hold times, reporting p50/p99/p999 lock-wait
-// latency per cell from the runtime's MSLock microstate sampling.
-// Only the default (adaptive) policy's contended cell feeds the JSON
-// rows and the baseline gate; -lockfull widens the matrix for the
-// nightly run.
+// on and off. The "off" row reproduces the inversion and must cost at
+// least 10x the "on" row.
 //
 // -fig 10 is the scale tier (not in the paper): mass-create of n
 // stopped threads reporting reserved/committed bytes per thread, a
 // thread ring driving n full lifecycles through the shell freelist
 // and stack cache, a pairwise create/sync/exit chain, and a mass
-// broadcast. Memory metrics ride in the per-op encoding (KB as
-// microseconds, like fig 9's steal rate) so the baseline gates them.
-// CI runs the tier at -n 100000 per PR; the nightly job runs the
-// full million with -memceiling gating the ring's peak committed
-// bytes.
+// broadcast. The ring's peak committed bytes must stay under 4 MiB
+// whatever n is: the footprint is bounded by the few threads alive at
+// once. CI runs the tier at -n 100000 per PR, the nightly job at the
+// full million.
 //
-// -fig 11 is the virtual-time tier (not in the paper): a seeded
+// -fig 11 is the virtual-time tier (not in the paper): a 100-seed
 // sleep-heavy sweep — the shape of a chaos timeout sweep, wall time
 // dominated by timed kernel sleeps — run once on the real clock and
 // once on the fast-forward clock, which jumps over all-idle sleep
-// time. -seeds sets the sweep width (default 100; -n is not used, a
-// seed's cost is its virtual sleep schedule). -fastforward x exits
-// non-zero unless the real/fast-forward speedup is at least x; CI
-// gates it at 10x. The real-clock row is sleep-bound and so stable
-// under -baseline; the fast-forward row measures the substrate and
-// swings with host load, which the speedup gate absorbs.
+// time (-n is not used, a seed's cost is its virtual sleep schedule).
+// The fast-forward run must be at least 10x faster.
 //
 // -allocs appends a host-allocations-per-op column for the rows that
 // collect it (figs 5 and 10) — a coarse whole-scenario count; the
 // precise steady-state zero-alloc claims are pinned by
 // testing.AllocsPerRun tests in internal/core.
 //
-// -memceiling N exits non-zero if the fig-10 thread ring's peak
-// committed bytes exceed N (requires -fig to include 10).
-//
-// -json additionally writes the measured rows as a JSON document (see
-// BENCH_baseline.json for the committed reference run), so successive
-// runs can be diffed mechanically.
-//
-// -baseline compares the run against a previously written JSON
-// document row by row (matched on figure and name) and exits non-zero
-// if any row's per-op time regressed by more than -threshold (default
-// 1.5x). CI runs this against the committed baseline as a regression
-// gate.
+// -json additionally writes the measured rows as a JSON document.
 //
 // -traceoverhead measures the cost of the per-CPU event rings on the
 // dispatch hot path: it times DispatchLatency with tracing off and on
@@ -88,6 +65,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -150,88 +128,49 @@ func formatAllocs(rows []benchkit.Row) string {
 	return "Host allocations (whole scenario, incl. harness):\n" + out
 }
 
-// compareBaseline checks doc against the baseline JSON at path,
-// matching rows on (figure, name) and comparing per-op times. It
-// prints one line per row and returns the rows that regressed by more
-// than threshold. Rows present on only one side are reported but
-// never fail the gate (the benchmark set may grow).
-func compareBaseline(doc jsonDoc, path string, threshold float64) ([]string, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var base jsonDoc
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	type key struct {
-		fig  int
-		name string
-	}
-	baseBy := make(map[key]jsonRow, len(base.Rows))
-	for _, r := range base.Rows {
-		baseBy[key{r.Figure, r.Name}] = r
-	}
-	fmt.Printf("Baseline comparison vs %s (threshold %.2fx):\n", path, threshold)
-	fmt.Printf("  %-28s %12s %12s %8s\n", "row", "base us/op", "now us/op", "ratio")
-	var regressed []string
-	for _, r := range doc.Rows {
-		b, ok := baseBy[key{r.Figure, r.Name}]
-		if !ok {
-			fmt.Printf("  %-28s %12s %12.3f %8s (new row, not gated)\n", r.Name, "-", r.PerOpUS, "-")
-			continue
-		}
-		delete(baseBy, key{r.Figure, r.Name})
-		ratio := 0.0
-		if b.PerOpUS > 0 {
-			ratio = r.PerOpUS / b.PerOpUS
-		}
-		verdict := "ok"
-		if ratio > threshold {
-			verdict = "REGRESSED"
-			regressed = append(regressed, fmt.Sprintf("%s (%.3f -> %.3f us/op, %.2fx)", r.Name, b.PerOpUS, r.PerOpUS, ratio))
-		}
-		fmt.Printf("  %-28s %12.3f %12.3f %7.2fx %s\n", r.Name, b.PerOpUS, r.PerOpUS, ratio, verdict)
-	}
-	for k := range baseBy {
-		fmt.Printf("  %-28s missing from this run (fig %d)\n", k.name, k.fig)
-	}
-	return regressed, nil
-}
+// figures is what -fig accepts; there is no figure 8, 9 or 12.
+var figures = []int{5, 6, 7, 10, 11}
 
 // parseFigs turns the -fig value into the set of figures to run:
 // "0" means all, "-1" means none, otherwise a comma-separated list
-// drawn from 5-7 and 9-12 (e.g. "5,6,7").
+// drawn from figures (e.g. "5,6,7").
 func parseFigs(s string) (map[int]bool, error) {
 	want := make(map[int]bool)
 	switch s {
 	case "0":
-		s = "5,6,7,9,10,11,12"
+		for _, f := range figures {
+			want[f] = true
+		}
+		return want, nil
 	case "-1":
 		return want, nil
 	}
 	for _, part := range strings.Split(s, ",") {
 		f, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || f < 5 || f > 12 || f == 8 {
-			return nil, fmt.Errorf("-fig must be a comma list from 5-7 and 9-12, 0 (all) or -1 (none); got %q", s)
+		if err != nil || !slices.Contains(figures, f) {
+			return nil, fmt.Errorf("-fig must be a comma list from %v, 0 (all) or -1 (none); got %q", figures, s)
 		}
 		want[f] = true
 	}
 	return want, nil
 }
 
+// The in-run checks of the tiers that are not paper tables.
+const (
+	// minInversion: fig 7's inversion row over its inheritance row.
+	minInversion = 10
+	// ringCeiling: fig 10's ring peak committed bytes, at any n.
+	ringCeiling = 4 << 20
+	// minFastForward: fig 11's real-clock sweep over its fast-forward one.
+	minFastForward = 10
+)
+
 func main() {
 	n := flag.Int("n", 20000, "iterations per measurement")
-	fig := flag.String("fig", "0", "figures to run: comma list from 5-7 and 9-12, 0 (all) or -1 (none)")
+	fig := flag.String("fig", "0", "figures to run: comma list from 5,6,7,10,11, 0 (all) or -1 (none)")
 	jsonPath := flag.String("json", "", "also write rows as JSON to this file (- for stdout)")
-	basePath := flag.String("baseline", "", "compare against this baseline JSON; exit 1 on regression")
-	threshold := flag.Float64("threshold", 1.5, "per-op regression ratio tolerated by -baseline")
 	traceOverhead := flag.Float64("traceoverhead", 0, "if > 0, gate traced-vs-untraced dispatch latency at this ratio")
 	allocs := flag.Bool("allocs", false, "print host allocations per op for rows that collect them")
-	memCeiling := flag.Int64("memceiling", 0, "if > 0, fail when the fig-10 ring's peak committed bytes exceed this")
-	seeds := flag.Int("seeds", 100, "seed count for the fig-11 sleep sweep")
-	ffGate := flag.Float64("fastforward", 0, "if > 0, fail unless the fig-11 real/fast-forward speedup is at least this")
-	lockFull := flag.Bool("lockfull", false, "run the full fig-12 lock-policy matrix (nightly width)")
 	flag.Parse()
 
 	want, err := parseFigs(*fig)
@@ -247,65 +186,58 @@ func main() {
 			}
 		}
 	}
+	var failed []string
+	// atLeast prints and checks a tier's one ratio: row a over row b.
+	atLeast := func(floor float64, what string, a, b benchkit.Row) {
+		r := 0.0
+		if b.PerOp() > 0 {
+			r = float64(a.PerOp()) / float64(b.PerOp())
+		}
+		fmt.Printf("  %s: %v / %v = %.1fx (min %.0fx)\n\n", what, a.PerOp(), b.PerOp(), r, floor)
+		if r < floor {
+			failed = append(failed, fmt.Sprintf("%s %.1fx is below %.0fx", what, r, floor))
+		}
+	}
 	doc := jsonDoc{Iterations: *n}
 	if want[5] {
 		rows := benchkit.Figure5(*n)
 		fmt.Print(benchkit.FormatTable("Figure 5: Thread creation time", rows))
 		fmt.Println()
 		printAllocs(rows)
+		failed = append(failed, benchkit.CheckShape(rows)...)
 		doc.Rows = append(doc.Rows, toJSONRows(5, rows)...)
 	}
 	if want[6] {
 		rows := benchkit.Figure6(*n)
 		fmt.Print(benchkit.FormatTable("Figure 6: Thread synchronization time", rows))
 		fmt.Println()
+		failed = append(failed, benchkit.CheckShape(rows)...)
 		doc.Rows = append(doc.Rows, toJSONRows(6, rows)...)
 	}
 	if want[7] {
 		rows := benchkit.Figure7(*n)
 		fmt.Print(benchkit.FormatTable("Priority inversion (turnstile inheritance on/off; not in paper)", rows))
-		fmt.Println()
+		atLeast(minInversion, "inversion over inheritance", rows[1], rows[0])
 		doc.Rows = append(doc.Rows, toJSONRows(7, rows)...)
 	}
-	var fig9 *benchkit.Fig9Stats
-	if want[9] {
-		rows, stats := benchkit.Figure9(*n)
-		fig9 = &stats
-		fmt.Print(benchkit.FormatTable("Cross-CPU wakeup latency, best-of-5 medians (not in paper)", rows))
-		fmt.Printf("  dispatches %d, steals %d (%.2f per 100 dispatches; informational)\n\n",
-			stats.Dispatches, stats.Steals,
-			float64(stats.Steals*100)/float64(max(stats.Dispatches, 1)))
-		doc.Rows = append(doc.Rows, toJSONRows(9, rows)...)
-	}
-	var scale *benchkit.ScaleStats
 	if want[10] {
 		rows, stats := benchkit.Figure10(*n)
-		scale = &stats
 		fmt.Print(benchkit.FormatTable(
 			fmt.Sprintf("Thread scale tier, n=%d (not in paper)", stats.Threads), rows))
-		fmt.Printf("  reserved/thread %d B, committed/thread %d B, ring peak committed %d B\n\n",
-			stats.ReservedPerThread, stats.CommittedPerThread, stats.RingPeakCommitted)
+		fmt.Printf("  reserved/thread %d B, committed/thread %d B, ring peak committed %d B (ceiling %d B)\n\n",
+			stats.ReservedPerThread, stats.CommittedPerThread, stats.RingPeakCommitted, ringCeiling)
 		printAllocs(rows)
+		if stats.RingPeakCommitted > ringCeiling {
+			failed = append(failed, fmt.Sprintf("fig 10 ring peak committed %d B exceeds %d B", stats.RingPeakCommitted, ringCeiling))
+		}
 		doc.Rows = append(doc.Rows, toJSONRows(10, rows)...)
 	}
-	var fig11 []benchkit.Row
 	if want[11] {
-		fig11 = benchkit.Figure11(*seeds)
+		rows := benchkit.Figure11()
 		fmt.Print(benchkit.FormatTable(
-			fmt.Sprintf("Sleep-heavy sweep, %d seeds: real clock vs fast-forward (not in paper)", *seeds), fig11))
-		fmt.Println()
-		doc.Rows = append(doc.Rows, toJSONRows(11, fig11)...)
-	}
-	if want[12] {
-		width := "default"
-		if *lockFull {
-			width = "full"
-		}
-		cells, rows := benchkit.Figure12(*n, *lockFull)
-		fmt.Print(benchkit.FormatLockMatrix(
-			fmt.Sprintf("Lock-policy shootout, %s matrix: lock-wait latency percentiles (not in paper)", width), cells))
-		fmt.Println()
-		doc.Rows = append(doc.Rows, toJSONRows(12, rows)...)
+			fmt.Sprintf("Sleep-heavy sweep, %d seeds: real clock vs fast-forward (not in paper)", rows[0].Ops), rows))
+		atLeast(minFastForward, "fast-forward speedup", rows[0], rows[1])
+		doc.Rows = append(doc.Rows, toJSONRows(11, rows)...)
 	}
 	if *jsonPath != "" {
 		b, err := json.MarshalIndent(doc, "", "  ")
@@ -321,55 +253,12 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *basePath != "" {
-		fmt.Println()
-		regressed, err := compareBaseline(doc, *basePath, *threshold)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mtbench:", err)
-			os.Exit(1)
+	if len(failed) > 0 {
+		fmt.Fprintf(os.Stderr, "mtbench: %d check(s) failed:\n", len(failed))
+		for _, f := range failed {
+			fmt.Fprintln(os.Stderr, "  "+f)
 		}
-		if len(regressed) > 0 {
-			fmt.Fprintf(os.Stderr, "mtbench: %d row(s) regressed beyond %.2fx:\n", len(regressed), *threshold)
-			for _, r := range regressed {
-				fmt.Fprintln(os.Stderr, "  "+r)
-			}
-			os.Exit(1)
-		}
-	}
-	if fig9 != nil && fig9.Steals == 0 {
-		fmt.Fprintln(os.Stderr, "mtbench: fig 9 recorded zero steals across all trials: spinner occupancy no longer forces queued wakeups")
 		os.Exit(1)
-	}
-	if *memCeiling > 0 {
-		if scale == nil {
-			fmt.Fprintln(os.Stderr, "mtbench: -memceiling requires -fig to include 10")
-			os.Exit(2)
-		}
-		fmt.Printf("Memory ceiling gate: ring peak committed %d B, ceiling %d B\n",
-			scale.RingPeakCommitted, *memCeiling)
-		if scale.RingPeakCommitted > *memCeiling {
-			fmt.Fprintf(os.Stderr, "mtbench: peak committed %d B exceeds ceiling %d B\n",
-				scale.RingPeakCommitted, *memCeiling)
-			os.Exit(1)
-		}
-	}
-	if *ffGate > 0 {
-		if fig11 == nil {
-			fmt.Fprintln(os.Stderr, "mtbench: -fastforward requires -fig to include 11")
-			os.Exit(2)
-		}
-		wall, ff := fig11[0].PerOp(), fig11[1].PerOp()
-		speedup := 0.0
-		if ff > 0 {
-			speedup = float64(wall) / float64(ff)
-		}
-		fmt.Printf("Fast-forward speedup gate: real %v/seed, fast-forward %v/seed, %.1fx (min %.1fx)\n",
-			wall, ff, speedup, *ffGate)
-		if speedup < *ffGate {
-			fmt.Fprintf(os.Stderr, "mtbench: fast-forward speedup %.1fx is below the %.1fx gate\n",
-				speedup, *ffGate)
-			os.Exit(1)
-		}
 	}
 	if *traceOverhead > 0 {
 		if !gateTraceOverhead(*n, *traceOverhead) {

@@ -12,8 +12,6 @@ package benchkit
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -353,48 +351,6 @@ func BroadcastWake(waiters, rounds int) time.Duration {
 	return elapsed
 }
 
-// ContendedMutex measures adaptive (default-variant) mutex throughput
-// under contention: `workers` threads on `lwps` LWPs each perform
-// `per` enter/exit pairs on one mutex with an empty critical section.
-// The reported duration covers workers*per acquisitions.
-func ContendedMutex(lwps, workers, per int) time.Duration {
-	sys := mt.NewSystem(mt.Options{NCPU: lwps})
-	var elapsed time.Duration
-	done := make(chan struct{})
-	p, err := sys.Spawn("bench", func(t *mt.Thread, _ any) {
-		defer close(done)
-		r := t.Runtime()
-		if err := r.SetConcurrency(lwps); err != nil {
-			panic(err)
-		}
-		var mu mt.Mutex
-		var ids []mt.ThreadID
-		start := time.Now()
-		for w := 0; w < workers; w++ {
-			c, err := r.Create(func(c *mt.Thread, _ any) {
-				for i := 0; i < per; i++ {
-					mu.Enter(c)
-					mu.Exit(c)
-				}
-			}, nil, mt.CreateOpts{Flags: mt.ThreadWait})
-			if err != nil {
-				panic(err)
-			}
-			ids = append(ids, c.ID())
-		}
-		for _, id := range ids {
-			t.Wait(id)
-		}
-		elapsed = time.Since(start)
-	}, nil, mt.ProcConfig{DefaultStackSize: 4096})
-	if err != nil {
-		panic(err)
-	}
-	<-done
-	p.WaitExit()
-	return elapsed
-}
-
 // PriorityInversion measures the latency of a high-priority mutex
 // acquisition from a low-priority owner while a medium-priority
 // spinner competes for the only LWP — the classic priority-inversion
@@ -483,122 +439,6 @@ func PriorityInversion(n int, inherit bool) time.Duration {
 	return elapsed
 }
 
-// StealWakeup runs a steal- and wakeup-heavy kernel workload — pairs
-// of bound threads ping-ponging on semaphores while bound yielders
-// keep every CPU busy, three times as many LWPs as CPUs — and reports
-// the dispatcher's steal traffic and cross-CPU wakeup cost: how many
-// dispatches and steals the kernel performed, and the latency samples
-// from a wakeup to the woken LWP's dispatch on a *different* CPU
-// (paired through the event rings: EvWakeup to the EvMigrate of the
-// same LWP's next dispatch). Low-priority bound spinners keep the
-// CPUs occupied with on-CPU work: a woken ping-pong LWP then cannot
-// find a free CPU and queues, outranking the spinners — so it reaches
-// a CPU either by preempting a spinner or by a CPU that frees up
-// stealing it from a sibling's queue. Both paths are cross-CPU
-// dispatches; the second is the steal traffic the rate row measures.
-func StealWakeup(rounds int) (dispatches, steals uint64, lat []time.Duration) {
-	const ncpu, pairs, spinners = 4, 4, 4
-	sys := mt.NewSystem(mt.Options{NCPU: ncpu, EventRing: 1 << 15})
-	done := make(chan struct{})
-	var stop atomic.Bool
-	var sink atomic.Uint64
-	p, err := sys.Spawn("bench", func(t *mt.Thread, _ any) {
-		defer close(done)
-		r := t.Runtime()
-		ids := make([]mt.ThreadID, 0, 2*pairs+spinners)
-		for i := 0; i < spinners; i++ {
-			c, err := r.Create(func(c *mt.Thread, _ any) {
-				for !stop.Load() {
-					for j := 0; j < 64; j++ {
-						sink.Add(1)
-					}
-					c.Checkpoint()
-					// Yield the *host* CPU so the serialized host
-					// schedules blocked ping-pong goroutines promptly;
-					// the simulated CPU stays held by this LWP.
-					runtime.Gosched()
-				}
-			}, nil, mt.CreateOpts{Flags: mt.ThreadWait | mt.ThreadBindLWP})
-			if err != nil {
-				panic(err)
-			}
-			// Timeshare floor: every woken ping-pong LWP outranks the
-			// spinners, so wakeups preempt and steals favor them.
-			if err := sys.Priocntl(c, mt.ClassTS, 0); err != nil {
-				panic(err)
-			}
-			ids = append(ids, c.ID())
-		}
-		for i := 0; i < pairs; i++ {
-			var s1, s2 mt.Sema
-			// The Gosched after each V keeps the waker's LWP on CPU
-			// while the woken LWP's goroutine re-enters the kernel
-			// run queue — the overlap a parallel host gives for free.
-			// Without it a serialized host runs the waker until it
-			// blocks, and the wakee always finds its old CPU free.
-			a, err := r.Create(func(c *mt.Thread, _ any) {
-				for j := 0; j < rounds; j++ {
-					s2.P(c)
-					s1.V(c)
-					runtime.Gosched()
-				}
-			}, nil, mt.CreateOpts{Flags: mt.ThreadWait | mt.ThreadBindLWP})
-			if err != nil {
-				panic(err)
-			}
-			b, err := r.Create(func(c *mt.Thread, _ any) {
-				for j := 0; j < rounds; j++ {
-					s2.V(c)
-					runtime.Gosched()
-					s1.P(c)
-				}
-			}, nil, mt.CreateOpts{Flags: mt.ThreadWait | mt.ThreadBindLWP})
-			if err != nil {
-				panic(err)
-			}
-			ids = append(ids, a.ID(), b.ID())
-		}
-		for _, id := range ids[spinners:] {
-			t.Wait(id)
-		}
-		stop.Store(true)
-		for _, id := range ids[:spinners] {
-			t.Wait(id)
-		}
-	}, nil, mt.ProcConfig{DefaultStackSize: 4096})
-	if err != nil {
-		panic(err)
-	}
-	<-done
-	p.WaitExit()
-
-	for _, cs := range sys.SchedStats() {
-		dispatches += cs.Dispatches
-		steals += cs.Steals
-	}
-	recs, _ := sys.Events().Snapshot()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
-	// EvMigrate is recorded immediately before the same dispatch's
-	// EvDispatch, so a pending wakeup that reaches an EvMigrate first
-	// was a cross-CPU wakeup; one that reaches EvDispatch first was
-	// dispatched back onto its last CPU and is dropped.
-	pending := make(map[int32]time.Duration)
-	for _, rec := range recs {
-		switch rec.Kind {
-		case mt.EvWakeup:
-			pending[rec.LWP] = rec.When
-		case mt.EvMigrate:
-			if w, ok := pending[rec.LWP]; ok {
-				lat = append(lat, rec.When-w)
-				delete(pending, rec.LWP)
-			}
-		case mt.EvDispatch:
-			delete(pending, rec.LWP)
-		}
-	}
-	return dispatches, steals, lat
-}
-
 // Row is one line of a paper-style results table.
 type Row struct {
 	Name     string
@@ -685,205 +525,48 @@ func Figure7(n int) []Row {
 	})
 }
 
-// Fig9Stats carries the deterministic side of the figure 9 run: the
-// kernel's dispatch and steal counters, pooled over every trial. The
-// CI gate asserts Steals > 0 — the structural property that spinner
-// occupancy forces queued wakeups which only reach a CPU by preemption
-// or stealing — instead of gating the steal *rate*, which depends on
-// how the host interleaves waker and wakee goroutines and needed a 5x
-// threshold to stop flaking.
-type Fig9Stats struct {
-	Dispatches uint64
-	Steals     uint64
+// ratios returns every row's ratio to the row before it, measured and
+// paper's — the paper's own second column. An entry is 0 where there is
+// no ratio to take: the first row, a zero previous row, or (paper side)
+// a row the paper does not have.
+func ratios(rows []Row) (measured, paper []float64) {
+	measured, paper = make([]float64, len(rows)), make([]float64, len(rows))
+	for i := 1; i < len(rows); i++ {
+		if prev := rows[i-1].PerOp(); prev > 0 {
+			measured[i] = float64(rows[i].PerOp()) / float64(prev)
+		}
+		if prev := rows[i-1].PaperUS; prev > 0 {
+			paper[i] = rows[i].PaperUS / prev
+		}
+	}
+	return measured, paper
 }
 
-// Figure9 runs the steal/wakeup experiment (not in the paper) and
-// reports one gated row plus the raw scheduler counters:
-//
-//   - "Cross-CPU wakeup latency": the best (minimum) per-trial median
-//     wakeup-to-dispatch time for wakeups whose LWP was dispatched on
-//     a different CPU. Best-of-N discards trials degraded by host
-//     scheduling noise, so the row holds a far tighter baseline
-//     threshold than the old steal-rate row could (CI gates it at
-//     2.5x, half the old backstop); a real regression slows every
-//     trial, including the best one.
-//   - Fig9Stats: dispatch/steal totals for the deterministic
-//     steal-happened property (mtbench fails the run when zero).
-func Figure9(n int) ([]Row, Fig9Stats) {
-	if n <= 0 {
-		n = 20000
-	}
-	rounds := n / 4
-	if rounds == 0 {
-		rounds = 1
-	}
-	const trials = 5
-	var st Fig9Stats
-	var best time.Duration
-	for i := 0; i < trials; i++ {
-		d, s, l := StealWakeup(rounds)
-		st.Dispatches += d
-		st.Steals += s
-		if len(l) == 0 {
+// shapeFactor bounds how far a measured ratio may sit from the paper's,
+// either way. The smallest integer that left 1.5x headroom on every
+// figure 5 and 6 row over 20 runs (EXPERIMENTS.md, PR 21: the furthest
+// was bound/unbound sync, 6.93 against the paper's 2.20).
+const shapeFactor = 5
+
+// CheckShape holds a table to the paper's shape within its own run:
+// every row-to-previous-row ratio the paper also has must lie within
+// shapeFactor of the paper's, and an operation the paper found at least
+// twice as dear as the one above it must measure at least twice as dear
+// here. It returns one line per violating row.
+func CheckShape(rows []Row) []string {
+	var bad []string
+	measured, paper := ratios(rows)
+	for i, r := range rows {
+		m, p := measured[i], paper[i]
+		if p == 0 {
 			continue
 		}
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-		if med := l[len(l)/2]; best == 0 || med < best {
-			best = med
+		if m > p*shapeFactor || m < p/shapeFactor || (p >= 2 && m < 2) {
+			bad = append(bad, fmt.Sprintf("%s: %.2fx the row above, paper %.2fx (want within %dx of it, and >= 2 where it is)",
+				r.Name, m, p, shapeFactor))
 		}
 	}
-	latRow := Row{Name: "Cross-CPU wakeup latency", Measured: best, Ops: 1}
-	return unmeasured([]Row{latRow}), st
-}
-
-// LockCell is one cell of the figure 12 lock-policy shootout matrix:
-// one policy at one LWP width and one critical-section length, with
-// tail-latency percentiles over every completed MSLock wait episode
-// the run produced (sampled by the runtime's microstate accounting,
-// so the numbers are on the simulation clock, not the host clock).
-type LockCell struct {
-	Policy string
-	LWPs   int
-	Hold   int    // busy-work increments inside the critical section
-	Waits  uint64 // completed lock-wait episodes observed
-	P50    time.Duration
-	P99    time.Duration
-	P999   time.Duration
-}
-
-// quantile returns the num/den quantile of a sorted sample set by
-// nearest-rank on the lower side (the conventional conservative choice
-// for small tails).
-func quantile(sorted []time.Duration, num, den int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[(len(sorted)-1)*num/den]
-}
-
-// LockLatency runs one figure 12 cell: `workers` unbound threads on
-// `lwps` LWPs each performing `per` enter/exit pairs on one mutex
-// under the given lock policy, holding the lock for `hold` busy
-// increments and then yielding the LWP once while still holding it.
-// The in-section yield is what makes the cell a lock benchmark rather
-// than a loop benchmark: unbound threads are never preempted
-// mid-section, so without it a worker runs its whole loop before the
-// next one gets the LWP and no acquisition ever waits. With it every
-// acquisition contends against a descheduled owner — the case the
-// spin heuristics, hand-off disciplines and turnstile inheritance all
-// exist to handle. The policy is installed as the process default
-// (ProcConfig.LockPolicy), so the cell exercises the same path
-// applications use; the mutex itself stays a zero value.
-func LockLatency(pol mt.LockPolicy, lwps, workers, per, hold int) LockCell {
-	sys := mt.NewSystem(mt.Options{NCPU: lwps})
-	done := make(chan struct{})
-	var sink atomic.Uint64
-	p, err := sys.Spawn("bench", func(t *mt.Thread, _ any) {
-		defer close(done)
-		r := t.Runtime()
-		if err := r.SetConcurrency(lwps); err != nil {
-			panic(err)
-		}
-		var mu mt.Mutex
-		var ids []mt.ThreadID
-		for w := 0; w < workers; w++ {
-			c, err := r.Create(func(c *mt.Thread, _ any) {
-				for i := 0; i < per; i++ {
-					mu.Enter(c)
-					for j := 0; j < hold; j++ {
-						sink.Add(1)
-					}
-					c.Yield()
-					mu.Exit(c)
-				}
-			}, nil, mt.CreateOpts{Flags: mt.ThreadWait})
-			if err != nil {
-				panic(err)
-			}
-			ids = append(ids, c.ID())
-		}
-		for _, id := range ids {
-			t.Wait(id)
-		}
-	}, nil, mt.ProcConfig{
-		DefaultStackSize:  4096,
-		LockPolicy:        pol,
-		LockWaitSampleCap: 1 << 16,
-	})
-	if err != nil {
-		panic(err)
-	}
-	<-done
-	// Read the ring before reaping the process; every worker has
-	// joined, so all wait episodes are closed and recorded.
-	samples, total := p.RT.LockWaitSamples()
-	p.WaitExit()
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	return LockCell{
-		Policy: pol.String(),
-		LWPs:   lwps,
-		Hold:   hold,
-		Waits:  total,
-		P50:    quantile(samples, 50, 100),
-		P99:    quantile(samples, 99, 100),
-		P999:   quantile(samples, 999, 1000),
-	}
-}
-
-// Figure12 runs the lock-policy shootout: every policy crossed with
-// LWP widths and hold times, percentiles per cell. It returns the
-// whole matrix for the table plus baseline Rows for the default
-// (adaptive) policy's contended cell only — those are the rows
-// committed to BENCH_baseline.json and gated in CI. The other
-// policies' cells print for comparison but are not gated: the queue
-// disciplines trade throughput for tail shape in ways that shift with
-// host scheduling, and the regression the gate exists to catch is in
-// the default path every program uses. full widens the matrix (the
-// nightly -lockfull run).
-func Figure12(n int, full bool) ([]LockCell, []Row) {
-	if n <= 0 {
-		n = 20000
-	}
-	const workers = 8
-	per := n / workers
-	if per == 0 {
-		per = 1
-	}
-	lwps := []int{1, 4}
-	holds := []int{0, 256}
-	if full {
-		lwps = []int{1, 4, 16}
-		holds = []int{0, 256, 2048}
-	}
-	var cells []LockCell
-	var rows []Row
-	for _, pol := range mt.LockPolicies() {
-		for _, l := range lwps {
-			for _, h := range holds {
-				c := LockLatency(pol, l, workers, per, h)
-				cells = append(cells, c)
-				if pol == mt.PolicyAdaptive && l == 4 && h == 0 {
-					rows = append(rows,
-						Row{Name: "Lock wait p50, adaptive 4 LWP", Measured: c.P50, Ops: 1, Allocs: -1},
-						Row{Name: "Lock wait p99, adaptive 4 LWP", Measured: c.P99, Ops: 1, Allocs: -1},
-						Row{Name: "Lock wait p999, adaptive 4 LWP", Measured: c.P999, Ops: 1, Allocs: -1},
-					)
-				}
-			}
-		}
-	}
-	return cells, rows
-}
-
-// FormatLockMatrix renders the figure 12 cells as a matrix table.
-func FormatLockMatrix(title string, cells []LockCell) string {
-	out := fmt.Sprintf("%s\n%-12s %5s %6s %10s %14s %14s %14s\n", title,
-		"policy", "lwps", "hold", "waits", "p50", "p99", "p999")
-	for _, c := range cells {
-		out += fmt.Sprintf("%-12s %5d %6d %10d %14v %14v %14v\n",
-			c.Policy, c.LWPs, c.Hold, c.Waits, c.P50, c.P99, c.P999)
-	}
-	return out
+	return bad
 }
 
 // FormatTable renders rows in the paper's format: a time column and a
@@ -892,22 +575,20 @@ func FormatLockMatrix(title string, cells []LockCell) string {
 func FormatTable(title string, rows []Row) string {
 	out := fmt.Sprintf("%s\n%-28s %12s %8s %12s %8s\n", title,
 		"", "measured", "ratio", "paper (us)", "ratio")
-	var prev, prevPaper float64
-	for i, r := range rows {
-		us := float64(r.PerOp().Nanoseconds()) / 1e3
-		ratio, paperRatio := "", ""
-		if i > 0 {
-			ratio = fmt.Sprintf("%.2f", us/prev)
-			if prevPaper > 0 {
-				paperRatio = fmt.Sprintf("%.2f", r.PaperUS/prevPaper)
-			}
+	measured, paper := ratios(rows)
+	cell := func(ratio float64) string {
+		if ratio == 0 {
+			return ""
 		}
+		return fmt.Sprintf("%.2f", ratio)
+	}
+	for i, r := range rows {
 		paperCol := "-"
 		if r.PaperUS > 0 {
 			paperCol = fmt.Sprintf("%.0f", r.PaperUS)
 		}
-		out += fmt.Sprintf("%-28s %10.2fus %8s %12s %8s\n", r.Name, us, ratio, paperCol, paperRatio)
-		prev, prevPaper = us, r.PaperUS
+		out += fmt.Sprintf("%-28s %10.2fus %8s %12s %8s\n", r.Name,
+			float64(r.PerOp().Nanoseconds())/1e3, cell(measured[i]), paperCol, cell(paper[i]))
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package benchkit
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // Small-n smoke tests: the measurement procedures complete, return
@@ -54,37 +55,62 @@ func TestFigure6Smoke(t *testing.T) {
 	}
 }
 
-// TestFigure9Smoke checks the structural property behind the fig 9
-// rows: with low-priority spinners holding every CPU, each ping-pong
-// wakeup must queue behind them, so the run exercises preemption and
-// stealing and pairs at least some wakeups with cross-CPU dispatches.
-// The wall-clock magnitudes are noisy on a shared host (CI gates them
-// only loosely); steals happening at all is the deterministic part.
-func TestFigure9Smoke(t *testing.T) {
-	dispatches, steals, lat := StealWakeup(200)
-	if dispatches == 0 {
-		t.Fatal("no dispatches recorded")
-	}
-	if steals == 0 {
-		t.Fatal("no steals: spinner occupancy no longer forces queued wakeups")
-	}
-	if len(lat) == 0 {
-		t.Fatal("no cross-CPU wakeup latency samples paired from the event rings")
-	}
-}
-
 func TestFormatTableShape(t *testing.T) {
 	rows := []Row{
 		{Name: "first", PaperUS: 10, Measured: 1000, Ops: 1},
 		{Name: "second", PaperUS: 40, Measured: 4000, Ops: 1},
+		{Name: "zero", Measured: 0, Ops: 1},
+		{Name: "tail", Measured: 2500, Ops: 1},
 	}
 	out := FormatTable("Title", rows)
 	if !strings.Contains(out, "Title") || !strings.Contains(out, "first") {
 		t.Fatalf("table missing pieces:\n%s", out)
 	}
 	// Ratio column of the second row: 4.00 both measured and paper.
-	if !strings.Contains(out, "4.00") {
+	if strings.Count(out, "4.00") < 3 { // 4.00us, 4.00, 4.00
 		t.Fatalf("ratio missing:\n%s", out)
+	}
+	// A row after a zero row has no ratio to the row above it: the cell
+	// is empty, not a division by zero.
+	if strings.Contains(out, "Inf") || strings.Contains(out, "NaN") {
+		t.Fatalf("ratio to a zero row printed:\n%s", out)
+	}
+	if tail := strings.Fields(out[strings.Index(out, "tail"):]); len(tail) != 3 {
+		t.Fatalf("row after the zero row = %q, want name, time and \"-\" only", tail)
+	}
+}
+
+// TestShapeCheck: the in-run check mtbench holds figures 5 and 6 to.
+func TestShapeCheck(t *testing.T) {
+	us := func(name string, paper, measured float64) Row {
+		return Row{Name: name, PaperUS: paper, Measured: time.Duration(measured * 1e3), Ops: 1}
+	}
+	for _, tc := range []struct {
+		name string
+		rows []Row
+		bad  []string // names of the rows that must be reported
+	}{
+		{"paper's figure 5", []Row{us("unbound", 56, 56), us("bound", 2327, 2327)}, nil},
+		{"paper's figure 6", []Row{us("setjmp", 59, 59), us("unbound", 158, 158), us("bound", 348, 348), us("cross", 301, 301)}, nil},
+		{"this host, PR 21", []Row{us("setjmp", 59, 0.17), us("unbound", 158, 0.8), us("bound", 348, 3.9), us("cross", 301, 4.0)}, nil},
+		{"bound == unbound create", []Row{us("unbound", 56, 1.3), us("bound", 2327, 1.3)}, []string{"bound"}},
+		{"a ratio too high", []Row{us("setjmp", 59, 1), us("unbound", 158, (shapeFactor+1)*158.0/59)}, []string{"unbound"}},
+		{"a ratio too low", []Row{us("bound", 348, shapeFactor+1), us("cross", 301, 301.0/348)}, []string{"cross"}},
+		{"within the factor but under 2", []Row{us("setjmp", 59, 1), us("unbound", 158, 1.9)}, []string{"unbound"}},
+		{"row never measured", []Row{us("unbound", 56, 1), us("bound", 2327, 0)}, []string{"bound"}},
+		{"no paper numbers", []Row{us("inheritance", 0, 5), us("inversion", 0, 5)}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := CheckShape(tc.rows)
+			if len(got) != len(tc.bad) {
+				t.Fatalf("violations = %q, want rows %q", got, tc.bad)
+			}
+			for i, name := range tc.bad {
+				if !strings.HasPrefix(got[i], name+":") {
+					t.Fatalf("violation %d = %q, want row %q", i, got[i], name)
+				}
+			}
+		})
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // Thread shells — at a scale where any per-thread waste or any
 // O(n) step in the create/exit path dominates.
 
-// ScaleStats carries the non-time results of the scale tier, used by
-// mtbench's -memceiling gate and EXPERIMENTS.md.
+// ScaleStats carries the non-time results of the scale tier: the byte
+// counts mtbench prints under the table and holds to its ring ceiling.
 type ScaleStats struct {
 	Threads int
 	// ReservedPerThread is the address-space bytes one idle,
@@ -25,13 +25,9 @@ type ScaleStats struct {
 	// one never-run thread costs. The reserve/commit split makes
 	// this 0: no page commits until the thread first runs.
 	CommittedPerThread int64
-	// CreateAllocsPerThread is the host heap allocations per mass
-	// create. Mass creation is not the zero-alloc steady state (the
-	// freelist starts empty), so this is the cold-path cost.
-	CreateAllocsPerThread float64
 	// RingPeakCommitted is the address space's high-water committed
 	// bytes while the thread ring ran n threads through dispatch —
-	// the number the nightly RSS ceiling gates.
+	// the number mtbench's ring ceiling checks.
 	RingPeakCommitted int64
 }
 
@@ -187,10 +183,7 @@ func PairChain(pairs, rounds int) time.Duration {
 }
 
 // Figure10 runs the scale tier at n threads (default one million) and
-// returns the table rows plus the raw stats. Non-time metrics ride in
-// Row's duration/ops encoding the way Figure9's steal rate does:
-// "KB per thread" rows carry the byte count as microseconds so the
-// baseline gate watches memory regressions exactly like time ones.
+// returns the timed rows plus the byte counts.
 func Figure10(n int) ([]Row, ScaleStats) {
 	if n <= 0 {
 		n = 1_000_000
@@ -203,7 +196,6 @@ func Figure10(n int) ([]Row, ScaleStats) {
 		stats.ReservedPerThread, stats.CommittedPerThread = res, com
 		return d
 	})
-	stats.CreateAllocsPerThread = float64(allocs) / float64(n)
 
 	ringT, peak := ThreadRing(n)
 	stats.RingPeakCommitted = peak
@@ -216,15 +208,9 @@ func Figure10(n int) ([]Row, ScaleStats) {
 	const bcRounds = 2
 	bcT := BroadcastWake(waiters, bcRounds)
 
-	kb := func(b int64) time.Duration {
-		return time.Duration(b/1024) * time.Microsecond
-	}
 	rows := []Row{
 		{Name: "Mass create (stopped)", Measured: createT, Ops: n, Allocs: allocs},
-		{Name: "Reserved KB per thread", Measured: kb(stats.ReservedPerThread), Ops: 1, Allocs: -1},
-		{Name: "Committed KB per thread (idle)", Measured: kb(stats.CommittedPerThread), Ops: 1, Allocs: -1},
 		{Name: "Thread ring hop", Measured: ringT, Ops: n, Allocs: -1},
-		{Name: "Ring peak committed KB", Measured: kb(peak), Ops: 1, Allocs: -1},
 		{Name: "Pairwise sync chain", Measured: chainT, Ops: pairs * pairRounds * 2, Allocs: -1},
 		{Name: "Mass broadcast wake", Measured: bcT, Ops: waiters * bcRounds, Allocs: -1},
 	}

@@ -13,7 +13,7 @@ import (
 // on the virtual fast-forward clock: whenever every LWP is idle with
 // a timer pending, the clock jumps to the next deadline, so each seed
 // costs only its compute time. The real/fast-forward ratio is the
-// speedup mtbench's -fastforward flag gates.
+// speedup mtbench holds fig 11 to.
 func SleepSweep(seeds int, ff bool) time.Duration {
 	start := time.Now()
 	for s := 1; s <= seeds; s++ {
@@ -70,14 +70,12 @@ func sleepSweepSeed(seed uint64, ff bool) {
 }
 
 // Figure11 runs the sleep-heavy sweep with the real clock and again
-// with fast-forward (not in the paper — the virtual-time tier). seeds
-// defaults to 100. The per-op values are real milliseconds per seed;
-// the second row's ratio column in the printed table is the inverse
-// of the fast-forward speedup.
-func Figure11(seeds int) []Row {
-	if seeds <= 0 {
-		seeds = 100
-	}
+// with fast-forward (not in the paper — the virtual-time tier), 100
+// seeds each: the width of the chaos sweeps it stands for. The per-op
+// values are real milliseconds per seed; the second row's ratio column
+// in the printed table is the inverse of the fast-forward speedup.
+func Figure11() []Row {
+	const seeds = 100
 	wall := SleepSweep(seeds, false)
 	ff := SleepSweep(seeds, true)
 	return unmeasured([]Row{

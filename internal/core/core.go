@@ -103,14 +103,8 @@ type Config struct {
 	// for tsync mutexes that do not pin one per-lock. The values are
 	// tsync's Policy constants (core cannot import tsync); 0 selects
 	// the adaptive default. The per-process ablation knob beside
-	// NoPriorityInheritance for the lock-policy shootout.
+	// NoPriorityInheritance.
 	LockPolicy int
-	// LockWaitSampleCap, when positive, keeps a bounded ring of the
-	// most recent per-interval lock-wait times (one sample per
-	// MSLock episode, from the microstate clock) for tail-latency
-	// percentiles. Zero disables sampling; cumulative MSLock
-	// microstate accounting is unaffected either way.
-	LockWaitSampleCap int
 }
 
 // Runtime is the threads library instance for one process.
@@ -181,14 +175,6 @@ type Runtime struct {
 	slabA    []threadAux
 	slabB    []sleepqBucket
 	slabUsed int
-
-	// lockWaitRing is the bounded ring of recent MSLock wait
-	// intervals (LockWaitSampleCap > 0): one duration per completed
-	// lock-wait episode, overwriting the oldest past the cap. Guarded
-	// by mu (fed from msSwitchLocked, which already holds it).
-	lockWaitRing []time.Duration
-	lockWaitPos  int
-	lockWaitN    uint64 // total episodes observed (can exceed cap)
 }
 
 // poolLWP is one LWP dedicated to running unbound threads. Threads
@@ -797,31 +783,3 @@ func (m *Runtime) RunnableThreads() int {
 // LockPolicy reports the process-default lock policy configured for
 // this runtime (tsync's Policy constants; 0 = adaptive default).
 func (m *Runtime) LockPolicy() int { return m.cfg.LockPolicy }
-
-// recordLockWaitLocked appends one completed MSLock episode to the
-// sample ring. Runtime.mu is held (called from msSwitchLocked).
-func (m *Runtime) recordLockWaitLocked(d time.Duration) {
-	n := m.cfg.LockWaitSampleCap
-	if n <= 0 {
-		return
-	}
-	if len(m.lockWaitRing) < n {
-		m.lockWaitRing = append(m.lockWaitRing, d)
-	} else {
-		m.lockWaitRing[m.lockWaitPos] = d
-		m.lockWaitPos = (m.lockWaitPos + 1) % n
-	}
-	m.lockWaitN++
-}
-
-// LockWaitSamples returns a copy of the retained per-episode lock-wait
-// intervals (most recent LockWaitSampleCap episodes, unordered beyond
-// ring rotation) and the total number of episodes observed. The
-// percentile source for the lock-policy shootout (mtbench fig 12).
-func (m *Runtime) LockWaitSamples() ([]time.Duration, uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]time.Duration, len(m.lockWaitRing))
-	copy(out, m.lockWaitRing)
-	return out, m.lockWaitN
-}

@@ -84,15 +84,7 @@ func (t *Thread) msInitLocked(now time.Duration, st Microstate) {
 // the clock once per transition and passes it in.
 func (t *Thread) msSwitchLocked(now time.Duration, st Microstate) {
 	a := t.aux
-	d := now - a.msMark
-	if a.msState == MSLock {
-		// A completed lock-wait episode: feed the per-interval sample
-		// ring (no-op unless LockWaitSampleCap is set) — the p50/p99/
-		// p999 source for the lock-policy shootout. The cumulative
-		// accumulator below is unchanged.
-		t.m.recordLockWaitLocked(d)
-	}
-	a.msAcc[a.msState] += d
+	a.msAcc[a.msState] += now - a.msMark
 	a.msMark = now
 	a.msState = st
 }

@@ -42,13 +42,6 @@ func (m *Runtime) RegisterUnshared(size int) (TLSVar, error) {
 	return v, nil
 }
 
-// TLSSize reports the per-thread thread-local storage size.
-func (m *Runtime) TLSSize() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tlsSize
-}
-
 // TLS returns the thread's bytes for the registered variable. The
 // contents start zeroed. Only the owning thread should access them
 // ("a correct thread must never attempt" to touch another thread's

@@ -222,27 +222,6 @@ func (m *Mon) Exit(g *GThread) {
 	m.waiters = nil
 }
 
-// CV is a condition variable paired with a Mon.
-type CV struct {
-	waiters []*GThread
-}
-
-// Wait releases the monitor and blocks until Notify.
-func (cv *CV) Wait(g *GThread, m *Mon) {
-	cv.waiters = append(cv.waiters, g)
-	m.Exit(g)
-	g.block()
-	m.Enter(g)
-}
-
-// Notify wakes all waiters (the 4.0 library broadcast).
-func (cv *CV) Notify(g *GThread) {
-	for _, w := range cv.waiters {
-		w.unblock()
-	}
-	cv.waiters = nil
-}
-
 // Sema is the 4.0 library counting semaphore.
 type Sema struct {
 	count   int

@@ -107,23 +107,20 @@ func (k *Kernel) forkLocked(l *LWP, p *Process, all bool) (*Process, *LWP, []For
 func (k *Kernel) Exec(l *LWP, name string) (*LWP, error) {
 	p := l.proc
 	k.Checkpoint(l) // unwind here if the process is already dying
-	nl, hooks, err := k.execInner(l, p, name)
+	nl, err := k.execInner(l, p, name)
 	if err != nil {
 		return nil, err
-	}
-	for _, h := range hooks {
-		h(p)
 	}
 	// The caller's LWP dies; its animator must not touch it again.
 	k.ExitLWP(l)
 	return nl, nil
 }
 
-func (k *Kernel) execInner(l *LWP, p *Process, name string) (*LWP, []func(*Process), error) {
+func (k *Kernel) execInner(l *LWP, p *Process, name string) (*LWP, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if p.execing {
-		return nil, nil, fmt.Errorf("sim: concurrent exec in pid %d", p.pid)
+		return nil, fmt.Errorf("sim: concurrent exec in pid %d", p.pid)
 	}
 	p.execing = true
 	p.execSurvivor = l
@@ -152,8 +149,7 @@ func (k *Kernel) execInner(l *LWP, p *Process, name string) (*LWP, []func(*Proce
 	nl := k.newLWPLocked(p, ClassTS, defaultTSPrio)
 	p.execing = false
 	p.execSurvivor = nil
-	hooks := append([]func(*Process){}, k.execHooks...)
-	return nl, hooks, nil
+	return nl, nil
 }
 
 // defaultTSPrio is the base timeshare priority of new LWPs.

@@ -177,8 +177,6 @@ type Kernel struct {
 	// a process is duplicated; layers above the kernel use them to
 	// copy fd tables and address spaces.
 	forkHooks []func(parent, child *Process)
-	// execHooks run when a process execs.
-	execHooks []func(p *Process)
 	// deathHooks run (on fresh goroutines, with mu released) once
 	// per process death — voluntary exit or kill alike. The shared
 	// synchronization registry uses them to sweep locks the dead
@@ -315,14 +313,6 @@ func (k *Kernel) Chaos() *chaos.Source { return k.chaos }
 func (k *Kernel) AddForkHook(fn func(parent, child *Process)) {
 	k.mu.Lock()
 	k.forkHooks = append(k.forkHooks, fn)
-	k.mu.Unlock()
-}
-
-// AddExecHook registers fn to run whenever a process execs (after the
-// kernel has torn down the old LWPs).
-func (k *Kernel) AddExecHook(fn func(p *Process)) {
-	k.mu.Lock()
-	k.execHooks = append(k.execHooks, fn)
 	k.mu.Unlock()
 }
 

@@ -241,13 +241,6 @@ func (k *Kernel) SignalPending(l *LWP) bool {
 	return k.deliverableLocked(l) != 0
 }
 
-// PendingSet returns the deliverable signal set for the LWP.
-func (k *Kernel) PendingSet(l *LWP) Sigset {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.deliverableLocked(l)
-}
-
 // TakenSignal describes one signal consumed by TakeSignal.
 type TakenSignal struct {
 	Sig Signal

@@ -121,15 +121,6 @@ func (k *Kernel) SetProfiling(l *LWP, buf *ProfBuffer) {
 	k.mu.Unlock()
 }
 
-// InheritProfiling copies the profiling setup from one LWP to another
-// ("The state of profiling is inherited from the creating LWP").
-func (k *Kernel) InheritProfiling(from, to *LWP) {
-	k.mu.Lock()
-	to.prof = from.prof
-	to.profLabel = from.profLabel
-	k.mu.Unlock()
-}
-
 // SetProfLabel labels the LWP's current activity for profiling
 // attribution (the reproduction's stand-in for PC sampling).
 func (k *Kernel) SetProfLabel(l *LWP, label string) {

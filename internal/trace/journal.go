@@ -172,16 +172,10 @@ func ReadJournalFile(path string) (*Journal, error) {
 	return ReadJournal(f)
 }
 
-// SchedKey renders the replay-comparable part of a record: everything
-// except Seq and When, which legitimately differ between a recording
-// and its replay.
-func SchedKey(r Record) string {
-	return fmt.Sprintf("%s cpu=%d pid=%d lwp=%d tid=%d arg=%d",
-		r.Kind, r.CPU, r.PID, r.LWP, r.TID, r.Arg)
-}
-
-// FirstEventDivergence compares two event sequences on their SchedKey
-// tuples and returns the index of the first mismatch (an index equal
+// FirstEventDivergence compares two event sequences on the
+// replay-comparable part of each record — everything except Seq and
+// When, which legitimately differ between a recording and its replay —
+// and returns the index of the first mismatch (an index equal
 // to the shorter length when one is a strict prefix of the other), or
 // -1 when the schedules are identical.
 func FirstEventDivergence(a, b []Record) int {

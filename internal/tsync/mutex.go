@@ -278,18 +278,6 @@ func (mp *Mutex) Exit(t *core.Thread) {
 	mp.exitLocal(t)
 }
 
-// Held reports whether the mutex is currently held (debugging aid).
-func (mp *Mutex) Held() bool {
-	if mp.sv != nil {
-		var h bool
-		mp.sv.Atomically(func(w usync.Words) { h = w.Load(0) != 0 })
-		return h
-	}
-	mp.mu.Lock()
-	defer mp.mu.Unlock()
-	return mp.owner != nil
-}
-
 // ownerWord encodes the calling thread as a shared owner word.
 func ownerWord(t *core.Thread) uint64 {
 	return usync.EncodeOwner(t.Runtime().Process().PID(), int(t.ID()))

@@ -69,7 +69,7 @@ const (
 )
 
 // String implements fmt.Stringer; the names appear in /proc lstatus
-// and the fig-12 shootout tables.
+// and in journal metadata.
 func (p Policy) String() string {
 	if p < 0 || int(p) >= len(disciplines) {
 		return "policy?"
@@ -78,7 +78,7 @@ func (p Policy) String() string {
 }
 
 // Policies lists the concrete policies (for conformance and chaos
-// sweeps and the shootout matrix).
+// sweeps).
 func Policies() []Policy {
 	return []Policy{PolicyAdaptive, PolicyTicket, PolicyQueue, PolicyParkingLot}
 }

@@ -5,6 +5,9 @@ import (
 	"time"
 
 	"sunosmt/internal/core"
+	"sunosmt/internal/sim"
+	"sunosmt/internal/trace"
+	"sunosmt/internal/usync"
 )
 
 // TestPolicyMutualExclusion is the shared conformance suite: every
@@ -312,20 +315,23 @@ func TestParkingLotEventualFairness(t *testing.T) {
 
 // TestQueueLocalSpinAvoidsPark: a queue-policy waiter whose grant
 // arrives inside its local-spin window takes the lock without parking
-// — the run completes with no lock-wait (MSLock) episode at all —
-// where the same schedule under ticket, which has no window, parks.
+// — the event rings hold no EvThreadPark for it at all — where the
+// same schedule under ticket, which has no window, parks once.
 func TestQueueLocalSpinAvoidsPark(t *testing.T) {
-	for pol, wantParks := range map[Policy]uint64{PolicyQueue: 0, PolicyTicket: 1} {
+	for pol, wantParks := range map[Policy]int{PolicyQueue: 0, PolicyTicket: 1} {
 		t.Run(pol.String(), func(t *testing.T) {
-			w := newWorld(1)
+			k := sim.NewKernel(sim.Config{NCPU: 1, EventRing: 256})
+			w := &world{k: k, reg: usync.NewRegistry(k)}
 			var mu Mutex
 			mu.InitPolicy(pol)
-			m := w.boot(t, "p", core.Config{LockWaitSampleCap: 8}, func(self *core.Thread, _ any) {
+			var waiter core.ThreadID
+			m := w.boot(t, "p", core.Config{}, func(self *core.Thread, _ any) {
 				mu.Enter(self)
 				c, _ := self.Runtime().Create(func(c *core.Thread, _ any) {
 					mu.Enter(c)
 					mu.Exit(c)
 				}, nil, core.CreateOpts{Flags: core.ThreadWait})
+				waiter = c.ID()
 				// Run the waiter until it has queued, and a few probes
 				// into the window (ticket: until it has parked).
 				for i := 0; i < 4 || queuedOn(&mu) == 0; i++ {
@@ -335,8 +341,14 @@ func TestQueueLocalSpinAvoidsPark(t *testing.T) {
 				self.Wait(c.ID())
 			})
 			waitRT(t, m)
-			if _, parks := m.LockWaitSamples(); parks != wantParks {
-				t.Fatalf("policy %v: %d lock-wait episodes, want %d", pol, parks, wantParks)
+			parks := 0
+			for _, rec := range k.Rings().Kinds(trace.EvThreadPark) {
+				if rec.TID == int32(waiter) {
+					parks++
+				}
+			}
+			if parks != wantParks {
+				t.Fatalf("policy %v: the waiter parked %d times, want %d", pol, parks, wantParks)
 			}
 		})
 	}

@@ -370,16 +370,3 @@ func (pf *ProcFiles) ForkInto(child *sim.Process) *ProcFiles {
 	}
 	return cf
 }
-
-// NumOpen reports how many descriptors are open.
-func (pf *ProcFiles) NumOpen() int {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	n := 0
-	for _, of := range pf.fds {
-		if of != nil {
-			n++
-		}
-	}
-	return n
-}

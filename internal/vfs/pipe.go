@@ -159,10 +159,3 @@ func (p *Pipe) poll(want PollEvents) PollEvents {
 	}
 	return got
 }
-
-// Buffered reports the bytes currently queued in the pipe.
-func (p *Pipe) Buffered() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.buf)
-}

@@ -173,9 +173,6 @@ func (fs *FS) Kernel() *sim.Kernel { return fs.kern }
 // synthetic trees (procfs) can be built with the path operations.
 func WrapDir(kern *sim.Kernel, d *Dir) *FS { return &FS{kern: kern, root: d} }
 
-// Root returns the root directory.
-func (fs *FS) Root() *Dir { return fs.root }
-
 // resolve walks name (absolute or relative to cwd) and returns the
 // parent directory and final component. The final component need not
 // exist.

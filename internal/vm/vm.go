@@ -386,13 +386,6 @@ func (as *AddressSpace) SetLimit(n int64) {
 	as.mu.Unlock()
 }
 
-// Limit returns the address-space byte rlimit (0 when unlimited).
-func (as *AddressSpace) Limit() int64 {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	return as.limit
-}
-
 // SetCommitLimit installs the committed-byte rlimit: a first touch
 // that would push the committed total past n faults with ErrNoMem
 // (the threads layer turns it into a SIGSEGV trap, like running out
@@ -402,13 +395,6 @@ func (as *AddressSpace) SetCommitLimit(n int64) {
 	as.mu.Lock()
 	as.commitLimit = n
 	as.mu.Unlock()
-}
-
-// CommitLimit returns the committed-byte rlimit (0 when unlimited).
-func (as *AddressSpace) CommitLimit() int64 {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	return as.commitLimit
 }
 
 // Mapped returns the number of bytes currently reserved.

@@ -124,8 +124,8 @@ const (
 	PolicyParkingLot = tsync.PolicyParkingLot
 )
 
-// LockPolicies lists the concrete lock policies, for sweeps and the
-// mtbench fig-12 shootout matrix.
+// LockPolicies lists the concrete lock policies, for the chaos sweeps
+// and mttrace's policy lookup.
 func LockPolicies() []LockPolicy { return tsync.Policies() }
 
 // Errors surfaced by the fallible acquisition entry points (EnterErr,
@@ -505,14 +505,8 @@ type ProcConfig struct {
 	// LockPolicy is the process-default mutex lock/wake policy
 	// (adaptive, ticket, queue, parkinglot); PolicyDefault is
 	// adaptive. Individual locks override with Mutex.InitPolicy. The
-	// per-process ablation knob of the lock-policy shootout, beside
-	// NoPriorityInheritance.
+	// per-process ablation knob beside NoPriorityInheritance.
 	LockPolicy LockPolicy
-	// LockWaitSampleCap, when positive, retains that many most-recent
-	// per-episode lock-wait intervals (microstate MSLock) for
-	// percentile extraction via Runtime.LockWaitSamples — the fig-12
-	// p50/p99/p999 source. Zero disables sampling.
-	LockWaitSampleCap int
 }
 
 // Proc is a running UNIX process: kernel process + address space +
@@ -585,7 +579,6 @@ func (p *Proc) runtimeConfig(initial *sim.LWP) core.Config {
 		MaxThreads:            p.cfg.MaxThreads,
 		WatchdogDeadline:      p.cfg.WatchdogDeadline,
 		LockPolicy:            int(p.cfg.LockPolicy),
-		LockWaitSampleCap:     p.cfg.LockWaitSampleCap,
 		InitialLWP:            initial,
 		StackMem:              p.AS,
 	}

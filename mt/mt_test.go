@@ -356,33 +356,76 @@ func TestPollDrivesSIGWAITINGGrowth(t *testing.T) {
 }
 
 // TestSharedSemaWaitDrivesSIGWAITINGGrowth: the process's only pool
-// LWP blocks in the kernel on a process-shared semaphore while the
-// unbound thread that would V it sits runnable. The untimed shared
-// wait is indefinite, so the kernel posts SIGWAITING and the pool
-// grows to run the helper; a wait that did not count would hang here.
+// LWP blocks in the kernel on a process-shared semaphore (or condition
+// variable) while the unbound thread that would V (signal) it sits
+// runnable. The untimed shared wait is indefinite, so the kernel posts
+// SIGWAITING and the pool grows to run the helper; a wait that did not
+// count would hang here.
 func TestSharedSemaWaitDrivesSIGWAITINGGrowth(t *testing.T) {
-	sys := NewSystem(Options{NCPU: 2})
-	var pool atomic.Int32
-	p := spawn(t, sys, "shared-p", ProcConfig{}, func(p *Proc, tt *Thread) {
-		fd, _ := p.Open(tt, "/shm", OCreate|ORdWr)
-		va, _ := p.Mmap(tt, 0, PageSize, ProtRead|ProtWrite, MapShared, fd, 0)
-		s, err := p.SharedSemaAt(tt, va, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := tt.Runtime().Create(func(c *Thread, _ any) {
-			s.V(c)
-		}, nil, CreateOpts{}); err != nil {
-			t.Error(err)
-			return
-		}
-		s.P(tt)
-		pool.Store(int32(tt.Runtime().PoolSize()))
-	})
-	waitProc(t, p)
-	if got := pool.Load(); got != 2 {
-		t.Errorf("PoolSize = %d after the blocked shared wait, want 2 (grown by SIGWAITING)", got)
+	helper := func(tt *Thread, fn func(c *Thread)) error {
+		_, err := tt.Runtime().Create(func(c *Thread, _ any) { fn(c) }, nil, CreateOpts{})
+		return err
+	}
+	for _, tc := range []struct {
+		name string
+		// block creates the helper, then blocks the caller on a shared
+		// variable in the page at va until the helper has run.
+		block func(p *Proc, tt *Thread, va int64) error
+	}{
+		{"sema", func(p *Proc, tt *Thread, va int64) error {
+			s, err := p.SharedSemaAt(tt, va, 0)
+			if err != nil {
+				return err
+			}
+			if err := helper(tt, func(c *Thread) { s.V(c) }); err != nil {
+				return err
+			}
+			s.P(tt)
+			return nil
+		}},
+		{"cond", func(p *Proc, tt *Thread, va int64) error {
+			mu, err := p.SharedMutexAt(tt, va)
+			if err != nil {
+				return err
+			}
+			cv, err := p.SharedCondAt(tt, va+64)
+			if err != nil {
+				return err
+			}
+			signalled := false
+			mu.Enter(tt)
+			defer mu.Exit(tt)
+			if err := helper(tt, func(c *Thread) {
+				mu.Enter(c)
+				signalled = true
+				cv.Signal(c)
+				mu.Exit(c)
+			}); err != nil {
+				return err
+			}
+			for !signalled {
+				cv.Wait(tt, mu)
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := NewSystem(Options{NCPU: 2})
+			var pool atomic.Int32
+			p := spawn(t, sys, "shared-p", ProcConfig{}, func(p *Proc, tt *Thread) {
+				fd, _ := p.Open(tt, "/shm", OCreate|ORdWr)
+				va, _ := p.Mmap(tt, 0, PageSize, ProtRead|ProtWrite, MapShared, fd, 0)
+				if err := tc.block(p, tt, va); err != nil {
+					t.Error(err)
+					return
+				}
+				pool.Store(int32(tt.Runtime().PoolSize()))
+			})
+			waitProc(t, p)
+			if got := pool.Load(); got != 2 {
+				t.Errorf("PoolSize = %d after the blocked shared wait, want 2 (grown by SIGWAITING)", got)
+			}
+		})
 	}
 }
 

@@ -119,6 +119,30 @@ func TestExecImageKeepsStackMemAndLimits(t *testing.T) {
 	}
 }
 
+// walkRepo parses every .go file of the repository (dot directories
+// skipped: .git, .bench_build) and hands each to visit with its
+// slash-separated path from the repository root.
+func walkRepo(t *testing.T, visit func(rel string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != ".." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(strings.TrimPrefix(path, "../")), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestEveryOptionHasASetter keeps the configuration honest: every
 // exported field of sim.Config (= Options), core.Config and ProcConfig
 // is written somewhere in the repository — a composite-literal key or
@@ -131,16 +155,9 @@ func TestEveryOptionHasASetter(t *testing.T) {
 	plumbing := map[string]bool{"StackMem": true, "InitialLWP": true} // wired by mt, not chosen by callers
 	declaring := map[string]bool{"internal/sim/kernel.go": true, "internal/core/core.go": true, "mt/mt.go": true}
 	set := map[string]bool{}
-	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
-		if err == nil && d.IsDir() && path != ".." && strings.HasPrefix(d.Name(), ".") {
-			return filepath.SkipDir // .git, .bench_build
-		}
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || declaring[filepath.ToSlash(strings.TrimPrefix(path, "../"))] {
-			return err
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+	walkRepo(t, func(rel string, f *ast.File) {
+		if declaring[rel] {
+			return
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -157,16 +174,46 @@ func TestEveryOptionHasASetter(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, typ := range []reflect.Type{reflect.TypeOf(sim.Config{}), reflect.TypeOf(core.Config{}), reflect.TypeOf(ProcConfig{})} {
 		for i := 0; i < typ.NumField(); i++ {
 			if name := typ.Field(i).Name; typ.Field(i).IsExported() && !plumbing[name] && !set[name] {
 				t.Errorf("%v.%s is set nowhere in the repository: make it a constant, or give it a caller", typ, name)
 			}
+		}
+	}
+}
+
+// TestEveryExportHasACaller keeps the surface honest the same way:
+// every exported function or method declared in a non-test file of mt
+// or internal/* is named somewhere in the repository — tests,
+// commands, examples and bench/ included — other than at a
+// declaration. Matching is by name: a method is covered by a call of
+// any same-named method. Methods that exist to satisfy a standard
+// library interface (fmt.Stringer, error, heap.Interface) are called
+// through it, never by name.
+func TestEveryExportHasACaller(t *testing.T) {
+	viaInterface := map[string]bool{"String": true, "Error": true, "Less": true}
+	declared := map[string]string{} // exported name -> a file declaring it
+	decls, idents := map[string]int{}, map[string]int{}
+	walkRepo(t, func(rel string, f *ast.File) {
+		product := !strings.HasSuffix(rel, "_test.go") && (strings.HasPrefix(rel, "mt/") || strings.HasPrefix(rel, "internal/"))
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				decls[n.Name.Name]++
+				if product && n.Name.IsExported() && !viaInterface[n.Name.Name] {
+					declared[n.Name.Name] = rel
+				}
+			case *ast.Ident:
+				idents[n.Name]++
+			}
+			return true
+		})
+	})
+	for name, rel := range declared {
+		if idents[name] == decls[name] {
+			t.Errorf("%s (%s) is named nowhere but its declaration: delete it, or give it a caller", name, rel)
 		}
 	}
 }

@@ -9,6 +9,7 @@ package mt
 //	go test ./mt -run TestChaosSteal -chaos.seed=N
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -201,4 +202,115 @@ func TestChaosStealPsetConfinement(t *testing.T) {
 			t.Fatalf("bound threads ran outside their pset %d times", e)
 		}
 	})
+}
+
+// TestStealUnderFullOccupancy: with a low-priority bound spinner on
+// every CPU, each wakeup of a ping-pong pair's LWP finds no free CPU
+// and queues, outranking the spinners — so it reaches a CPU either by
+// preempting one or by a CPU that frees up stealing it from a
+// sibling's queue. Both are cross-CPU dispatches; the kernel's
+// counters must show steals, and the rings must pair at least one
+// EvWakeup with the EvMigrate of the same LWP's next dispatch. No
+// chaos: occupancy alone has to force it.
+func TestStealUnderFullOccupancy(t *testing.T) {
+	const ncpu, pairs, spinners, rounds = 4, 4, 4, 200
+	sys := NewSystem(Options{NCPU: ncpu, EventRing: 1 << 15})
+	var stop atomic.Bool
+	var sink atomic.Uint64
+	p := spawn(t, sys, "occupied", ProcConfig{DefaultStackSize: 4096}, func(p *Proc, tt *Thread) {
+		r := tt.Runtime()
+		bound := CreateOpts{Flags: ThreadWait | ThreadBindLWP}
+		ids := make([]ThreadID, 0, 2*pairs+spinners)
+		create := func(fn func(c *Thread, _ any)) *Thread {
+			c, err := r.Create(fn, nil, bound)
+			if err != nil {
+				panic(err)
+			}
+			ids = append(ids, c.ID())
+			return c
+		}
+		for i := 0; i < spinners; i++ {
+			c := create(func(c *Thread, _ any) {
+				for !stop.Load() {
+					for j := 0; j < 64; j++ {
+						sink.Add(1)
+					}
+					c.Checkpoint()
+					// Yield the *host* CPU so the serialized host
+					// schedules blocked ping-pong goroutines promptly;
+					// the simulated CPU stays held by this LWP.
+					runtime.Gosched()
+				}
+			})
+			// Timeshare floor: every woken ping-pong LWP outranks the
+			// spinners, so wakeups preempt and steals favor them.
+			if err := sys.Priocntl(c, ClassTS, 0); err != nil {
+				panic(err)
+			}
+		}
+		for i := 0; i < pairs; i++ {
+			var s1, s2 Sema
+			// The Gosched after each V keeps the waker's LWP on CPU
+			// while the woken LWP's goroutine re-enters the kernel
+			// run queue — the overlap a parallel host gives for free.
+			// Without it a serialized host runs the waker until it
+			// blocks, and the wakee always finds its old CPU free.
+			create(func(c *Thread, _ any) {
+				for j := 0; j < rounds; j++ {
+					s2.P(c)
+					s1.V(c)
+					runtime.Gosched()
+				}
+			})
+			create(func(c *Thread, _ any) {
+				for j := 0; j < rounds; j++ {
+					s2.V(c)
+					runtime.Gosched()
+					s1.P(c)
+				}
+			})
+		}
+		for _, id := range ids[spinners:] {
+			tt.Wait(id)
+		}
+		stop.Store(true)
+		for _, id := range ids[:spinners] {
+			tt.Wait(id)
+		}
+	})
+	waitProc(t, p)
+
+	var dispatches, steals uint64
+	for _, cs := range sys.SchedStats() {
+		dispatches += cs.Dispatches
+		steals += cs.Steals
+	}
+	if dispatches == 0 {
+		t.Fatal("no dispatches recorded")
+	}
+	if steals == 0 {
+		t.Fatal("no steals: spinner occupancy no longer forces queued wakeups")
+	}
+	// EvMigrate is recorded immediately before the same dispatch's
+	// EvDispatch, so a pending wakeup that reaches an EvMigrate first
+	// was a cross-CPU wakeup; one that reaches EvDispatch first was
+	// dispatched back onto its last CPU and is dropped.
+	pending := make(map[int32]bool)
+	crossCPU := 0
+	for _, rec := range sys.Events().Kinds(EvWakeup, EvMigrate, EvDispatch) { // in Seq order
+		switch rec.Kind {
+		case EvWakeup:
+			pending[rec.LWP] = true
+		case EvMigrate:
+			if pending[rec.LWP] {
+				crossCPU++
+			}
+			delete(pending, rec.LWP)
+		case EvDispatch:
+			delete(pending, rec.LWP)
+		}
+	}
+	if crossCPU == 0 {
+		t.Fatal("no wakeup paired with a cross-CPU dispatch in the event rings")
+	}
 }
