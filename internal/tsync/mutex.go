@@ -286,7 +286,6 @@ func ownerWord(t *core.Thread) uint64 {
 // --- process-shared implementation --------------------------------------
 
 func (mp *Mutex) enterShared(t *core.Thread, d time.Duration) error {
-	l := t.LWP()
 	self := ownerWord(t)
 	clk := t.Runtime().Kernel().Clock()
 	var deadline time.Duration
@@ -346,11 +345,13 @@ func (mp *Mutex) enterShared(t *core.Thread, d time.Duration) error {
 			bi = mp.blockInfo()
 		}
 		// Block in the kernel: the thread is temporarily bound to
-		// the LWP that blocks, as in a system call (paper). The
+		// the LWP that blocks, as in a system call (paper) — the
+		// one carrying it now, since the Checkpoint below can move
+		// an unbound thread to another pool LWP between sleeps. The
 		// sleep breaks on release, on the owner-death sweep
 		// (which clears the lock word), and on NOTRECOVERABLE.
 		t.NoteBlocked(bi)
-		mp.sv.SleepWhile(l, func(w usync.Words) bool {
+		mp.sv.SleepWhile(t.LWP(), func(w usync.Words) bool {
 			return w.Load(0) != 0 && w.Load(3) != usync.RobustNotRecoverable
 		}, opts)
 		t.NoteUnblocked()

@@ -394,7 +394,6 @@ func (rw *RWLock) tryEnterShared(t *core.Thread, typ RWType) bool {
 }
 
 func (rw *RWLock) enterShared(t *core.Thread, typ RWType, d time.Duration) error {
-	l := t.LWP()
 	self := ownerWord(t)
 	clk := t.Runtime().Kernel().Clock()
 	var deadline time.Duration
@@ -473,7 +472,7 @@ func (rw *RWLock) enterShared(t *core.Thread, typ RWType, d time.Duration) error
 		}
 		t.NoteBlocked(bi)
 		if typ == RWWriter {
-			rw.sv.SleepWhile(l, func(w usync.Words) bool {
+			rw.sv.SleepWhile(t.LWP(), func(w usync.Words) bool {
 				if rb := w.Load(5); rb == usync.RobustNotRecoverable || rb == usync.RobustOwnerDead {
 					return false // wake: the robust state must be acted on
 				} else if rb == usync.RobustClaimed {
@@ -482,7 +481,7 @@ func (rw *RWLock) enterShared(t *core.Thread, typ RWType, d time.Duration) error
 				return w.Load(1) != 0 || w.Load(0) != 0
 			}, opts)
 		} else {
-			rw.sv.SleepWhile(l, func(w usync.Words) bool {
+			rw.sv.SleepWhile(t.LWP(), func(w usync.Words) bool {
 				if rb := w.Load(5); rb == usync.RobustNotRecoverable || rb == usync.RobustOwnerDead {
 					return false
 				} else if rb == usync.RobustClaimed {

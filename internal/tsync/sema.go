@@ -46,16 +46,24 @@ func (sp *Sema) Init(count uint) {
 }
 
 // InitShared binds the semaphore to shared state at the variable —
-// the USYNC_PROCESS variant — and sets the initial count if the
-// shared word is still zero and count is non-zero.
+// the USYNC_PROCESS variant — and sets the initial count
+// (InitSharedCount).
 func (sp *Sema) InitShared(sv *usync.Var, count uint) {
 	sp.mu.Lock()
 	sp.sv = sv
 	sp.bi = nil // the name changed
 	sp.mu.Unlock()
 	sv.Declare(usync.KindSema)
+	sp.InitSharedCount(count)
+}
+
+// InitSharedCount sets a bound semaphore's count if the shared word is
+// still zero and count is non-zero: the part of InitShared that acts
+// on the mapped words, which a process that already holds the handle
+// repeats when it names the semaphore again.
+func (sp *Sema) InitSharedCount(count uint) {
 	if count > 0 {
-		sv.Atomically(func(w usync.Words) {
+		sp.sv.Atomically(func(w usync.Words) {
 			if w.Load(0) == 0 {
 				w.Store(0, uint64(count))
 			}
@@ -247,7 +255,6 @@ func (sp *Sema) Count() uint {
 }
 
 func (sp *Sema) pShared(t *core.Thread, d time.Duration) error {
-	l := t.LWP()
 	self := ownerWord(t)
 	clk := t.Runtime().Kernel().Clock()
 	var deadline time.Duration
@@ -290,7 +297,7 @@ func (sp *Sema) pShared(t *core.Thread, d time.Duration) error {
 			bi = sp.blockInfo()
 		}
 		t.NoteBlocked(bi)
-		sp.sv.SleepWhile(l, func(w usync.Words) bool {
+		sp.sv.SleepWhile(t.LWP(), func(w usync.Words) bool {
 			return w.Load(0) == 0
 		}, opts)
 		t.NoteUnblocked()

@@ -111,7 +111,7 @@ func (r *Registry) SweepOwnerDead(pid sim.PID) {
 }
 
 // sweepVar recovers one variable if a thread of the dead process owns
-// it. Waiters are woken outside the word-lock, like every other
+// it. Waiters are woken outside the section, like every other
 // operation on the variable.
 func (r *Registry) sweepVar(v *Var, pid sim.PID) {
 	swept := false

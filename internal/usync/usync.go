@@ -10,17 +10,21 @@
 // offset) pair of the underlying mapped object — never by a virtual
 // address, since the sharing processes may map the object at
 // different addresses. This package keeps one Var — one kernel wait
-// queue and one word-lock — per variable identity; the word-lock
-// stands in for the hardware atomic instructions that real
-// implementations use on the shared word, so the uncontended paths of
-// the primitives built on top never enter the (simulated) kernel.
+// queue — per variable identity, and no lock of its own: the backing
+// object's lock stands in for the hardware atomic instructions that
+// real implementations use on the shared word, so the uncontended
+// paths of the primitives built on top never enter the (simulated)
+// kernel.
 //
 // The state words themselves live in the mapped object's bytes, so a
 // synchronization variable placed in a file keeps its state across
 // process lifetimes, exactly as the paper requires. An atomic section
-// is one access to those bytes: it reads the variable's words into an
-// image under the word-lock, loads and stores work on the image, and
-// the words that were stored are written back once when it ends.
+// is one hold of the object's lock: it reads the variable's words into
+// an image, loads and stores work on the image, and the words that
+// were stored are written back before the lock is dropped. The order
+// is kernel lock, then object lock (SleepWhile commits its condition
+// under the kernel's); the object lock is a leaf, under which only
+// Words.Load and Words.Store run.
 package usync
 
 import (
@@ -67,8 +71,7 @@ func (r *Registry) Kernel() *sim.Kernel { return r.kern }
 
 // Var returns the synchronization variable at (obj, off). There is
 // one Var per identity: every process that resolves the same identity
-// gets the same pointer, and with it the same wait queue and
-// word-lock.
+// gets the same pointer, and with it the same wait queue.
 func (r *Registry) Var(obj vm.Object, off int64) *Var {
 	key := varKey{obj.ObjectID(), off}
 	r.mu.Lock()
@@ -100,10 +103,9 @@ type Var struct {
 	// (Declare); atomic so declaring and sweeping take no lock.
 	kind atomic.Int32
 
-	wordMu sync.Mutex // models the hardware atomic on the shared words
 	// The current section's image of the variable's words, and the
 	// byte range of it that stores have dirtied (lo >= hi: none).
-	// Guarded by wordMu; meaningless between sections.
+	// Guarded by the object's lock; meaningless between sections.
 	img    [8 * maxWords]byte
 	lo, hi int
 }
@@ -117,8 +119,8 @@ func (v *Var) WaitQ() *sim.WaitQ { return v.wq }
 func (v *Var) Name() string { return v.wq.Name() }
 
 // Words provides load/store access to the variable's state words
-// while the word-lock is held. It works on the section's image of the
-// mapped words, never on the object.
+// inside a section. It works on the section's image of the mapped
+// words, never on the object.
 type Words struct{ v *Var }
 
 // Load returns state word i.
@@ -144,13 +146,13 @@ func badWord(i int) {
 	panic(fmt.Sprintf("usync: word %d is outside the variable (largest layout has %d words)", i, maxWords))
 }
 
-// begin opens a section: take the word-lock and read the variable's
-// words from the mapped object, once. A read never grows the object;
-// words past its end read as zero.
+// begin opens a section: take the object's lock and read the
+// variable's words from the mapped object, once. A read never grows
+// the object; words past its end read as zero.
 func (v *Var) begin() {
-	v.wordMu.Lock()
-	if err := v.obj.ReadObject(v.img[:], v.key.off); err != nil {
-		v.wordMu.Unlock()
+	v.obj.LockObject()
+	if err := v.obj.ReadLocked(v.img[:], v.key.off); err != nil {
+		v.obj.UnlockObject()
 		panic(fmt.Sprintf("usync: load %s: %v", v.Name(), err))
 	}
 	v.lo, v.hi = len(v.img), 0
@@ -158,23 +160,23 @@ func (v *Var) begin() {
 
 // end closes a section: write the dirtied words back in one store —
 // through the highest word stored and no further, so the object grows
-// exactly as far as the stores reached — and drop the word-lock.
+// exactly as far as the stores reached — and drop the object's lock.
 func (v *Var) end() {
 	var err error
 	if v.lo < v.hi {
-		err = v.obj.WriteObject(v.img[v.lo:v.hi], v.key.off+int64(v.lo))
+		err = v.obj.WriteLocked(v.img[v.lo:v.hi], v.key.off+int64(v.lo))
 	}
-	v.wordMu.Unlock()
+	v.obj.UnlockObject()
 	if err != nil {
 		panic(fmt.Sprintf("usync: store %s: %v", v.Name(), err))
 	}
 }
 
-// Atomically runs f with the variable's word-lock held, giving f
-// consistent access to the state words. This stands in for the
-// load-store-conditional / test-and-set sequence of a real
-// implementation: it involves no kernel entry, and costs one read and
-// at most one write of the mapped words however many f loads and
+// Atomically runs f in a section, giving f consistent access to the
+// state words. This stands in for the load-store-conditional /
+// test-and-set sequence of a real implementation: it involves no
+// kernel entry, and costs one hold of the object's lock — one read and
+// at most one write of the mapped words — however many f loads and
 // stores.
 func (v *Var) Atomically(f func(Words)) {
 	v.begin()
@@ -208,7 +210,7 @@ func (v *Var) SleepWhile(l *sim.LWP, cond func(Words) bool, opts SleepOpts) (sim
 }
 
 // Wake wakes up to n LWPs blocked on the variable (n < 0: all) and
-// returns how many were woken. Callers must not hold the word-lock
+// returns how many were woken. Callers must not be inside a section
 // (i.e. call it after Atomically returns).
 func (v *Var) Wake(n int) int {
 	return v.reg.kern.Wakeup(v.wq, n)

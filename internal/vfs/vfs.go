@@ -88,14 +88,32 @@ func (f *File) ObjectSize() int64 {
 // FileBacked implements vm.Object.
 func (f *File) FileBacked() bool { return true }
 
-// ReadObject implements vm.Object: reads beyond EOF return zeroes
-// (mapped pages past the end are demand-zero here).
+// LockObject implements vm.Object.
+func (f *File) LockObject() { f.mu.Lock() }
+
+// UnlockObject implements vm.Object.
+func (f *File) UnlockObject() { f.mu.Unlock() }
+
+// ReadObject implements vm.Object.
 func (f *File) ReadObject(b []byte, off int64) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.ReadLocked(b, off)
+}
+
+// WriteObject implements vm.Object.
+func (f *File) WriteObject(b []byte, off int64) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.WriteLocked(b, off)
+}
+
+// ReadLocked implements vm.Object: reads beyond EOF return zeroes
+// (mapped pages past the end are demand-zero here).
+func (f *File) ReadLocked(b []byte, off int64) error {
 	if off < 0 {
 		return ErrInval
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	n := 0
 	if off < int64(len(f.data)) {
 		n = copy(b, f.data[off:])
@@ -104,13 +122,11 @@ func (f *File) ReadObject(b []byte, off int64) error {
 	return nil
 }
 
-// WriteObject implements vm.Object, growing the file as needed.
-func (f *File) WriteObject(b []byte, off int64) error {
+// WriteLocked implements vm.Object, growing the file as needed.
+func (f *File) WriteLocked(b []byte, off int64) error {
 	if off < 0 {
 		return ErrInval
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if need := off + int64(len(b)); need > int64(len(f.data)) {
 		grown := make([]byte, need)
 		copy(grown, f.data)

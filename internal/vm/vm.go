@@ -92,6 +92,18 @@ type Object interface {
 	// FileBacked reports whether first-touch faults are major
 	// (backed by a file) or minor (anonymous).
 	FileBacked() bool
+	// LockObject and UnlockObject bracket a read-modify-write of the
+	// object's bytes: nothing else reads or writes them in between.
+	// This is the hardware atomic that process-shared synchronization
+	// variables are built from. The lock is a leaf — the holder calls
+	// ReadLocked and WriteLocked and nothing that takes another lock —
+	// and ReadObject and WriteObject are one such bracket each.
+	LockObject()
+	UnlockObject()
+	// ReadLocked and WriteLocked are ReadObject and WriteObject for a
+	// caller that holds the object's lock.
+	ReadLocked(b []byte, off int64) error
+	WriteLocked(b []byte, off int64) error
 }
 
 // Anon is an anonymous memory object.
@@ -119,14 +131,32 @@ func (a *Anon) ObjectSize() int64 {
 // FileBacked implements Object.
 func (a *Anon) FileBacked() bool { return false }
 
-// ReadObject implements Object. Reads beyond the end return zeroes
-// (demand-zero pages).
+// LockObject implements Object.
+func (a *Anon) LockObject() { a.mu.Lock() }
+
+// UnlockObject implements Object.
+func (a *Anon) UnlockObject() { a.mu.Unlock() }
+
+// ReadObject implements Object.
 func (a *Anon) ReadObject(b []byte, off int64) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.ReadLocked(b, off)
+}
+
+// WriteObject implements Object.
+func (a *Anon) WriteObject(b []byte, off int64) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.WriteLocked(b, off)
+}
+
+// ReadLocked implements Object. Reads beyond the end return zeroes
+// (demand-zero pages).
+func (a *Anon) ReadLocked(b []byte, off int64) error {
 	if off < 0 {
 		return ErrInval
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	n := 0
 	if off < int64(len(a.data)) {
 		n = copy(b, a.data[off:])
@@ -135,13 +165,11 @@ func (a *Anon) ReadObject(b []byte, off int64) error {
 	return nil
 }
 
-// WriteObject implements Object, growing the object as needed.
-func (a *Anon) WriteObject(b []byte, off int64) error {
+// WriteLocked implements Object, growing the object as needed.
+func (a *Anon) WriteLocked(b []byte, off int64) error {
 	if off < 0 {
 		return ErrInval
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if need := off + int64(len(b)); need > int64(len(a.data)) {
 		grown := make([]byte, need)
 		copy(grown, a.data)
@@ -182,13 +210,31 @@ func (a *SparseAnon) ObjectSize() int64 {
 // FileBacked implements Object.
 func (a *SparseAnon) FileBacked() bool { return false }
 
-// ReadObject implements Object: unwritten ranges read as zeroes.
+// LockObject implements Object.
+func (a *SparseAnon) LockObject() { a.mu.Lock() }
+
+// UnlockObject implements Object.
+func (a *SparseAnon) UnlockObject() { a.mu.Unlock() }
+
+// ReadObject implements Object.
 func (a *SparseAnon) ReadObject(b []byte, off int64) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.ReadLocked(b, off)
+}
+
+// WriteObject implements Object.
+func (a *SparseAnon) WriteObject(b []byte, off int64) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.WriteLocked(b, off)
+}
+
+// ReadLocked implements Object: unwritten ranges read as zeroes.
+func (a *SparseAnon) ReadLocked(b []byte, off int64) error {
 	if off < 0 {
 		return ErrInval
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	for n := int64(0); n < int64(len(b)); {
 		p := off + n
 		ci := p / commitChunk
@@ -204,14 +250,12 @@ func (a *SparseAnon) ReadObject(b []byte, off int64) error {
 	return nil
 }
 
-// WriteObject implements Object, materializing chunks on demand and
+// WriteLocked implements Object, materializing chunks on demand and
 // growing the nominal size if needed.
-func (a *SparseAnon) WriteObject(b []byte, off int64) error {
+func (a *SparseAnon) WriteLocked(b []byte, off int64) error {
 	if off < 0 {
 		return ErrInval
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if need := off + int64(len(b)); need > a.size {
 		a.size = need
 	}
@@ -346,6 +390,10 @@ type AddressSpace struct {
 	chaos       *chaos.Source
 	// FaultFn, if set, is called once per first-touched page.
 	faultFn func(major bool)
+	// gen counts changes to what addresses resolve to: every segment
+	// inserted, unmapped or split, and Reset. Bumped under mu, read
+	// without it (Generation).
+	gen atomic.Uint64
 }
 
 // Layout constants: the heap grows from brkBase; mmap allocations
@@ -581,6 +629,7 @@ func (as *AddressSpace) insertLocked(seg *Segment) {
 	copy(as.segs[i+1:], as.segs[i:])
 	as.segs[i] = seg
 	as.mapped += seg.Length
+	as.gen.Add(1)
 }
 
 // unmapLocked removes or trims segments overlapping the range.
@@ -641,6 +690,7 @@ func (as *AddressSpace) unmapLocked(va, length int64) {
 	if lo == hi {
 		return
 	}
+	as.gen.Add(1)
 	// Splice repl over segs[lo:hi] in place (copy is memmove-like, so
 	// the overlapping shifts are safe). At most two remainders exist,
 	// so the slice grows by at most one; when the window is at the
@@ -775,7 +825,10 @@ func (as *AddressSpace) Write(va int64, b []byte) error {
 // find the same variable even when the object is mapped at different
 // virtual addresses — but only a MapShared mapping has an identity
 // that survives fork, so callers naming a shared variable check for
-// that flag.
+// that flag. The caller will load and store the variable's words in
+// the object itself, past access and its protection check, so the
+// check is made here: a mapping that is not both readable and writable
+// is ErrProt.
 func (as *AddressSpace) Resolve(va int64) (Object, int64, MapFlags, error) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
@@ -783,8 +836,17 @@ func (as *AddressSpace) Resolve(va int64) (Object, int64, MapFlags, error) {
 	if s == nil {
 		return nil, 0, 0, fmt.Errorf("%w: va %#x", ErrFault, va)
 	}
+	if rw := ProtRead | ProtWrite; s.Prot&rw != rw {
+		return nil, 0, 0, fmt.Errorf("%w: va %#x", ErrProt, va)
+	}
 	return s.obj, s.objOff + (va - s.Base), s.Flags, nil
 }
+
+// Generation returns a number that moves whenever what some address
+// resolves to may have changed (Mmap, Munmap, a stack carved or
+// released, Reset): a Resolve result obtained after reading it holds
+// for as long as it reads the same.
+func (as *AddressSpace) Generation() uint64 { return as.gen.Load() }
 
 // Brk sets the break to addr, like brk(2). It fails with ErrNoMem
 // when the growth would exceed the address-space rlimit, leaving the
@@ -1002,4 +1064,5 @@ func (as *AddressSpace) Reset() {
 	as.mapped = 0
 	as.committed = 0
 	as.peakCommit = 0
+	as.gen.Add(1)
 }

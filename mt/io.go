@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"sunosmt/internal/sim"
+	"sunosmt/internal/usync"
 	"sunosmt/internal/vfs"
 	"sunosmt/internal/vm"
 )
@@ -195,49 +196,68 @@ func (p *Proc) Setitimer(t *Thread, which sim.Which, value, interval time.Durati
 // Getrusage returns the process's aggregated resource usage.
 func (p *Proc) Getrusage(t *Thread) sim.Rusage { return p.proc.Getrusage() }
 
-// SharedMutexAt places (or binds) a process-shared mutex at va, which
-// must fall in a MAP_SHARED mapping. Convenience over SharedVar.
+// sharedAt returns the process's handle of type T on the shared
+// variable at va, which must fall in a readable and writable
+// MAP_SHARED mapping. There is one handle per (process, va), like a
+// mutex_t * into the mapping: every lookup returns the same pointer
+// until the address space's mappings change, which empties the table
+// (munmap, MAP_FIXED over, a stack carved or released, exec; a fork
+// child starts with none). Only a miss resolves va, checks the
+// mapping and binds a new handle.
+func sharedAt[T any](p *Proc, t *Thread, va int64, bind func(*T, *usync.Var)) (*T, error) {
+	gen := p.AS.Generation() // before the resolve it vouches for
+	p.sharedMu.Lock()
+	if p.sharedGen != gen {
+		clear(p.shared)
+		p.sharedGen = gen
+	}
+	h, ok := p.shared[va].(*T)
+	p.sharedMu.Unlock()
+	if ok {
+		return h, nil
+	}
+	sv, err := p.SharedVar(t, va)
+	if err != nil {
+		return nil, err
+	}
+	h = new(T)
+	bind(h, sv)
+	p.sharedMu.Lock()
+	defer p.sharedMu.Unlock()
+	if p.sharedGen != gen {
+		return h, nil // the mappings moved meanwhile: good for this call only
+	}
+	if cur, ok := p.shared[va].(*T); ok {
+		return cur, nil // another thread's miss got here first
+	}
+	if p.shared == nil {
+		p.shared = make(map[int64]any)
+	}
+	p.shared[va] = h
+	return h, nil
+}
+
+// SharedMutexAt returns the process-shared mutex at va.
 func (p *Proc) SharedMutexAt(t *Thread, va int64) (*Mutex, error) {
-	sv, err := p.SharedVar(t, va)
-	if err != nil {
-		return nil, err
-	}
-	mu := &Mutex{}
-	mu.InitShared(sv)
-	return mu, nil
+	return sharedAt(p, t, va, (*Mutex).InitShared)
 }
 
-// SharedSemaAt places (or binds) a process-shared semaphore at va.
+// SharedSemaAt returns the process-shared semaphore at va, setting its
+// count if that is still zero and count is not.
 func (p *Proc) SharedSemaAt(t *Thread, va int64, count uint) (*Sema, error) {
-	sv, err := p.SharedVar(t, va)
-	if err != nil {
-		return nil, err
+	s, err := sharedAt(p, t, va, func(s *Sema, sv *usync.Var) { s.InitShared(sv, 0) })
+	if err == nil {
+		s.InitSharedCount(count) // whether or not this lookup bound the handle
 	}
-	s := &Sema{}
-	s.InitShared(sv, count)
-	return s, nil
+	return s, err
 }
 
-// SharedCondAt places (or binds) a process-shared condition variable
-// at va.
+// SharedCondAt returns the process-shared condition variable at va.
 func (p *Proc) SharedCondAt(t *Thread, va int64) (*Cond, error) {
-	sv, err := p.SharedVar(t, va)
-	if err != nil {
-		return nil, err
-	}
-	cv := &Cond{}
-	cv.InitShared(sv)
-	return cv, nil
+	return sharedAt(p, t, va, (*Cond).InitShared)
 }
 
-// SharedRWLockAt places (or binds) a process-shared readers/writer
-// lock at va.
+// SharedRWLockAt returns the process-shared readers/writer lock at va.
 func (p *Proc) SharedRWLockAt(t *Thread, va int64) (*RWLock, error) {
-	sv, err := p.SharedVar(t, va)
-	if err != nil {
-		return nil, err
-	}
-	rw := &RWLock{}
-	rw.InitShared(sv)
-	return rw, nil
+	return sharedAt(p, t, va, (*RWLock).InitShared)
 }

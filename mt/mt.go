@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"sunosmt/internal/chaos"
@@ -162,6 +163,10 @@ var (
 	// ErrNoMem: the address-space byte limit would be exceeded
 	// (ENOMEM) — from Mmap, Sbrk, or stack carving.
 	ErrNoMem = vm.ErrNoMem
+	// ErrProt: a load or store the mapping's protection forbids, or a
+	// shared synchronization variable named in a mapping that is not
+	// both readable and writable (EACCES).
+	ErrProt = vm.ErrProt
 	// ErrRedZone: a load or store touched a stack's red zone (the
 	// guard page below the stack); MemRead/MemWrite also raise
 	// SIGSEGV on the faulting thread.
@@ -519,6 +524,13 @@ type Proc struct {
 
 	proc *sim.Process
 	cfg  ProcConfig // library configuration; fork children and exec images keep it
+
+	// shared holds the process's handles on shared synchronization
+	// variables by virtual address, resolved while the address space's
+	// generation was sharedGen (sharedAt).
+	sharedMu  sync.Mutex
+	sharedGen uint64
+	shared    map[int64]any
 }
 
 // Spawn creates a process whose main thread runs main(arg).
@@ -632,7 +644,8 @@ func (p *Proc) Kill(sig Signal) error {
 //
 // va must lie in a MAP_SHARED mapping (ErrNotShared otherwise):
 // private memory is copied at fork, so a variable in it would quietly
-// stop excluding the child.
+// stop excluding the child. The mapping must be readable and writable
+// (ErrProt otherwise), since operating the variable stores into it.
 func (p *Proc) SharedVar(t *Thread, va int64) (*usync.Var, error) {
 	obj, off, flags, err := p.AS.Resolve(va)
 	if err != nil {
