@@ -67,6 +67,7 @@ func (caller *Thread) Kill(target *Thread, sig sim.Signal) error {
 	}
 	a := target.auxb()
 	a.pending = a.pending.Add(sig)
+	target.setReq(tfSigPending)
 	masked := target.sigmask.Has(sig)
 	parked := target.state == ThreadSleeping || target.state == ThreadWaiting
 	m.mu.Unlock()
@@ -129,7 +130,9 @@ func (t *Thread) pollSignals() {
 		deliverable := a.pending.Minus(t.sigmask)
 		sig := deliverable.Lowest()
 		if sig != sim.SIGNONE {
-			a.pending = a.pending.Del(sig)
+			if a.pending = a.pending.Del(sig); a.pending == 0 {
+				t.clearReq(tfSigPending)
+			}
 		}
 		m.mu.Unlock()
 		if sig == sim.SIGNONE {

@@ -234,6 +234,10 @@ const (
 	// tfPreempt: a higher-priority thread is runnable (or a stopper is
 	// waiting); give up the LWP at the next Checkpoint.
 	tfPreempt
+	// tfSigPending: a thread_kill is pending on the thread (aux.pending
+	// is not empty), masked or not. Set by Kill and cleared by
+	// pollSignals, both under m.mu; Checkpoint tests it lock-free.
+	tfSigPending
 )
 
 func (t *Thread) hasReq(f uint32) bool { return t.reqs.Load()&f != 0 }
@@ -844,7 +848,8 @@ func (t *Thread) requeueSelf() bool {
 // Checkpoint is the thread-level preemption point: it honours stop
 // requests, library preemption flags, pending thread signals, and
 // kernel checkpoints. Synchronization operations call it. With no
-// request pending it takes Runtime.mu only where a signal poll does.
+// request pending and no signal deliverable it is one kernel section:
+// it never takes Runtime.mu and reads the clock once.
 func (t *Thread) Checkpoint() {
 	m := t.m
 	reqs := t.reqs.Load()
@@ -863,12 +868,12 @@ func (t *Thread) Checkpoint() {
 			t.requeueSelf()
 		}
 	}
-	if l := t.LWP(); l != nil {
-		m.kern.Checkpoint(l)
+	l := t.LWP()
+	// Thread-directed signals (thread_kill) pend at the library level,
+	// invisible to the kernel checkpoint: poll for either kind.
+	if (l != nil && m.kern.Checkpoint(l)) || t.hasReq(tfSigPending) {
+		t.pollSignals()
 	}
-	// Always poll: thread-directed signals (thread_kill) pend at
-	// the library level, invisible to the kernel checkpoint.
-	t.pollSignals()
 }
 
 // Exit implements thread_exit for the calling thread: it terminates

@@ -27,9 +27,9 @@ func dispKernel(ncpu int) (*Kernel, *Process) {
 func occupyAll(k *Kernel, p *Process) {
 	k.mu.Lock()
 	for _, c := range k.cpus {
-		l := k.newLWPLocked(p, ClassTS, 0)
+		l := k.newLWPLocked(p, ClassTS, 0, k.clock.Now())
 		k.setLWPStateLocked(l, k.clock.Now(), LWPRunnable)
-		k.assignLocked(l, c)
+		k.assignLocked(l, c, k.clock.Now())
 	}
 	k.mu.Unlock()
 }
@@ -39,9 +39,9 @@ func occupyAll(k *Kernel, p *Process) {
 func queueOn(k *Kernel, p *Process, cpu int, class Class, prio int) *LWP {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	l := k.newLWPLocked(p, class, prio)
+	l := k.newLWPLocked(p, class, prio, k.clock.Now())
 	l.lastCPU = cpu
-	k.makeRunnableLocked(l)
+	k.makeRunnableLocked(l, k.clock.Now())
 	if l.rqCPU != k.cpus[cpu] {
 		panic(fmt.Sprintf("queueOn: lwp landed on %v, want cpu %d", l.rqCPU, cpu))
 	}
@@ -128,17 +128,17 @@ func TestPlacementAffinityFirst(t *testing.T) {
 			k, p := dispKernel(4)
 			k.mu.Lock()
 			for _, ci := range tc.busy {
-				l := k.newLWPLocked(p, ClassTS, 0)
+				l := k.newLWPLocked(p, ClassTS, 0, k.clock.Now())
 				k.setLWPStateLocked(l, k.clock.Now(), LWPRunnable)
-				k.assignLocked(l, k.cpus[ci])
+				k.assignLocked(l, k.cpus[ci], k.clock.Now())
 			}
 			for ci, n := range tc.depth {
 				for i := 0; i < n; i++ {
-					q := k.newLWPLocked(p, ClassTS, 10)
+					q := k.newLWPLocked(p, ClassTS, 10, k.clock.Now())
 					k.runqPushLocked(k.cpus[ci], q)
 				}
 			}
-			l := k.newLWPLocked(p, ClassTS, 30)
+			l := k.newLWPLocked(p, ClassTS, 30, k.clock.Now())
 			l.lastCPU = tc.lastCPU
 			if tc.bindCPU >= 0 {
 				l.boundCPU = k.cpus[tc.bindCPU]
@@ -191,7 +191,7 @@ func TestStealTakesHighestPriority(t *testing.T) {
 			c := k.cpus[tc.pickFor]
 			c.lwp = nil // free the CPU without rescheduling
 			before := c.steals
-			l := k.pickForLocked(c)
+			l := k.pickForLocked(c, k.clock.Now())
 			k.mu.Unlock()
 			if tc.wantPrio < 0 {
 				if l != nil {
@@ -235,7 +235,7 @@ func TestPriocntlRequeues(t *testing.T) {
 	// b now outranks a: it must be the pick.
 	c := k.cpus[1]
 	c.lwp = nil
-	if l := k.pickForLocked(c); l != b {
+	if l := k.pickForLocked(c, k.clock.Now()); l != b {
 		t.Fatalf("pick after priocntl = %v, want the RT lwp", l)
 	}
 }
@@ -248,15 +248,15 @@ func TestBindExcludesSteal(t *testing.T) {
 		k, p := dispKernel(2)
 		occupyAll(k, p)
 		k.mu.Lock()
-		l := k.newLWPLocked(p, ClassTS, 50)
+		l := k.newLWPLocked(p, ClassTS, 50, k.clock.Now())
 		l.boundCPU = k.cpus[1]
-		k.makeRunnableLocked(l)
+		k.makeRunnableLocked(l, k.clock.Now())
 		if l.rqCPU != k.cpus[1] {
 			t.Fatalf("bound lwp queued on %v", l.rqCPU)
 		}
 		c0 := k.cpus[0]
 		c0.lwp = nil
-		got := k.pickForLocked(c0)
+		got := k.pickForLocked(c0, k.clock.Now())
 		k.mu.Unlock()
 		if got != nil {
 			t.Fatalf("cpu 0 stole a hard-bound lwp: %v", got)
@@ -272,24 +272,24 @@ func TestBindExcludesSteal(t *testing.T) {
 		}
 		occupyAll(k, p)
 		k.mu.Lock()
-		l := k.newLWPLocked(p, ClassTS, 50)
+		l := k.newLWPLocked(p, ClassTS, 50, k.clock.Now())
 		k.mu.Unlock()
 		if err := k.PsetBind(l, ps); err != nil {
 			t.Fatal(err)
 		}
 		k.mu.Lock()
-		k.makeRunnableLocked(l)
+		k.makeRunnableLocked(l, k.clock.Now())
 		if got := l.rqCPU.id; got != 2 && got != 3 {
 			t.Fatalf("pset-bound lwp queued on cpu %d", got)
 		}
 		// A free CPU in the default set must not see it...
 		c0 := k.cpus[0]
 		c0.lwp = nil
-		cross := k.pickForLocked(c0)
+		cross := k.pickForLocked(c0, k.clock.Now())
 		// ...while a free CPU in the set takes it.
 		c3 := k.cpus[3]
 		c3.lwp = nil
-		own := k.pickForLocked(c3)
+		own := k.pickForLocked(c3, k.clock.Now())
 		k.mu.Unlock()
 		if cross != nil {
 			t.Fatalf("default-set cpu stole across pset: %v", cross)
@@ -322,7 +322,7 @@ func TestClassSemantics(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k.mu.Lock()
-			l := k.newLWPLocked(p, tc.class, tc.prio)
+			l := k.newLWPLocked(p, tc.class, tc.prio, k.clock.Now())
 			l.cpuUsage = tc.usage
 			got := l.globalPrio()
 			k.mu.Unlock()
@@ -359,7 +359,7 @@ func TestBalancerRelevelsAndEvens(t *testing.T) {
 
 	clk.Advance(balancePeriod + time.Millisecond)
 	k.mu.Lock()
-	k.maybeBalanceLocked()
+	k.maybeBalanceLocked(k.clock.Now())
 	d0, d1 := k.cpus[0].runq.n, k.cpus[1].runq.n
 	newLvl := aged.rqLevel
 	moves := k.balanceMoves
@@ -393,13 +393,13 @@ func TestDispatchDeterminism(t *testing.T) {
 		var lwps []*LWP
 		k.mu.Lock()
 		for i := 0; i < 12; i++ {
-			l := k.newLWPLocked(p, ClassTS, 20+(i*7)%40)
+			l := k.newLWPLocked(p, ClassTS, 20+(i*7)%40, k.clock.Now())
 			if i%4 == 0 {
 				l.class = ClassRT
 				l.userPrio = i
 			}
 			lwps = append(lwps, l)
-			k.makeRunnableLocked(l)
+			k.makeRunnableLocked(l, k.clock.Now())
 		}
 		k.mu.Unlock()
 		for step := 0; step < 200; step++ {
@@ -409,15 +409,15 @@ func TestDispatchDeterminism(t *testing.T) {
 			switch {
 			case l.cpu != nil:
 				// Preempt it back to its queue.
-				k.releaseCPULocked(l, LWPRunnable)
+				k.releaseCPULocked(l, k.clock.Now(), LWPRunnable)
 				k.enqueueLocked(l)
-				k.scheduleLocked()
+				k.scheduleLocked(k.clock.Now())
 			case l.rqOn && step%3 == 0:
 				// Re-place it with fresh affinity, as a wakeup would.
 				k.runqRemoveLocked(l)
 				l.lastCPU = (step / 3) % 4
 				k.enqueueLocked(l)
-				k.scheduleLocked()
+				k.scheduleLocked(k.clock.Now())
 			}
 			k.mu.Unlock()
 		}

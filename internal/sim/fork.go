@@ -49,7 +49,7 @@ func (k *Kernel) Fork(l *LWP, all bool) (*Process, *LWP, []ForkedLWP, error) {
 	k.SyscallEnter(l)
 	defer k.SyscallExit(l)
 
-	child, cl, others, hooks := k.forkLocked(l, p, all)
+	child, cl, others, hooks := k.forkInner(l, p, all)
 
 	// Run fork hooks (fd table, address space duplication) without
 	// the kernel lock; the child has no runnable LWPs yet so its
@@ -60,9 +60,10 @@ func (k *Kernel) Fork(l *LWP, all bool) (*Process, *LWP, []ForkedLWP, error) {
 	return child, cl, others, nil
 }
 
-func (k *Kernel) forkLocked(l *LWP, p *Process, all bool) (*Process, *LWP, []ForkedLWP, []func(parent, child *Process)) {
+func (k *Kernel) forkInner(l *LWP, p *Process, all bool) (*Process, *LWP, []ForkedLWP, []func(parent, child *Process)) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
+	now := k.clock.Now()
 	child := k.newProcessLocked(p.name, p)
 	child.creds = p.creds
 	child.cwd = p.cwd
@@ -71,7 +72,7 @@ func (k *Kernel) forkLocked(l *LWP, p *Process, all bool) (*Process, *LWP, []For
 	// Pending signals are NOT inherited (POSIX/SVR4 semantics).
 
 	// Duplicate the calling LWP.
-	cl := k.newLWPLocked(child, l.class, l.userPrio)
+	cl := k.newLWPLocked(child, l.class, l.userPrio, now)
 	cl.mask = l.mask
 	cl.gang = l.gang
 
@@ -81,7 +82,7 @@ func (k *Kernel) forkLocked(l *LWP, p *Process, all bool) (*Process, *LWP, []For
 			if pl == l || pl.state == LWPZombie {
 				continue
 			}
-			nl := k.newLWPLocked(child, pl.class, pl.userPrio)
+			nl := k.newLWPLocked(child, pl.class, pl.userPrio, now)
 			nl.mask = pl.mask
 			nl.gang = pl.gang
 			others = append(others, ForkedLWP{LWP: nl, ParentID: pl.id})
@@ -91,7 +92,7 @@ func (k *Kernel) forkLocked(l *LWP, p *Process, all bool) (*Process, *LWP, []For
 		// fork (paper).
 		for _, pl := range p.lwps {
 			if pl != l && pl.state == LWPSleeping && pl.interruptible {
-				k.wakeLWPLocked(pl, WakeInterrupted)
+				k.wakeLWPLocked(pl, now, WakeInterrupted)
 			}
 		}
 	}
@@ -146,7 +147,7 @@ func (k *Kernel) execInner(l *LWP, p *Process, name string) (*LWP, error) {
 	p.actions = [NSIG]sigaction{}
 	p.pendingProc = 0
 	p.name = name
-	nl := k.newLWPLocked(p, ClassTS, defaultTSPrio)
+	nl := k.newLWPLocked(p, ClassTS, defaultTSPrio, k.clock.Now())
 	p.execing = false
 	p.execSurvivor = nil
 	return nl, nil
@@ -162,7 +163,7 @@ func (k *Kernel) Exit(l *LWP, status int) {
 	defer k.mu.Unlock() // runs during the unwind panic
 	p := l.proc
 	if !p.dying {
-		k.killProcLocked(p, status, SIGNONE, false)
+		k.killProcLocked(p, status, SIGNONE, false, k.rings.Now())
 	}
 	k.unwindLocked(l, "exit")
 	// not reached

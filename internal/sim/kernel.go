@@ -397,12 +397,11 @@ func (k *Kernel) NewLWP(p *Process, class Class, prio int) (*LWP, error) {
 	if k.chaos.LWPSpawnFail() {
 		return nil, fmt.Errorf("pid %d transient spawn failure: %w", p.pid, ErrAgain)
 	}
-	return k.newLWPLocked(p, class, prio), nil
+	return k.newLWPLocked(p, class, prio, k.clock.Now()), nil
 }
 
-func (k *Kernel) newLWPLocked(p *Process, class Class, prio int) *LWP {
+func (k *Kernel) newLWPLocked(p *Process, class Class, prio int, now time.Duration) *LWP {
 	p.nextLWP++
-	now := k.clock.Now()
 	l := &LWP{
 		id:        p.nextLWP,
 		proc:      p,
@@ -436,16 +435,16 @@ func (k *Kernel) Start(l *LWP) {
 	if l.state != LWPEmbryo {
 		panic(fmt.Sprintf("sim: Start on lwp %d in state %s", l.id, l.state))
 	}
-	k.makeRunnableLocked(l)
+	k.makeRunnableLocked(l, k.clock.Now())
 	k.waitOnCPULocked(l)
 }
 
 // --- dispatch ----------------------------------------------------------
 
-func (k *Kernel) makeRunnableLocked(l *LWP) {
-	k.setLWPStateLocked(l, k.clock.Now(), LWPRunnable)
+func (k *Kernel) makeRunnableLocked(l *LWP, now time.Duration) {
+	k.setLWPStateLocked(l, now, LWPRunnable)
 	k.enqueueLocked(l)
-	k.scheduleLocked()
+	k.scheduleLocked(now)
 }
 
 // enqueueLocked places a runnable LWP on a CPU's dispatch queue.
@@ -518,25 +517,25 @@ func (k *Kernel) placeLocked(l *LWP) *CPU {
 // sibling holds strictly better (or the only) stealable work. It then
 // runs the periodic balancer if its period elapsed and flags any
 // outranked on-CPU LWP for preemption.
-func (k *Kernel) scheduleLocked() {
+func (k *Kernel) scheduleLocked(now time.Duration) {
 	for {
 		progress := false
 		for _, c := range k.cpus {
 			if c.lwp != nil {
 				continue
 			}
-			l := k.pickForLocked(c)
+			l := k.pickForLocked(c, now)
 			if l == nil {
 				continue
 			}
-			k.assignLocked(l, c)
+			k.assignLocked(l, c, now)
 			progress = true
 		}
 		if !progress {
 			break
 		}
 	}
-	k.maybeBalanceLocked()
+	k.maybeBalanceLocked(now)
 	k.preemptCheckLocked()
 }
 
@@ -565,9 +564,9 @@ func (k *Kernel) onCPUGangsLocked() map[int]bool {
 // empty), in which case c steals — so per-CPU queues preserve the
 // shared queue's global priority order, and no CPU idles while its
 // set has stealable work.
-func (k *Kernel) pickForLocked(c *CPU) *LWP {
+func (k *Kernel) pickForLocked(c *CPU, now time.Duration) *LWP {
 	if k.gangQueued > 0 {
-		return k.pickGangLocked(c)
+		return k.pickGangLocked(c, now)
 	}
 	own := c.runq.top()
 	vLvl := -1
@@ -599,7 +598,7 @@ func (k *Kernel) pickForLocked(c *CPU) *LWP {
 		l := victim.runq.firstStealableAt(victim.runq.topStealable())
 		k.runqRemoveLocked(l)
 		c.steals++
-		k.rings.Record(c.id, trace.EvSteal, int(l.proc.pid), int(l.id), 0, uint64(victim.id))
+		k.rings.RecordAt(now, c.id, trace.EvSteal, int(l.proc.pid), int(l.id), 0, uint64(victim.id))
 		return l
 	}
 	if own < 0 {
@@ -622,7 +621,7 @@ func (k *Kernel) pickForLocked(c *CPU) *LWP {
 // queued: it scans every queue in c's processor set, boosting members
 // of gangs already on CPU, reproducing the shared-queue co-scheduling
 // semantics. Gang workloads are rare; the common path never scans.
-func (k *Kernel) pickGangLocked(c *CPU) *LWP {
+func (k *Kernel) pickGangLocked(c *CPU, now time.Duration) *LWP {
 	gangs := k.onCPUGangsLocked()
 	var best *LWP
 	bestPrio := -1
@@ -662,7 +661,7 @@ func (k *Kernel) pickGangLocked(c *CPU) *LWP {
 	k.runqRemoveLocked(best)
 	if bestCPU != c {
 		c.steals++
-		k.rings.Record(c.id, trace.EvSteal, int(best.proc.pid), int(best.id), 0, uint64(bestCPU.id))
+		k.rings.RecordAt(now, c.id, trace.EvSteal, int(best.proc.pid), int(best.id), 0, uint64(bestCPU.id))
 	}
 	return best
 }
@@ -671,11 +670,10 @@ func (k *Kernel) pickGangLocked(c *CPU) *LWP {
 // the kernel clock (or a chaos source forces an early pass). The
 // balancer never runs on its own goroutine: it piggybacks on
 // scheduling points, so balanced schedules replay from a seed.
-func (k *Kernel) maybeBalanceLocked() {
+func (k *Kernel) maybeBalanceLocked(now time.Duration) {
 	if k.nrunnable == 0 {
 		return
 	}
-	now := k.clock.Now()
 	if now-k.lastBalance < balancePeriod && !k.chaos.BalanceEarly() {
 		return
 	}
@@ -723,13 +721,12 @@ func (k *Kernel) balanceLocked(now time.Duration) {
 			k.runqRemoveLocked(l)
 			k.runqPushLocked(lo, l)
 			k.balanceMoves++
-			k.rings.Record(lo.id, trace.EvBalance, int(l.proc.pid), int(l.id), 0, uint64(hi.id))
+			k.rings.RecordAt(now, lo.id, trace.EvBalance, int(l.proc.pid), int(l.id), 0, uint64(hi.id))
 		}
 	}
 }
 
-func (k *Kernel) assignLocked(l *LWP, c *CPU) {
-	now := k.clock.Now()
+func (k *Kernel) assignLocked(l *LWP, c *CPU, now time.Duration) {
 	k.setLWPStateLocked(l, now, LWPOnCPU)
 	l.cpu = c
 	c.lwp = l
@@ -740,17 +737,16 @@ func (k *Kernel) assignLocked(l *LWP, c *CPU) {
 	c.dispatches++
 	if l.lastCPU >= 0 && l.lastCPU != c.id {
 		c.migrations++
-		k.rings.Record(c.id, trace.EvMigrate, int(l.proc.pid), int(l.id), 0, uint64(l.lastCPU))
+		k.rings.RecordAt(now, c.id, trace.EvMigrate, int(l.proc.pid), int(l.id), 0, uint64(l.lastCPU))
 	}
 	l.lastCPU = c.id
-	k.rings.Record(c.id, trace.EvDispatch, int(l.proc.pid), int(l.id), 0, uint64(l.globalPrio()))
+	k.rings.RecordAt(now, c.id, trace.EvDispatch, int(l.proc.pid), int(l.id), 0, uint64(l.globalPrio()))
 	l.cond.Broadcast()
 }
 
 // releaseCPULocked takes the CPU away from l and records the new
 // state. The caller is responsible for queueing/wait bookkeeping.
-func (k *Kernel) releaseCPULocked(l *LWP, newState LWPState) {
-	now := k.clock.Now()
+func (k *Kernel) releaseCPULocked(l *LWP, now time.Duration, newState LWPState) {
 	if l.cpu == nil {
 		k.setLWPStateLocked(l, now, newState)
 		return
@@ -761,7 +757,7 @@ func (k *Kernel) releaseCPULocked(l *LWP, newState LWPState) {
 	l.cpu = nil
 	l.curCPU.Store(-1)
 	k.setLWPStateLocked(l, now, newState)
-	k.scheduleLocked()
+	k.scheduleLocked(now)
 }
 
 // preemptCheckLocked flags on-CPU LWPs for preemption when a
@@ -837,15 +833,9 @@ func (k *Kernel) removeRunnableLocked(l *LWP) {
 
 // --- time accounting ---------------------------------------------------
 
-// chargeLocked attributes CPU time since the last charge mark to the
+// chargeAtLocked attributes CPU time since the last charge mark to the
 // LWP (user or system depending on the in-syscall flag), feeds the
 // profiling buffer and interval timers, and enforces the CPU rlimit.
-func (k *Kernel) chargeLocked(l *LWP) {
-	k.chargeAtLocked(l, k.clock.Now())
-}
-
-// chargeAtLocked is chargeLocked with the clock already read, so
-// transition points that also update microstates read it once.
 func (k *Kernel) chargeAtLocked(l *LWP, now time.Duration) {
 	d := now - l.chargeMark
 	l.chargeMark = now
@@ -859,11 +849,11 @@ func (k *Kernel) chargeAtLocked(l *LWP, now time.Duration) {
 		l.userTime += d
 		l.prof.charge(l.profLabel, d)
 		if l.vtimer != nil {
-			l.vtimer.decrement(k, l, d)
+			l.vtimer.decrement(k, l, d, now)
 		}
 	}
 	if l.ptimer != nil {
-		l.ptimer.decrement(k, l, d)
+		l.ptimer.decrement(k, l, d, now)
 	}
 	if l.class == ClassTS || l.class == ClassGang {
 		l.chargeAndDecay(d, now)
@@ -872,7 +862,7 @@ func (k *Kernel) chargeAtLocked(l *LWP, now time.Duration) {
 		r := p.rusageLocked()
 		if r.UserTime+r.SysTime > p.cpuLimit.Soft {
 			p.xcpuSent = true
-			k.postSignalLocked(p, SIGXCPU, l)
+			k.postSignalLocked(p, SIGXCPU, l, now)
 		}
 	}
 }
@@ -886,11 +876,15 @@ func (k *Kernel) chargeAtLocked(l *LWP, now time.Duration) {
 func (k *Kernel) Checkpoint(l *LWP) (signalPending bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.checkpointLocked(l)
+	k.checkpointLocked(l, k.clock.Now())
 	return k.deliverableLocked(l) != 0
 }
 
-func (k *Kernel) checkpointLocked(l *LWP) {
+// checkpointLocked is Checkpoint for an entry that goes on to do more:
+// now is the entry's clock reading, and the result is the reading the
+// entry continues with — now itself unless the LWP waited here (stopped
+// or preempted), a fresh one if it did.
+func (k *Kernel) checkpointLocked(l *LWP, now time.Duration) time.Duration {
 	p := l.proc
 	if p.dying {
 		k.unwindLocked(l, "process dying")
@@ -902,34 +896,36 @@ func (k *Kernel) checkpointLocked(l *LWP) {
 		// Checkpoints are the cooperative analogue of clock
 		// ticks: attribute CPU time, drive virtual interval
 		// timers, and enforce the CPU rlimit.
-		k.chargeLocked(l)
+		k.chargeAtLocked(l, now)
 	}
 	for p.state == ProcStopped {
-		k.releaseCPULocked(l, LWPStopped)
+		k.releaseCPULocked(l, now, LWPStopped)
 		for p.state == ProcStopped && !p.dying {
 			l.cond.Wait()
 		}
 		if p.dying {
 			k.unwindLocked(l, "process dying")
 		}
-		k.makeRunnableLocked(l)
+		k.makeRunnableLocked(l, k.clock.Now())
 		k.waitOnCPULocked(l)
+		now = k.clock.Now()
 	}
 	slice := k.cfg.TimeSlice
-	expired := slice > 0 && k.clock.Now()-l.onCPUSince >= slice && k.nrunnable > 0
+	expired := slice > 0 && now-l.onCPUSince >= slice && k.nrunnable > 0
 	// Chaos: force a preemption as if the slice expired, so the
 	// dispatcher re-decides who runs here.
 	forced := l.state == LWPOnCPU && k.chaos.Preempt()
 	if l.preempt || expired || forced {
-		k.chargeLocked(l)
 		if l.cpu != nil {
-			k.rings.Record(l.cpu.id, trace.EvPreempt, int(l.proc.pid), int(l.id), 0, 0)
+			k.rings.RecordAt(now, l.cpu.id, trace.EvPreempt, int(l.proc.pid), int(l.id), 0, 0)
 		}
-		k.releaseCPULocked(l, LWPRunnable)
+		k.releaseCPULocked(l, now, LWPRunnable)
 		k.enqueueLocked(l)
-		k.scheduleLocked()
+		k.scheduleLocked(now)
 		k.waitOnCPULocked(l)
+		now = k.clock.Now()
 	}
+	return now
 }
 
 // Yield voluntarily gives up the CPU, letting the dispatcher pick the
@@ -937,11 +933,10 @@ func (k *Kernel) checkpointLocked(l *LWP) {
 func (k *Kernel) Yield(l *LWP) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.checkpointLocked(l)
-	k.chargeLocked(l)
-	k.releaseCPULocked(l, LWPRunnable)
+	now := k.checkpointLocked(l, k.clock.Now())
+	k.releaseCPULocked(l, now, LWPRunnable)
 	k.enqueueLocked(l)
-	k.scheduleLocked()
+	k.scheduleLocked(now)
 	k.waitOnCPULocked(l)
 }
 
@@ -990,13 +985,13 @@ func (k *Kernel) ExitLWP(l *LWP) {
 	delete(p.lwps, l.id)
 	p.liveLWPs--
 	close(l.exited)
-	k.scheduleLocked()
+	k.scheduleLocked(now)
 	if p.execing && p.execSurvivor != nil {
 		p.execSurvivor.cond.Broadcast() // exec barrier progress
 	}
 	if p.liveLWPs == 0 && p.state == ProcRunning {
-		k.finalizeProcLocked(p)
+		k.finalizeProcLocked(p, now)
 	}
 	// The all-blocked condition may newly hold among remaining LWPs.
-	k.maybeSigwaitingLocked(p)
+	k.maybeSigwaitingLocked(p, now)
 }

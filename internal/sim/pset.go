@@ -68,7 +68,7 @@ func (k *Kernel) PsetDestroy(id PsetID) error {
 		k.moveCPULocked(c, k.psets[PsetDefault])
 	}
 	delete(k.psets, id)
-	k.scheduleLocked()
+	k.scheduleLocked(k.clock.Now())
 	return nil
 }
 
@@ -102,7 +102,7 @@ func (k *Kernel) PsetAssign(id PsetID, cpuID int) error {
 		}
 	}
 	k.moveCPULocked(c, dst)
-	k.scheduleLocked()
+	k.scheduleLocked(k.clock.Now())
 	return nil
 }
 
@@ -161,7 +161,7 @@ func (k *Kernel) PsetBind(l *LWP, id PsetID) error {
 		return fmt.Errorf("sim: lwp %d is bound to CPU %d outside pset %d", l.id, l.boundCPU.id, id)
 	}
 	k.psetRebindLocked(l, ps, id != PsetDefault)
-	k.scheduleLocked()
+	k.scheduleLocked(k.clock.Now())
 	return nil
 }
 

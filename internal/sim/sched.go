@@ -214,6 +214,6 @@ func (k *Kernel) BindCPU(l *LWP, cpuID int) error {
 	if bound != nil && l.cpu != nil && l.cpu != bound {
 		l.preempt = true
 	}
-	k.scheduleLocked()
+	k.scheduleLocked(k.clock.Now())
 	return nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"time"
 
 	"sunosmt/internal/trace"
 )
@@ -80,9 +81,9 @@ func (k *Kernel) ApplyDefault(l *LWP, sig Signal) {
 		return
 	case ActStop:
 		k.stopProcLocked(l.proc)
-		k.checkpointLocked(l)
+		k.checkpointLocked(l, k.clock.Now())
 	default:
-		k.killProcLocked(l.proc, 0, sig, DefaultActionOf(sig) == ActCore)
+		k.killProcLocked(l.proc, 0, sig, DefaultActionOf(sig) == ActCore, k.rings.Now())
 		k.unwindLocked(l, "fatal signal "+sig.String())
 	}
 }
@@ -94,7 +95,7 @@ func (k *Kernel) PostSignal(p *Process, sig Signal) error {
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.postSignalLocked(p, sig, nil)
+	k.postSignalLocked(p, sig, nil, k.rings.Now())
 	return nil
 }
 
@@ -107,11 +108,13 @@ func (k *Kernel) PostSignalLWP(l *LWP, sig Signal) error {
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.postSignalLocked(l.proc, sig, l)
+	k.postSignalLocked(l.proc, sig, l, k.rings.Now())
 	return nil
 }
 
-func (k *Kernel) postSignalLocked(p *Process, sig Signal, target *LWP) {
+// postSignalLocked routes sig to the process or, with target set, to
+// that LWP. now is for what a post may wake (see wakeLWPLocked).
+func (k *Kernel) postSignalLocked(p *Process, sig Signal, target *LWP, now time.Duration) {
 	if p.dying || p.state == ProcZombie || p.state == ProcDead {
 		return
 	}
@@ -121,7 +124,7 @@ func (k *Kernel) postSignalLocked(p *Process, sig Signal, target *LWP) {
 	// caught).
 	switch sig {
 	case SIGKILL:
-		k.killProcLocked(p, 0, sig, false)
+		k.killProcLocked(p, 0, sig, false, now)
 		return
 	case SIGSTOP:
 		k.stopProcLocked(p)
@@ -161,10 +164,10 @@ func (k *Kernel) postSignalLocked(p *Process, sig Signal, target *LWP) {
 		case ActIgnore:
 			return
 		case ActExit:
-			k.killProcLocked(p, 0, sig, false)
+			k.killProcLocked(p, 0, sig, false, now)
 			return
 		case ActCore:
-			k.killProcLocked(p, 0, sig, true)
+			k.killProcLocked(p, 0, sig, true, now)
 			return
 		case ActStop:
 			k.stopProcLocked(p)
@@ -177,7 +180,7 @@ func (k *Kernel) postSignalLocked(p *Process, sig Signal, target *LWP) {
 	// Caught signal: route to an LWP.
 	if target != nil {
 		target.pending = target.pending.Add(sig)
-		k.kickLocked(target)
+		k.kickLocked(target, now)
 		return
 	}
 	// Prefer an LWP that can notice soonest: interruptible
@@ -206,10 +209,10 @@ func (k *Kernel) postSignalLocked(p *Process, sig Signal, target *LWP) {
 	switch {
 	case sleeper != nil:
 		sleeper.pending = sleeper.pending.Add(sig)
-		k.kickLocked(sleeper)
+		k.kickLocked(sleeper, now)
 	case onCPU != nil:
 		onCPU.pending = onCPU.pending.Add(sig)
-		k.kickLocked(onCPU)
+		k.kickLocked(onCPU, now)
 	case runnable != nil:
 		runnable.pending = runnable.pending.Add(sig)
 	default:
@@ -220,9 +223,9 @@ func (k *Kernel) postSignalLocked(p *Process, sig Signal, target *LWP) {
 }
 
 // kickLocked prods an LWP so it notices pending state soon.
-func (k *Kernel) kickLocked(l *LWP) {
+func (k *Kernel) kickLocked(l *LWP, now time.Duration) {
 	if l.state == LWPSleeping && l.interruptible {
-		k.wakeLWPLocked(l, WakeInterrupted)
+		k.wakeLWPLocked(l, now, WakeInterrupted)
 	}
 	// On-CPU and runnable LWPs notice pending signals at their next
 	// checkpoint; preemption is cooperative throughout.
@@ -285,10 +288,10 @@ func (k *Kernel) TakeSignal(l *LWP) (ts TakenSignal, ok bool) {
 				continue
 			case ActStop:
 				k.stopProcLocked(l.proc)
-				k.checkpointLocked(l) // parks here until SIGCONT
+				k.checkpointLocked(l, k.clock.Now()) // parks here until SIGCONT
 				continue
 			default: // exit or core
-				k.killProcLocked(l.proc, 0, sig, DefaultActionOf(sig) == ActCore)
+				k.killProcLocked(l.proc, 0, sig, DefaultActionOf(sig) == ActCore, k.rings.Now())
 				k.unwindLocked(l, "fatal signal "+sig.String())
 			}
 		}
@@ -319,7 +322,7 @@ func (k *Kernel) RaiseTrap(l *LWP, sig Signal) (ts TakenSignal, ok bool) {
 	case ActIgnore:
 		return TakenSignal{}, false
 	default:
-		k.killProcLocked(l.proc, 0, sig, DefaultActionOf(sig) == ActCore)
+		k.killProcLocked(l.proc, 0, sig, DefaultActionOf(sig) == ActCore, k.rings.Now())
 		k.unwindLocked(l, "fatal trap "+sig.String())
 	}
 	return TakenSignal{}, false
@@ -350,7 +353,7 @@ func (k *Kernel) LWPMask(l *LWP) Sigset {
 func (k *Kernel) SigWait(l *LWP, set Sigset) Signal {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.checkpointLocked(l)
+	now := k.checkpointLocked(l, k.clock.Now())
 	p := l.proc
 	// Already pending on the process?
 	if got := (p.pendingProc | l.pending) & set; got != 0 {
@@ -359,12 +362,12 @@ func (k *Kernel) SigWait(l *LWP, set Sigset) Signal {
 		l.pending = l.pending.Del(sig)
 		return sig
 	}
-	k.releaseCPULocked(l, LWPSigWait)
+	k.releaseCPULocked(l, now, LWPSigWait)
 	l.sigwaitS = set
 	l.sigDelivered = SIGNONE
 	l.woken = false
 	p.sigwaiters++
-	k.maybeSigwaitingLocked(p)
+	k.maybeSigwaitingLocked(p, now)
 	for !l.woken {
 		l.cond.Wait()
 		if reason, bad := k.mustUnwindLocked(l); bad {
@@ -378,7 +381,7 @@ func (k *Kernel) SigWait(l *LWP, set Sigset) Signal {
 	p.sigwaiters--
 	l.sigwaitS = 0
 	sig := l.sigDelivered
-	k.makeRunnableLocked(l)
+	k.makeRunnableLocked(l, k.clock.Now())
 	k.waitOnCPULocked(l)
 	return sig
 }
@@ -388,7 +391,7 @@ func (k *Kernel) SigWait(l *LWP, set Sigset) Signal {
 // (paper: "A new signal, SIGWAITING, is sent to the process when all
 // its LWPs are waiting for some indefinite, external event").
 // Edge-triggered: it fires once per all-blocked episode.
-func (k *Kernel) maybeSigwaitingLocked(p *Process) {
+func (k *Kernel) maybeSigwaitingLocked(p *Process, now time.Duration) {
 	if p.dying || p.state != ProcRunning {
 		return
 	}
@@ -397,14 +400,14 @@ func (k *Kernel) maybeSigwaitingLocked(p *Process) {
 		return
 	}
 	p.sigwaitingOn = true
-	k.rings.Record(-1, trace.EvSigwaiting, int(p.pid), 0, 0, uint64(eligible))
-	k.postSignalLocked(p, SIGWAITING, nil)
+	k.rings.RecordAt(now, -1, trace.EvSigwaiting, int(p.pid), 0, 0, uint64(eligible))
+	k.postSignalLocked(p, SIGWAITING, nil, now)
 }
 
 // --- process-level default actions -------------------------------------
 
 // killProcLocked begins involuntary termination of the process.
-func (k *Kernel) killProcLocked(p *Process, status int, sig Signal, core bool) {
+func (k *Kernel) killProcLocked(p *Process, status int, sig Signal, core bool, now time.Duration) {
 	if p.dying || p.state == ProcZombie || p.state == ProcDead {
 		return
 	}
@@ -430,7 +433,7 @@ func (k *Kernel) killProcLocked(p *Process, status int, sig Signal, core bool) {
 		l.cond.Broadcast()
 	}
 	if p.liveLWPs == 0 {
-		k.finalizeProcLocked(p)
+		k.finalizeProcLocked(p, now)
 	}
 }
 
@@ -446,7 +449,7 @@ func (k *Kernel) Abort(l *LWP, msg string) {
 	p := l.proc
 	if !p.dying && p.state != ProcZombie && p.state != ProcDead {
 		p.abortMsg = msg
-		k.killProcLocked(p, 0, SIGABRT, true)
+		k.killProcLocked(p, 0, SIGABRT, true, k.rings.Now())
 	}
 	k.unwindLocked(l, "abort")
 }
@@ -472,7 +475,7 @@ func (k *Kernel) contProcLocked(p *Process) {
 
 // finalizeProcLocked turns a process with no remaining LWPs into a
 // zombie, notifies the parent, and reparents children.
-func (k *Kernel) finalizeProcLocked(p *Process) {
+func (k *Kernel) finalizeProcLocked(p *Process, now time.Duration) {
 	if p.state == ProcZombie || p.state == ProcDead {
 		return
 	}
@@ -489,8 +492,8 @@ func (k *Kernel) finalizeProcLocked(p *Process) {
 	p.zombies = nil
 	if p.parent != nil {
 		p.parent.zombies = append(p.parent.zombies, p)
-		k.postSignalLocked(p.parent, SIGCHLD, nil)
-		k.wakeupLocked(&p.parent.waitq, -1)
+		k.postSignalLocked(p.parent, SIGCHLD, nil, now)
+		k.wakeupLocked(&p.parent.waitq, -1, now)
 	} else {
 		k.reapLocked(p)
 	}

@@ -24,7 +24,7 @@ type itimer struct {
 
 // decrement charges d against a virtual timer and posts its signal on
 // expiry. Caller holds k.mu.
-func (t *itimer) decrement(k *Kernel, l *LWP, d time.Duration) {
+func (t *itimer) decrement(k *Kernel, l *LWP, d, now time.Duration) {
 	if t.remaining <= 0 {
 		return
 	}
@@ -32,7 +32,7 @@ func (t *itimer) decrement(k *Kernel, l *LWP, d time.Duration) {
 	if t.remaining > 0 {
 		return
 	}
-	k.postSignalLocked(l.proc, t.sig, l)
+	k.postSignalLocked(l.proc, t.sig, l, now)
 	if t.interval > 0 {
 		for t.remaining <= 0 {
 			t.remaining += t.interval
@@ -103,7 +103,7 @@ func (k *Kernel) armRealLocked(p *Process, t *itimer, d time.Duration) {
 		if p.rtimer != t {
 			return // disarmed or replaced
 		}
-		k.postSignalLocked(p, SIGALRM, nil)
+		k.postSignalLocked(p, SIGALRM, nil, k.rings.Now())
 		if t.interval > 0 {
 			k.armRealLocked(p, t, t.interval)
 		} else {
@@ -125,7 +125,7 @@ func (k *Kernel) SetProfiling(l *LWP, buf *ProfBuffer) {
 // attribution (the reproduction's stand-in for PC sampling).
 func (k *Kernel) SetProfLabel(l *LWP, label string) {
 	k.mu.Lock()
-	k.chargeLocked(l) // charge the old label up to now
+	k.chargeAtLocked(l, k.clock.Now()) // charge the old label up to now
 	l.profLabel = label
 	k.mu.Unlock()
 }

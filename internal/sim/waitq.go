@@ -106,7 +106,7 @@ func (k *Kernel) SleepIf(l *LWP, wq *WaitQ, cond func() bool, o SleepOpts) (Wake
 	spinFor(k.cfg.KernelSwitchCost) // simulated trap entry + switch
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.checkpointLocked(l)
+	now := k.checkpointLocked(l, k.clock.Now())
 	// Chaos: an interruptible sleep may fail with EINTR even though
 	// no signal is pending, as real kernels are permitted to do.
 	// Injection happens only at sites whose callers declared the
@@ -118,7 +118,7 @@ func (k *Kernel) SleepIf(l *LWP, wq *WaitQ, cond func() bool, o SleepOpts) (Wake
 		return WakeNormal, false
 	}
 	p := l.proc
-	k.releaseCPULocked(l, LWPSleeping)
+	k.releaseCPULocked(l, now, LWPSleeping)
 	l.wq = wq
 	wq.add(l)
 	l.woken = false
@@ -128,18 +128,18 @@ func (k *Kernel) SleepIf(l *LWP, wq *WaitQ, cond func() bool, o SleepOpts) (Wake
 	if indefinite {
 		l.indefinite = true
 		p.indefSleepers++
-		k.maybeSigwaitingLocked(p)
+		k.maybeSigwaitingLocked(p, now)
 		// Chaos: randomize SIGWAITING timing by posting it early,
 		// before the true all-LWPs-blocked condition holds. Early
 		// posts are the safe direction: the library's growth hook
 		// re-checks whether more LWPs are actually needed, while a
 		// delayed post could deadlock the pool.
 		if k.chaos.Sigwaiting() {
-			k.postSignalLocked(p, SIGWAITING, nil)
+			k.postSignalLocked(p, SIGWAITING, nil, now)
 		}
 	}
 	if o.Timeout > 0 {
-		l.sleepDeadline = k.clock.Now() + o.Timeout
+		l.sleepDeadline = now + o.Timeout
 		if l.sleepTimer == nil {
 			l.sleepTimer = k.clock.AfterFunc(o.Timeout, l.sleepTimeout)
 		} else {
@@ -157,7 +157,7 @@ func (k *Kernel) SleepIf(l *LWP, wq *WaitQ, cond func() bool, o SleepOpts) (Wake
 		l.sleepTimer.Stop()
 	}
 	res := l.wakeRes
-	k.makeRunnableLocked(l)
+	k.makeRunnableLocked(l, k.clock.Now())
 	k.waitOnCPULocked(l)
 	return res, true
 }
@@ -175,17 +175,20 @@ func (l *LWP) sleepTimeout() {
 	if l.state != LWPSleeping || l.woken || l.sleepDeadline == 0 {
 		return
 	}
-	if rem := l.sleepDeadline - k.clock.Now(); rem > 0 {
+	now := k.clock.Now()
+	if rem := l.sleepDeadline - now; rem > 0 {
 		l.sleepTimer.Reset(rem)
 		return
 	}
-	k.wakeLWPLocked(l, WakeTimeout)
+	k.wakeLWPLocked(l, now, WakeTimeout)
 }
 
 // wakeLWPLocked pulls a sleeping LWP off its wait queue and marks it
 // woken with the given result. The LWP's own goroutine re-enters the
-// run queue when it observes the wake.
-func (k *Kernel) wakeLWPLocked(l *LWP, res WakeResult) {
+// run queue when it observes the wake, on a reading of its own: now
+// only stamps the ring record, so an entry that does nothing but wake
+// or post passes k.rings.Now() and reads no clock with tracing off.
+func (k *Kernel) wakeLWPLocked(l *LWP, now time.Duration, res WakeResult) {
 	if l.wq != nil {
 		l.wq.remove(l)
 		l.wq = nil
@@ -199,7 +202,7 @@ func (k *Kernel) wakeLWPLocked(l *LWP, res WakeResult) {
 	l.wakeRes = res
 	// The process is no longer all-blocked.
 	l.proc.sigwaitingOn = false
-	k.rings.Record(-1, trace.EvWakeup, int(l.proc.pid), int(l.id), 0, uint64(res))
+	k.rings.RecordAt(now, -1, trace.EvWakeup, int(l.proc.pid), int(l.id), 0, uint64(res))
 	l.cond.Broadcast()
 }
 
@@ -208,10 +211,23 @@ func (k *Kernel) wakeLWPLocked(l *LWP, res WakeResult) {
 func (k *Kernel) Wakeup(wq *WaitQ, n int) int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.wakeupLocked(wq, n)
+	return k.wakeupLocked(wq, n, k.rings.Now())
 }
 
-func (k *Kernel) wakeupLocked(wq *WaitQ, n int) int {
+// WakeupAll wakes every LWP blocked on each of the queues, taken in
+// the order given, in one kernel section. An empty queue costs nothing,
+// traced or not.
+func (k *Kernel) WakeupAll(wqs ...*WaitQ) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for _, wq := range wqs {
+		if wq.n > 0 {
+			k.wakeupLocked(wq, -1, k.rings.Now())
+		}
+	}
+}
+
+func (k *Kernel) wakeupLocked(wq *WaitQ, n int, now time.Duration) int {
 	if n < 0 {
 		n = wq.n
 	}
@@ -226,7 +242,7 @@ func (k *Kernel) wakeupLocked(wq *WaitQ, n int) int {
 				l = cand
 			}
 		}
-		k.wakeLWPLocked(l, WakeNormal)
+		k.wakeLWPLocked(l, now, WakeNormal)
 		count++
 	}
 	return count
@@ -240,12 +256,12 @@ func (k *Kernel) Park(l *LWP) {
 	spinFor(k.cfg.KernelSwitchCost) // simulated trap entry + switch
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.checkpointLocked(l)
+	now := k.checkpointLocked(l, k.clock.Now())
 	if l.parkPermit {
 		l.parkPermit = false
 		return
 	}
-	k.releaseCPULocked(l, LWPParked)
+	k.releaseCPULocked(l, now, LWPParked)
 	l.woken = false
 	for !l.woken {
 		l.cond.Wait()
@@ -253,7 +269,7 @@ func (k *Kernel) Park(l *LWP) {
 			k.unwindLocked(l, reason)
 		}
 	}
-	k.makeRunnableLocked(l)
+	k.makeRunnableLocked(l, k.clock.Now())
 	k.waitOnCPULocked(l)
 }
 
@@ -271,24 +287,28 @@ func (k *Kernel) Unpark(l *LWP) {
 	l.parkPermit = true
 }
 
-// SyscallEnter marks the LWP as executing inside the kernel. The
-// thread stays bound to its LWP for the duration of the call (paper:
-// "When a thread executes a kernel call, it remains bound to the same
-// lightweight process for the duration of the kernel call").
-func (k *Kernel) SyscallEnter(l *LWP) {
+// SyscallEnter marks the LWP as executing inside the kernel and
+// returns the entry's clock reading, for a call that times itself (a
+// poll deadline). The thread stays bound to its LWP for the duration of
+// the call (paper: "When a thread executes a kernel call, it remains
+// bound to the same lightweight process for the duration of the kernel
+// call").
+func (k *Kernel) SyscallEnter(l *LWP) time.Duration {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.checkpointLocked(l)
-	k.chargeLocked(l) // close out user time
+	now := k.checkpointLocked(l, k.clock.Now())
+	k.chargeAtLocked(l, now) // close out user time
 	l.inSyscall = true
-	l.syscallStart = k.clock.Now()
+	l.syscallStart = now
+	return now
 }
 
 // SyscallExit marks the LWP as back in user mode.
 func (k *Kernel) SyscallExit(l *LWP) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.chargeLocked(l) // close out system time
+	now := k.clock.Now()
+	k.chargeAtLocked(l, now) // close out system time
 	l.inSyscall = false
-	k.checkpointLocked(l)
+	k.checkpointLocked(l, now)
 }

@@ -184,10 +184,17 @@ func (r *Rings) ring(cpu int) *ring {
 // Record appends an event to the ring of the given CPU (cpu < 0: the
 // unattributed ring). Record on a nil *Rings is a no-op.
 func (r *Rings) Record(cpu int, kind EventKind, pid, lwp, tid int, arg uint64) {
+	r.RecordAt(r.Now(), cpu, kind, pid, lwp, tid, arg)
+}
+
+// Now reads the rings' clock, for a site that needs the time only to
+// stamp the records it may go on to make with RecordAt. On a nil *Rings
+// it is zero and reads no clock.
+func (r *Rings) Now() time.Duration {
 	if r == nil {
-		return
+		return 0
 	}
-	r.RecordAt(r.now(), cpu, kind, pid, lwp, tid, arg)
+	return r.now()
 }
 
 // RecordAt is Record for a site that has just read the clock for the

@@ -63,17 +63,14 @@ func (p *Pipe) addEnd(read bool, delta int) {
 	wakeAll := (read && p.readers == 0) || (!read && p.writers == 0)
 	p.mu.Unlock()
 	if wakeAll {
-		k := p.fs.kern
-		k.Wakeup(p.rq, -1)
-		k.Wakeup(p.wq, -1)
-		k.Wakeup(p.pollq, -1)
+		p.fs.kern.WakeupAll(p.rq, p.wq, p.pollq)
 	}
 }
 
 // read implements pipe reads: blocks while empty and writers remain;
 // returns EOF when empty with no writers. The sleep commits under the
 // kernel lock only if the pipe is still empty (lock order k.mu → p.mu;
-// every Wakeup here is issued with p.mu released), so a write that
+// every WakeupAll here is issued with p.mu released), so a write that
 // lands after the check above cannot be missed.
 func (p *Pipe) read(l *sim.LWP, b []byte) (int, error) {
 	k := p.fs.kern
@@ -89,8 +86,7 @@ func (p *Pipe) read(l *sim.LWP, b []byte) (int, error) {
 				p.buf = p.buf[n:]
 			}
 			p.mu.Unlock()
-			k.Wakeup(p.wq, -1)
-			k.Wakeup(p.pollq, -1)
+			k.WakeupAll(p.wq, p.pollq)
 			return n, nil
 		}
 		if p.writers == 0 {
@@ -124,8 +120,7 @@ func (p *Pipe) write(l *sim.LWP, b []byte) (int, error) {
 			b = b[n:]
 			total += n
 			p.mu.Unlock()
-			k.Wakeup(p.rq, -1)
-			k.Wakeup(p.pollq, -1)
+			k.WakeupAll(p.rq, p.pollq)
 			continue
 		}
 		p.mu.Unlock()

@@ -31,12 +31,14 @@ type PollFD struct {
 // one. Returns the number of ready descriptors (0 on timeout).
 func (pf *ProcFiles) Poll(l *sim.LWP, fds []PollFD, timeout time.Duration) (int, error) {
 	k := pf.fs.kern
-	k.SyscallEnter(l)
+	now := k.SyscallEnter(l)
 	defer k.SyscallExit(l)
 
+	// deadline is absolute on the kernel clock, from the entry's one
+	// reading: a wake that leaves nothing ready sleeps for what remains.
 	deadline := time.Duration(-1)
 	if timeout > 0 {
-		deadline = timeout
+		deadline = now + timeout
 	}
 	for {
 		// first is the first pipe polled and want what was asked of it;
@@ -81,7 +83,9 @@ func (pf *ProcFiles) Poll(l *sim.LWP, fds []PollFD, timeout time.Duration) (int,
 		// pollq at once waits for the kernel-wake rewrite (ROADMAP 2).
 		opts := sim.SleepOpts{Interruptible: true, Indefinite: true}
 		if deadline >= 0 {
-			opts.Timeout = deadline
+			if opts.Timeout = deadline - now; opts.Timeout <= 0 {
+				return 0, nil
+			}
 		} else if npipes > 1 {
 			opts.Timeout = time.Millisecond
 		}
@@ -93,6 +97,9 @@ func (pf *ProcFiles) Poll(l *sim.LWP, fds []PollFD, timeout time.Duration) (int,
 			if deadline >= 0 {
 				return 0, nil
 			}
+		}
+		if deadline >= 0 {
+			now = k.Clock().Now()
 		}
 	}
 }

@@ -16,10 +16,15 @@ type harness struct {
 	fs *FS
 	p  *sim.Process
 	pf *ProcFiles
+	// keeper is parked, and done with the kernel until the process
+	// dies, once its State is LWPParked.
+	keeper *sim.LWP
 }
 
-func newHarness(ncpu int) *harness {
-	k := sim.NewKernel(sim.Config{NCPU: ncpu})
+func newHarness(ncpu int) *harness { return newHarnessCfg(sim.Config{NCPU: ncpu}) }
+
+func newHarnessCfg(cfg sim.Config) *harness {
+	k := sim.NewKernel(cfg)
 	fs := NewFS(k)
 	p := k.NewProcess("test", nil)
 	pf := NewProcFiles(fs, p)
@@ -30,6 +35,7 @@ func newHarness(ncpu int) *harness {
 	if err != nil {
 		panic(err)
 	}
+	h.keeper = keeper
 	go func() {
 		defer func() {
 			if r := recover(); r != nil && !sim.IsUnwind(r) {
