@@ -1,8 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"sunosmt/internal/sim"
+	"sunosmt/internal/vm"
 )
 
 // These tests pin the zero-alloc thread lifecycle: in steady state
@@ -62,6 +66,212 @@ func TestCreateDetachedZeroAllocSteadyState(t *testing.T) {
 		}
 	})
 	waitExit(t, m)
+}
+
+// countingStackMem counts the address-space calls a runtime makes for
+// its thread stacks (the StackMem counterpart of countingClock).
+type countingStackMem struct {
+	StackMem
+	maps, unmaps, touches atomic.Int64
+}
+
+func (c *countingStackMem) MapStack(size int64) (int64, error) {
+	c.maps.Add(1)
+	return c.StackMem.MapStack(size)
+}
+
+func (c *countingStackMem) UnmapStack(base, size int64) error {
+	c.unmaps.Add(1)
+	return c.StackMem.UnmapStack(base, size)
+}
+
+func (c *countingStackMem) TouchStack(base, size int64) error {
+	c.touches.Add(1)
+	return c.StackMem.TouchStack(base, size)
+}
+
+// tlsRuntime boots a one-CPU runtime that carves its stacks from mem
+// and has one unshared variable registered, so every library stack
+// comes with a TLS block — mt's wiring, with vm.New(nil) for mem.
+func tlsRuntime(t *testing.T, mem StackMem, mainFn Func) *Runtime {
+	t.Helper()
+	k := sim.NewKernel(sim.Config{NCPU: 1})
+	m := NewRuntime(k, k.NewProcess("test", nil), Config{StackMem: mem})
+	if _, err := m.RegisterUnshared(8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Start(mainFn, nil); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func nop(*Thread, any) {}
+
+// createReapBatch is netsrv's listener in miniature: len(ids)
+// THREAD_WAIT threads, each created and run to exit before the next is
+// created, then all reaped in one batch.
+func createReapBatch(t *testing.T, self *Thread, ids []ThreadID) {
+	for i := range ids {
+		c, err := self.Runtime().Create(nop, nil, CreateOpts{Flags: ThreadWait})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ids[i] = c.ID()
+		self.Yield() // c runs to exit on this LWP
+	}
+	for _, id := range ids {
+		if _, err := self.Wait(id); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestCreateReapBatchZeroAlloc: with twice stackCacheSize zombies
+// waiting to be reaped, a create still finds a cached stack and TLS
+// block, because a zombie gave both back when it exited. When they
+// went back at reap instead, every other create in the batch carved a
+// fresh stack (MapStack's two segments and NewSparseAnon's object) and
+// made a TLS block: 2.0 allocations per thread here, 1.8 on netsrv.
+func TestCreateReapBatchZeroAlloc(t *testing.T) {
+	m := tlsRuntime(t, vm.New(nil), func(self *Thread, _ any) {
+		ids := make([]ThreadID, 2*stackCacheSize)
+		batch := func() { createReapBatch(t, self, ids) }
+		for i := 0; i < 4; i++ {
+			batch() // warm the caches, the freelist and the animators
+		}
+		if n := testing.AllocsPerRun(20, batch); n > 0 {
+			t.Errorf("create/exit/reap batch of %d allocates %.0f objects (%.2f per thread), want 0", len(ids), n, n/float64(len(ids)))
+		}
+	})
+	waitExit(t, m)
+}
+
+// TestFirstExitAllocatesNothing: the first threads to exit into a
+// fresh runtime's empty stack and TLS caches allocate nothing, because
+// NewRuntime gives both caches their full capacity; appends to nil
+// slices there cost a few allocations inside the first timed region
+// of every workload. With unsized caches, filled at reap, the window
+// read 12 allocations in every runtime. The Go runtime itself
+// allocates in it about one run in a thousand at GOMAXPROCS 2 (a new
+// M, a sudog, the scavenger's timer), so the least of three fresh
+// runtimes is what must be 0.
+func TestFirstExitAllocatesNothing(t *testing.T) {
+	var got [3]uint64
+	for i := range got {
+		if got[i] = firstExitAllocs(t); got[i] == 0 {
+			return
+		}
+	}
+	t.Errorf("the first %d exits and reaps allocate %v objects in three fresh runtimes, want 0", stackCacheSize, got)
+}
+
+// firstExitAllocs boots a runtime, lets stackCacheSize threads on
+// library stacks run, exit and be reaped, and returns the allocations
+// that took. Everything else an exit and a reap touch — the animator
+// goroutines and their handoff channels, the zombie table, the shell
+// freelist — is warmed first by threads on caller-supplied stacks,
+// which enter neither cache.
+func firstExitAllocs(t *testing.T) (allocs uint64) {
+	const n = stackCacheSize
+	m := tlsRuntime(t, vm.New(nil), func(self *Thread, _ any) {
+		allocs = ^uint64(0) // unless measured
+		r := self.Runtime()
+		warm := make([]*Thread, n)
+		for i := range warm {
+			c, err := r.Create(func(c *Thread, _ any) { c.Park() }, nil, CreateOpts{Flags: ThreadWait, Stack: make([]byte, 1024)})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			warm[i] = c
+		}
+		for _, c := range warm {
+			for c.State() != ThreadSleeping {
+				self.Yield() // all n parked at once: n animators
+			}
+		}
+		UnparkAll(warm)
+		for _, c := range warm {
+			if _, err := self.Wait(c.ID()); err != nil {
+				t.Error(err)
+			}
+		}
+		for i := 0; ; i++ {
+			r.mu.Lock()
+			idle, cached := len(r.idleAnim), len(r.stackCache)+len(r.tlsCache)
+			r.mu.Unlock()
+			if cached != 0 {
+				t.Errorf("caller-supplied stacks left %d entries in the stack and TLS caches", cached)
+				return
+			}
+			if idle == n {
+				break
+			}
+			if i == 1e6 {
+				t.Errorf("%d of %d animators parked", idle, n)
+				return
+			}
+			self.Yield()
+		}
+		ids := make([]ThreadID, n)
+		for i := range ids {
+			c, err := r.Create(nop, nil, CreateOpts{Flags: ThreadWait})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ids[i] = c.ID()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, id := range ids {
+			if _, err := self.Wait(id); err != nil {
+				t.Error(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		allocs = after.Mallocs - before.Mallocs
+	})
+	waitExit(t, m)
+	return allocs
+}
+
+// TestStackMemCallsPerLifecycle counts the address-space calls of a
+// steady-state create → run → exit → reap cycle: 0 MapStack, 0
+// UnmapStack and 0 TouchStack per thread, whether each thread is
+// reaped at once or 2×stackCacheSize of them in one batch. When the
+// carve went back at reap the batched cycle made 0.5 / 0.5 / 1 per
+// thread (half the creates found the cache empty, half the reaps found
+// it full), and one at a time 0 / 0 / 1: every reused carve was
+// touched again although it was committed already.
+func TestStackMemCallsPerLifecycle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{{"OneAtATime", 1}, {"Batched", 2 * stackCacheSize}} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := &countingStackMem{StackMem: vm.New(nil)}
+			m := tlsRuntime(t, mem, func(self *Thread, _ any) {
+				const rounds = 8
+				ids := make([]ThreadID, tc.n)
+				for i := 0; i < 4; i++ {
+					createReapBatch(t, self, ids)
+				}
+				maps, unmaps, touches := mem.maps.Load(), mem.unmaps.Load(), mem.touches.Load()
+				for i := 0; i < rounds; i++ {
+					createReapBatch(t, self, ids)
+				}
+				per := func(n int64) float64 { return float64(n) / float64(rounds*tc.n) }
+				got := [3]float64{per(mem.maps.Load() - maps), per(mem.unmaps.Load() - unmaps), per(mem.touches.Load() - touches)}
+				if got != [3]float64{} {
+					t.Errorf("MapStack / UnmapStack / TouchStack per thread = %g / %g / %g, want 0 / 0 / 0", got[0], got[1], got[2])
+				}
+			})
+			waitExit(t, m)
+		})
+	}
 }
 
 // TestParkUnparkZeroAlloc pins the park/unpark ping-pong — the

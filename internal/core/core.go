@@ -246,15 +246,17 @@ func NewRuntime(kern *sim.Kernel, proc *sim.Process, cfg Config) *Runtime {
 		cfg.StackMem = newFlatStackMem()
 	}
 	m := &Runtime{
-		kern:     kern,
-		proc:     proc,
-		cfg:      cfg,
-		stackMem: cfg.StackMem,
-		rings:    kern.Rings(),
-		threads:  make(map[ThreadID]*Thread),
-		zombies:  make(map[ThreadID]*Thread),
-		anyWC:    AllocWaitChan(),
-		exitedCh: make(chan struct{}),
+		kern:       kern,
+		proc:       proc,
+		cfg:        cfg,
+		stackMem:   cfg.StackMem,
+		rings:      kern.Rings(),
+		threads:    make(map[ThreadID]*Thread),
+		zombies:    make(map[ThreadID]*Thread),
+		anyWC:      AllocWaitChan(),
+		exitedCh:   make(chan struct{}),
+		stackCache: make([]stackSpan, 0, stackCacheSize),
+		tlsCache:   make([][]byte, 0, stackCacheSize),
 	}
 	// The library consumes SIGWAITING privately (the hook is its
 	// ASLWP stand-in) and grows the pool when the kernel reports

@@ -376,16 +376,16 @@ func (caller *Thread) Wait(id ThreadID) (ThreadID, error) {
 	}
 }
 
-// reapLocked removes a zombie after a successful wait, reclaiming a
-// library-allocated stack into the cache (a programmer-supplied stack
-// is simply no longer referenced: the caller may reuse it, as the
-// paper specifies) and recycling the Thread shell. The shell is not
-// scrubbed until a later Create pops it, so the waiter's post-mortem
-// handle reads (Microstates, Errno) stay valid until recycling — the
-// same validity window pthread_t gives.
+// reapLocked removes a zombie after a successful wait and recycles its
+// Thread shell — all a zombie still holds: retire already returned its
+// stack and TLS block to the caches (a programmer-supplied stack was
+// dropped there, so the caller may reuse it now, as the paper
+// specifies). The shell is not scrubbed until a later Create pops it,
+// so the waiter's post-mortem handle reads (Microstates, Errno) stay
+// valid until recycling — the same validity window pthread_t gives.
 func (m *Runtime) reapLocked(z *Thread) {
 	delete(m.zombies, z.id)
-	m.freeThreadLocked(z)
+	m.pushFreeLocked(z)
 }
 
 // Stop implements thread_stop(target): it prevents the target from

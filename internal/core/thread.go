@@ -184,13 +184,16 @@ type Thread struct {
 
 	// Stack descriptor. Library stacks are reservations in the
 	// process address space (or the built-in flat mapper): stkBase/
-	// stkSize name the carve and stackOwn marks it library-owned.
-	// A caller-supplied stack keeps its bytes in stack.
-	stkBase  int64
-	stkSize  int64
-	stackOwn bool
-	stack    []byte // caller-supplied stack only
-	tls      []byte // thread-local storage block (pooled)
+	// stkSize name the carve, stackOwn marks it library-owned, and
+	// stkTouched says its top is already committed (a cached carve an
+	// earlier thread ran on). A caller-supplied stack keeps its bytes
+	// in stack. All of it is released when the thread exits.
+	stkBase    int64
+	stkSize    int64
+	stackOwn   bool
+	stkTouched bool
+	stack      []byte // caller-supplied stack only
+	tls        []byte // thread-local storage block (pooled)
 
 	// aux is the cold half of the thread: TSD slots, wait/exit
 	// bookkeeping, signal pending set, fork continuation, and
@@ -393,7 +396,7 @@ func (m *Runtime) Create(fn Func, arg any, opts CreateOpts) (*Thread, error) {
 	t.effPrio.Store(int32(t.prio))
 	t.stack = stack
 	t.stkBase, t.stkSize = span.base, span.size
-	t.stackOwn = own
+	t.stackOwn, t.stkTouched = own, span.touched
 	t.tls = tls
 	m.threads[t.id] = t
 	m.nlive++
@@ -458,7 +461,8 @@ func (m *Runtime) uncreate(t *Thread) {
 	if t.flags&ThreadDaemon != 0 {
 		m.ndaemon--
 	}
-	m.freeThreadLocked(t)
+	m.releaseStackLocked(t)
+	m.pushFreeLocked(t)
 	m.mu.Unlock()
 }
 
@@ -886,10 +890,10 @@ func (t *Thread) Exit() {
 type threadExitPanic struct{ t *Thread }
 
 // retire is the common end-of-life path, run on the thread's own
-// goroutine after its body returns (or Exit unwinds). In steady state
-// it allocates nothing: the single thread_wait waiter is dequeued in
-// place, and an unwaited thread's stack, TLS, and shell go straight
-// back to the freelists.
+// goroutine after its body returns (or Exit unwinds). It allocates
+// nothing: the single thread_wait waiter is dequeued in place, every
+// thread's stack and TLS go straight back to their caches, and an
+// unwaited thread's shell to the freelist.
 func (t *Thread) retire() {
 	t.runTSDDestructors()
 	m := t.m
@@ -925,6 +929,7 @@ func (t *Thread) retire() {
 		// its exit ends their wait instead.
 		stoppers, a.stopWaiters = a.stopWaiters, nil
 	}
+	m.releaseStackLocked(t)
 	if t.flags&ThreadWait != 0 {
 		// The shell lives on as a zombie until thread_wait reaps it.
 		// At most one waiter can be parked on waitWC (double waits
@@ -932,16 +937,13 @@ func (t *Thread) retire() {
 		m.zombies[t.id] = t
 		single = t.waitWC.DequeueOne()
 		wake = m.anyWC.DequeueAll()
-	} else {
-		// Never waited for: recycle everything now. After this point
+	} else if !last {
+		// Never waited for: recycle the shell now. After this point
 		// t may be handed to a concurrent Create, so only the locals
 		// above are used below. The last thread's shell is kept out
 		// of the freelist — its process-exit unwind still inspects t
 		// in releaseOnUnwind/threadGone.
-		m.releaseStackLocked(t)
-		if !last {
-			m.pushFreeLocked(t)
-		}
+		m.pushFreeLocked(t)
 	}
 	m.mu.Unlock()
 	if single != nil {

@@ -7,15 +7,18 @@ import (
 
 // This file holds the per-thread memory machinery behind zero-alloc
 // thread lifecycle: the StackMem abstraction (reserve address space at
-// create, commit on first dispatch), the stack/TLS caches, and the
-// Thread-struct freelist that recycles a thread's shell — struct, gate
-// channel, wait channel, and TSD block — from exit to the next Create.
+// create, commit on first dispatch), the stack/TLS caches every thread
+// refills when it exits, waited for or not, and the Thread-struct
+// freelist that recycles a thread's shell — struct, gate channel, wait
+// channel, and TSD block — from exit (or, for a THREAD_WAIT thread,
+// from its reap) to the next Create.
 
 // Cache bounds.
 const (
 	// stackCacheSize caps how many library-allocated default stacks
 	// (and their TLS blocks) are kept for reuse after their threads
 	// exit — the cache behind Figure 5's "default stack" creation time.
+	// Both caches get this capacity at NewRuntime, so no exit allocates.
 	stackCacheSize = 32
 	// threadCacheSize caps the Thread freelist and the idle animator
 	// pool: exited unwaited (or reaped) threads park their Thread
@@ -58,9 +61,12 @@ func (f *flatStackMem) UnmapStack(base, size int64) error { return nil }
 
 func (f *flatStackMem) TouchStack(base, size int64) error { return nil }
 
-// stackSpan is one cached default-stack carve.
+// stackSpan is one cached default-stack carve. touched records that a
+// thread was dispatched on it, so its top is already committed and the
+// next thread's first dispatch skips TouchStack.
 type stackSpan struct {
 	base, size int64
+	touched    bool
 }
 
 // stackFromCacheLocked returns a stack carve of at least size bytes,
@@ -102,22 +108,25 @@ func (m *Runtime) tlsFromCacheLocked() []byte {
 }
 
 // releaseStackLocked returns t's stack carve and TLS block to their
-// caches (or unmaps the carve when the cache is full or the runtime is
-// dying). The single release site unifying what used to be three
-// duplicated cache pushes in retire, reap, and uncreate. Caller holds
-// m.mu.
+// caches, unmapping the carve when the cache is full. retire calls it
+// for every thread, so a THREAD_WAIT zombie holds only its shell; the
+// other caller is uncreate. A caller-supplied stack is only forgotten:
+// the caller may reuse it once thread_wait returns (paper). A dying
+// runtime drops its carves without unmapping them: the process's
+// address space is going away, or exec has Reset it and handed the
+// same addresses to the new image's stacks. Caller holds m.mu.
 func (m *Runtime) releaseStackLocked(t *Thread) {
-	if t.stackOwn {
-		t.stackOwn = false
-		if len(m.stackCache) < stackCacheSize && !m.dying.Load() {
-			m.stackCache = append(m.stackCache, stackSpan{base: t.stkBase, size: t.stkSize})
+	if t.stackOwn && !m.dying.Load() {
+		if len(m.stackCache) < stackCacheSize {
+			m.stackCache = append(m.stackCache, stackSpan{base: t.stkBase, size: t.stkSize, touched: t.started})
 		} else {
 			_ = m.stackMem.UnmapStack(t.stkBase, t.stkSize)
 		}
-		if t.tls != nil && len(m.tlsCache) < stackCacheSize && !m.dying.Load() {
+		if t.tls != nil && len(m.tlsCache) < stackCacheSize {
 			m.tlsCache = append(m.tlsCache, t.tls)
 		}
 	}
+	t.stackOwn, t.stkTouched = false, false
 	t.stkBase, t.stkSize = 0, 0
 	t.stack = nil
 	t.tls = nil
@@ -132,13 +141,6 @@ func (m *Runtime) pushFreeLocked(t *Thread) {
 		return
 	}
 	m.tcache = append(m.tcache, t)
-}
-
-// freeThreadLocked releases t's per-thread memory and recycles its
-// shell. Caller holds m.mu.
-func (m *Runtime) freeThreadLocked(t *Thread) {
-	m.releaseStackLocked(t)
-	m.pushFreeLocked(t)
 }
 
 // threadSlabBatch is how many Thread shells the cold path reserves per
@@ -264,12 +266,13 @@ func (m *Runtime) animate(t *Thread) {
 }
 
 // touchStack commits the top of t's reserved stack carve before its
-// first frame. Commit failure is deliberately not fatal here — commit
+// first frame, unless an earlier thread on the same cached carve
+// already did. Commit failure is deliberately not fatal here — commit
 // accounting surfaces through explicit memory operations and the
 // commit rlimit; a thread that cannot commit its first chunk still
 // runs in the simulation.
 func (m *Runtime) touchStack(t *Thread) {
-	if t.stackOwn {
+	if t.stackOwn && !t.stkTouched {
 		_ = m.stackMem.TouchStack(t.stkBase, t.stkSize)
 	}
 }

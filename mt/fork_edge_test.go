@@ -2,11 +2,13 @@ package mt
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"sunosmt/internal/sim"
+	"sunosmt/internal/vm"
 )
 
 // Fork/exec edge cases: interactions between process duplication and
@@ -226,4 +228,79 @@ func TestExecDestroysSleepingSibling(t *testing.T) {
 	if n := threadsInNewImage.Load(); n != 1 {
 		t.Fatalf("new image sees %d threads, want 1", n)
 	}
+}
+
+// TestExecOldCallerLeavesNewStacks: the thread that calls exec retires
+// in the old image's runtime after AS.Reset has handed the new image
+// the same addresses, so its stack carve must be dropped, not
+// unmapped. Exec from the THREAD_WAIT main would unmap the new main's
+// stack; exec from a detached thread (the old image's second carve)
+// the new image's second thread's. A TSD destructor holds the old
+// caller in its retire until the new image has both threads, which
+// makes the detached case certain rather than racy.
+func TestExecOldCallerLeavesNewStacks(t *testing.T) {
+	const (
+		stack = 64 << 10
+		carve = stack + 4096 // stack + red-zone guard page
+	)
+	for _, detached := range []bool{false, true} {
+		name := "ThreadWaitMain"
+		if detached {
+			name = "Detached"
+		}
+		t.Run(name, func(t *testing.T) {
+			sys := NewSystem(Options{NCPU: 1})
+			p := spawn(t, sys, "orig", ProcConfig{DefaultStackSize: stack}, func(p *Proc, tt *Thread) {
+				exec := func(old *Thread) {
+					built := make(chan struct{})
+					key := old.Runtime().CreateTSDKey(func(any) { <-built })
+					if err := old.SetSpecific(key, true); err != nil {
+						t.Error(err)
+					}
+					err := p.Exec(old, "newimage", func(nt *Thread, _ any) {
+						_, err := nt.Runtime().Create(func(*Thread, any) {}, nil, CreateOpts{Flags: ThreadStop})
+						close(built)
+						if err != nil {
+							t.Error(err)
+							nt.ExitProcess(1)
+						}
+						want := spans(p.AS.Segments())
+						if yieldUntil(t, nt, "old caller retired", func() bool { return old.State() == ThreadZombie }) {
+							if got := p.AS.Reserved(); got != 2*carve {
+								t.Errorf("new image reserves %d bytes after the old caller retired, want %d (2 threads)", got, 2*carve)
+							}
+							if got := spans(p.AS.Segments()); !slices.Equal(got, want) {
+								t.Errorf("new image's mappings (base, length) changed when the old caller retired:\n got %x\nwant %x", got, want)
+							}
+						}
+						nt.ExitProcess(0) // the stopped thread would keep the process alive
+					}, nil)
+					t.Errorf("Exec returned: %v", err)
+				}
+				if !detached {
+					exec(tt)
+					return
+				}
+				if _, err := tt.Runtime().Create(func(c *Thread, _ any) { exec(c) }, nil, CreateOpts{}); err != nil {
+					t.Error(err)
+					return
+				}
+				tt.Park() // exec unwinds it
+			})
+			select {
+			case <-p.Process().Exited():
+			case <-time.After(60 * time.Second):
+				t.Fatal("timeout waiting for exec'd process")
+			}
+		})
+	}
+}
+
+// spans lists the address ranges of a mapping snapshot.
+func spans(segs []vm.Segment) [][2]int64 {
+	out := make([][2]int64, len(segs))
+	for i, s := range segs {
+		out[i] = [2]int64{s.Base, s.Length}
+	}
+	return out
 }
