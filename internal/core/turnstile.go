@@ -10,19 +10,22 @@
 // This file is that mechanism for the library: every thread carries a
 // base priority (prio, what thread_priority sets) and an effective
 // priority (effPrio, what the dispatcher and the sleep queues order
-// by). A tsync mutex or rwlock embeds a Turnstile; acquiring the lock
-// registers ownership (Acquired), a blocking acquirer walks the
-// published BlockInfo chain willing its effective priority to each
-// owner (WillPriority), and releasing recomputes the owner's effective
-// priority from its remaining held turnstiles (Released).
+// by). A tsync mutex or rwlock embeds a Turnstile. As in Solaris, the
+// turnstile joins its owner's held list only once someone waits: a
+// blocking acquirer links it to the current owner (Contend), then
+// walks the published BlockInfo chain willing its effective priority
+// to each owner (WillPriority); releasing a linked turnstile
+// recomputes the owner's effective priority from its remaining held
+// turnstiles (Released). An acquisition and release nobody waits for
+// never touches Runtime.mu.
 //
-// Locking: Turnstile.owner and the held-list links are guarded by the
-// owning Runtime.mu (local primitives never span processes). The
-// waiter-queue bucket pointers are atomics set under the primitive's
-// word lock; reading a bucket's head takes only the sleep-queue shard
-// lock, which is a leaf and therefore safe under Runtime.mu. Kernel
-// calls (Priocntl, mirroring a boost onto a bound LWP) happen outside
-// Runtime.mu.
+// Locking: Turnstile.linked is guarded by the object's word lock;
+// Turnstile.owner and the held-list links by the owning Runtime.mu
+// (local primitives never span processes). The waiter-queue bucket
+// pointers are atomics set under the primitive's word lock; reading a
+// bucket's head takes only the sleep-queue shard lock, which is a leaf
+// and therefore safe under Runtime.mu. Kernel calls (Priocntl,
+// mirroring a boost onto a bound LWP) happen outside Runtime.mu.
 package core
 
 import (
@@ -43,6 +46,15 @@ type Turnstile struct {
 	// during effective-priority recomputation.
 	q1, q2 atomic.Pointer[sleepqBucket]
 
+	// linked is the owner the turnstile was last linked to, nil if
+	// none; guarded by the object's word lock. It lets Released skip
+	// Runtime.mu for a turnstile nobody waited on. dropTurnstilesLocked
+	// holds only Runtime.mu and cannot clear it, so after the owner
+	// dies it may name a thread whose held list no longer has the
+	// turnstile: Contend then sees the same owner and does not relink
+	// it, and Released finds owner nil and returns.
+	linked *Thread
+
 	owner      *Thread    // current owner; guarded by owner's Runtime.mu
 	next, prev *Turnstile // owner's held-turnstile list; Runtime.mu
 }
@@ -56,28 +68,33 @@ func (ts *Turnstile) SetQueue(wc WaitChan) { ts.q1.Store(wc.b) }
 // queue).
 func (ts *Turnstile) SetQueue2(wc WaitChan) { ts.q2.Store(wc.b) }
 
-// Acquired records t as the turnstile's owner and links the turnstile
-// into t's held list. Called under the object's word lock by the
-// thread that just took ownership.
-func (ts *Turnstile) Acquired(t *Thread) {
-	m := t.m
-	m.mu.Lock()
-	if ts.owner == t {
-		m.mu.Unlock()
+// Contend links the turnstile into o's held list, so o's effective
+// priority accounts for the object's waiters from now on. Called under
+// the object's word lock by a thread about to block behind owner o —
+// before it queues and wills its priority — and by a new owner o that
+// took the object past queued waiters. A turnstile already linked to o
+// costs nothing; a dead owner is not linked.
+func (ts *Turnstile) Contend(o *Thread) {
+	if ts.linked == o {
 		return
 	}
+	ts.linked = o
+	m := o.m
+	m.mu.Lock()
 	if ts.owner != nil {
 		// Ownership moved without a release (should not happen for
 		// local primitives); unhook from the stale owner first.
 		ts.unlinkLocked(ts.owner)
 	}
-	ts.owner = t
-	ts.prev = nil
-	ts.next = t.heldTs
-	if t.heldTs != nil {
-		t.heldTs.prev = ts
+	if o.state != ThreadZombie {
+		ts.owner = o
+		ts.prev = nil
+		ts.next = o.heldTs
+		if o.heldTs != nil {
+			o.heldTs.prev = ts
+		}
+		o.heldTs = ts
 	}
-	t.heldTs = ts
 	m.mu.Unlock()
 }
 
@@ -98,9 +115,14 @@ func (ts *Turnstile) unlinkLocked(o *Thread) {
 // Released drops the turnstile from its owner and recomputes the
 // owner's effective priority from its base priority and the waiters
 // of the turnstiles it still holds — any boost willed through this
-// object is shed here. Called under the object's word lock by the
-// releasing thread.
+// object is shed here. A turnstile nobody contended was never linked,
+// so nothing was willed through it and Released returns at once.
+// Called under the object's word lock by the releasing thread.
 func (ts *Turnstile) Released(t *Thread) {
+	if ts.linked == nil {
+		return
+	}
+	ts.linked = nil
 	m := t.m
 	m.mu.Lock()
 	o := ts.owner
@@ -203,10 +225,11 @@ func (m *Runtime) heldMaxLocked(t *Thread) int {
 // still queued behind it — so the inheritance invariant (an owner runs
 // at at least the effective priority of its best blocked waiter) holds
 // across the hand-off itself. Used by the hand-off lock policies
-// (ticket, MCS/CLH); the barging policies use Released + Acquired.
+// (ticket, MCS/CLH); the barging policies use Released + Contend.
 // Called under the object's word lock, with to already dequeued from
 // the waiter queue.
 func (ts *Turnstile) HandOff(from, to *Thread) {
+	ts.linked = to
 	m := from.m
 	m.mu.Lock()
 	if ts.owner == from {
@@ -290,7 +313,9 @@ func (m *Runtime) mirrorBoundPrio(t *Thread) {
 // dropTurnstilesLocked severs every turnstile a dying thread still
 // holds so no later acquirer walks into freed state. The waiters
 // themselves are woken (or torn down) by the primitive or the process
-// sweep; this only breaks the ownership links. Runtime.mu is held.
+// sweep; this only breaks the ownership links. Runtime.mu is held, not
+// the objects' word locks, so each turnstile's linked stays stale (see
+// Turnstile.linked).
 func (m *Runtime) dropTurnstilesLocked(t *Thread) {
 	for ts := t.heldTs; ts != nil; {
 		next := ts.next

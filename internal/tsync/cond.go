@@ -2,6 +2,7 @@ package tsync
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sunosmt/internal/core"
@@ -18,7 +19,7 @@ type Cond struct {
 	mu      sync.Mutex
 	waiters waitq
 	name    string
-	bi      *core.BlockInfo // cached wait-for edge; see blockInfo
+	bi      atomic.Pointer[core.BlockInfo] // cached wait-for edge; see blockInfo
 
 	// sv (process-shared variant): word 0 is the wake generation
 	// counter.
@@ -33,7 +34,7 @@ const CondShmSize = 8
 // the USYNC_PROCESS variant (cv_init with THREAD_SYNC_SHARED).
 func (cv *Cond) InitShared(sv *usync.Var) {
 	cv.sv = sv
-	cv.bi = nil // the name changed
+	cv.bi.Store(nil) // the name changed
 }
 
 // Name returns the condition variable's identity for diagnostics.
@@ -60,14 +61,11 @@ func (cv *Cond) nameLocked() string {
 // condition wait has no owner — someone must Signal — so it never
 // contributes an edge to deadlock cycles, but it does show up in
 // lstatus as what the thread is blocked on. Built once and shared by
-// every waiter, so waiting allocates nothing.
+// every waiter, so waiting allocates nothing (see edgeOf).
 func (cv *Cond) blockInfo() *core.BlockInfo {
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	if cv.bi == nil {
-		cv.bi = &core.BlockInfo{Kind: "cond", Name: cv.nameLocked()}
-	}
-	return cv.bi
+	return edgeOf(&cv.bi, &cv.mu, func() *core.BlockInfo {
+		return &core.BlockInfo{Kind: "cond", Name: cv.nameLocked()}
+	})
 }
 
 // Wait blocks until the condition is signalled (cv_wait): it releases

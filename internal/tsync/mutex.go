@@ -2,6 +2,7 @@ package tsync
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sunosmt/internal/core"
@@ -24,9 +25,9 @@ type Mutex struct {
 	owner   *core.Thread // nil: the lock is free
 	variant Variant
 	waiters waitq
-	ts      core.Turnstile  // priority-inheritance anchor (local only)
-	name    string          // lazily assigned; identifies the lock in lstatus
-	bi      *core.BlockInfo // cached wait-for edge; see blockInfo
+	ts      core.Turnstile                 // priority-inheritance anchor (local only)
+	name    string                         // lazily assigned; identifies the lock in lstatus
+	bi      atomic.Pointer[core.BlockInfo] // cached wait-for edge; see blockInfo
 
 	// policy is the lock/wake policy: as configured (InitPolicy) until
 	// the first Enter or Exit resolves it to a concrete one and sets
@@ -82,7 +83,7 @@ func (mp *Mutex) LockPolicy() string {
 func (mp *Mutex) InitShared(sv *usync.Var) {
 	mp.mu.Lock()
 	mp.sv = sv
-	mp.bi = nil // the name changed
+	mp.bi.Store(nil) // the name changed
 	mp.mu.Unlock()
 	sv.Declare(usync.KindMutex)
 }
@@ -111,19 +112,18 @@ func (mp *Mutex) nameLocked() string {
 // blockInfo is the wait-for edge published while parked on this
 // mutex. The owner resolves at walk time, never under the caller's
 // locks. The edge is immutable, so it is built once and shared by
-// every waiter — blocking allocates nothing. The policy it names is
-// settled by then: the waiter's Enter pinned it before blocking.
+// every waiter — blocking allocates nothing (see edgeOf). The policy
+// it names is settled by then: the waiter's Enter pinned it before
+// blocking.
 func (mp *Mutex) blockInfo() *core.BlockInfo {
-	mp.mu.Lock()
-	defer mp.mu.Unlock()
-	if mp.bi == nil {
-		mp.bi = &core.BlockInfo{Kind: "mutex", Name: mp.nameLocked(), Owner: mp.ownerRef}
+	return edgeOf(&mp.bi, &mp.mu, func() *core.BlockInfo {
+		bi := &core.BlockInfo{Kind: "mutex", Name: mp.nameLocked(), Owner: mp.ownerRef}
 		if mp.sv == nil {
-			mp.bi.Ts = &mp.ts
-			mp.bi.Policy = mp.policy.String()
+			bi.Ts = &mp.ts
+			bi.Policy = mp.policy.String()
 		}
-	}
-	return mp.bi
+		return bi
+	})
 }
 
 // ownerRef resolves the mutex's owner for the wait-for graph. A graph

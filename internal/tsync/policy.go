@@ -188,7 +188,10 @@ func (s *spinBudget) take(dp *discipline, owner *core.Thread) bool {
 // takeLocked completes an acquisition if it can: the lock is free, or
 // — granted — a hand-off release dequeued t and made it owner while it
 // waited (the lock was never free meanwhile, so nobody barged in
-// between). Word lock held.
+// between). Taking a free lock links the turnstile only when waiters
+// are still queued, so t's effective priority keeps accounting for
+// the threads it went past; an uncontended acquisition takes no
+// scheduler lock. Word lock held.
 func (mp *Mutex) takeLocked(t *core.Thread, granted bool) bool {
 	if granted && mp.owner == t {
 		return true
@@ -197,7 +200,9 @@ func (mp *Mutex) takeLocked(t *core.Thread, granted bool) bool {
 		return false
 	}
 	mp.owner = t
-	mp.ts.Acquired(t)
+	if mp.waiters.len() > 0 {
+		mp.ts.Contend(t)
+	}
 	return true
 }
 
@@ -267,6 +272,7 @@ func (mp *Mutex) enterLocal(t *core.Thread, d time.Duration) error {
 			mp.mu.Unlock()
 			return nil // released, or handed to us, between probes
 		}
+		mp.ts.Contend(mp.owner) // before queueing: the owner now answers for us
 		q := mp.waiters.chanFor(dp.fifo)
 		mp.ts.SetQueue(q)
 		q.Enqueue(t)

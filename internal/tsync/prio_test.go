@@ -158,50 +158,11 @@ func TestMutexHandoffWakesHighestPriority(t *testing.T) {
 
 // TestMutexPriorityInheritance: a high-priority thread blocking on a
 // mutex wills its effective priority to the low-priority owner — even
-// while the owner is itself asleep — and the boost is shed at release.
+// while the owner is itself asleep, and though it took the lock
+// uncontended — and the boost is shed at release.
 func TestMutexPriorityInheritance(t *testing.T) {
-	w := newWorld(1)
 	var mu Mutex
-	var gate Sema
-	var effDuring, effAfter, baseDuring atomic.Int32
-	m := w.boot(t, "p", core.Config{}, func(self *core.Thread, _ any) {
-		r := self.Runtime()
-		low, err := r.Create(func(c *core.Thread, _ any) {
-			mu.Enter(c)
-			gate.P(c) // hold the lock while parked elsewhere
-			mu.Exit(c)
-			effAfter.Store(int32(c.EffPriority()))
-		}, nil, core.CreateOpts{Flags: core.ThreadWait, Priority: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		yieldUntil(t, self, func() bool { return sleepingOn(low, "sema") })
-		high, err := r.Create(func(c *core.Thread, _ any) {
-			mu.Enter(c)
-			mu.Exit(c)
-		}, nil, core.CreateOpts{Flags: core.ThreadWait, Priority: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		yieldUntil(t, self, func() bool { return sleepingOn(high, "mutex") })
-		// high parked after willing: the boost is visible and stable
-		// until the owner releases.
-		effDuring.Store(int32(low.EffPriority()))
-		baseDuring.Store(int32(low.Priority()))
-		gate.V(self)
-		self.Wait(low.ID())
-		self.Wait(high.ID())
-	})
-	waitRT(t, m)
-	if got := effDuring.Load(); got != 10 {
-		t.Errorf("owner effective priority while high-priority waiter blocked = %d, want 10 (inherited)", got)
-	}
-	if got := baseDuring.Load(); got != 2 {
-		t.Errorf("owner base priority while boosted = %d, want 2 (unchanged)", got)
-	}
-	if got := effAfter.Load(); got != 2 {
-		t.Errorf("owner effective priority after release = %d, want 2 (boost shed)", got)
-	}
+	lateWaiterBoostsOwner(t, "mutex", mu.Enter, mu.Exit)
 }
 
 // TestMutexInheritanceChain: a blocking chain H -> mu2(L2) -> mu1(L1)
@@ -355,5 +316,167 @@ func TestNoPriorityInheritanceAblation(t *testing.T) {
 	waitRT(t, m)
 	if got := effDuring.Load(); got != 2 {
 		t.Errorf("owner eff with inheritance disabled = %d, want 2 (no boost)", got)
+	}
+}
+
+// noResidualLinks fails t if a sleep-queue or turnstile link outlived
+// the threads that made it.
+func noResidualLinks(t *testing.T, r *core.Runtime) {
+	t.Helper()
+	if sq, ts := r.ResidualLinks(); sq != 0 || ts != 0 {
+		t.Errorf("residual links: %d sleepq, %d turnstiles; want 0, 0", sq, ts)
+	}
+}
+
+// lateWaiterBoostsOwner: the owner took the lock while nobody waited,
+// so its turnstile was not linked; a higher-priority thread that then
+// blocks links it in its queue section and boosts the owner's
+// effective priority, not its base, and the release sheds the boost.
+func lateWaiterBoostsOwner(t *testing.T, kind string, enter, exit func(*core.Thread)) {
+	w := newWorld(1)
+	var gate Sema
+	var effDuring, baseDuring, effAfter atomic.Int32
+	m := w.boot(t, "p", core.Config{}, func(self *core.Thread, _ any) {
+		r := self.Runtime()
+		low, err := r.Create(func(c *core.Thread, _ any) {
+			enter(c) // uncontended
+			gate.P(c)
+			exit(c)
+			effAfter.Store(int32(c.EffPriority()))
+		}, nil, core.CreateOpts{Flags: core.ThreadWait, Priority: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		yieldUntil(t, self, func() bool { return sleepingOn(low, "sema") })
+		high, err := r.Create(func(c *core.Thread, _ any) {
+			enter(c)
+			exit(c)
+		}, nil, core.CreateOpts{Flags: core.ThreadWait, Priority: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		yieldUntil(t, self, func() bool { return sleepingOn(high, kind) })
+		effDuring.Store(int32(low.EffPriority()))
+		baseDuring.Store(int32(low.Priority()))
+		gate.V(self)
+		self.Wait(low.ID())
+		self.Wait(high.ID())
+		noResidualLinks(t, r)
+	})
+	waitRT(t, m)
+	if got := effDuring.Load(); got != 10 {
+		t.Errorf("owner eff after a late waiter blocked = %d, want 10", got)
+	}
+	if got := baseDuring.Load(); got != 2 {
+		t.Errorf("owner base priority while boosted = %d, want 2 (unchanged)", got)
+	}
+	if got := effAfter.Load(); got != 2 {
+		t.Errorf("owner eff after release = %d, want base 2", got)
+	}
+}
+
+// TestRWLockLateWaiterBoostsUncontendedWriter: lazy linking, rwlock
+// writer.
+func TestRWLockLateWaiterBoostsUncontendedWriter(t *testing.T) {
+	var rw RWLock
+	lateWaiterBoostsOwner(t, "rwlock",
+		func(c *core.Thread) { rw.Enter(c, RWWriter) }, rw.Exit)
+}
+
+// TestNestedUnlinkedReleaseKeepsBoost: a thread holding A (nobody
+// waits) and B (a high-priority waiter) keeps B's boost through
+// Exit(A), whose turnstile was never linked, and sheds it at Exit(B).
+func TestNestedUnlinkedReleaseKeepsBoost(t *testing.T) {
+	w := newWorld(1)
+	var a, b Mutex
+	var gate Sema
+	var afterA, afterB atomic.Int32
+	m := w.boot(t, "p", core.Config{}, func(self *core.Thread, _ any) {
+		r := self.Runtime()
+		holder, err := r.Create(func(c *core.Thread, _ any) {
+			a.Enter(c)
+			b.Enter(c)
+			gate.P(c)
+			a.Exit(c)
+			afterA.Store(int32(c.EffPriority()))
+			b.Exit(c)
+			afterB.Store(int32(c.EffPriority()))
+		}, nil, core.CreateOpts{Flags: core.ThreadWait, Priority: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		yieldUntil(t, self, func() bool { return sleepingOn(holder, "sema") })
+		high, err := r.Create(func(c *core.Thread, _ any) {
+			b.Enter(c)
+			b.Exit(c)
+		}, nil, core.CreateOpts{Flags: core.ThreadWait, Priority: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		yieldUntil(t, self, func() bool { return sleepingOn(high, "mutex") })
+		gate.V(self)
+		self.Wait(holder.ID())
+		self.Wait(high.ID())
+		noResidualLinks(t, r)
+	})
+	waitRT(t, m)
+	if got := afterA.Load(); got != 10 {
+		t.Errorf("eff after releasing the uncontended lock = %d, want 10 (boost kept)", got)
+	}
+	if got := afterB.Load(); got != 2 {
+		t.Errorf("eff after releasing the contended lock = %d, want base 2", got)
+	}
+}
+
+// TestBargerKeepsWaitersItWentPast: a thread that takes a free lock
+// past queued waiters links its turnstile then, though nobody blocks
+// on it afterwards. Boosted through a second lock and releasing that
+// one, it drops to the best waiter it barged past, not to base.
+func TestBargerKeepsWaitersItWentPast(t *testing.T) {
+	w := newWorld(1)
+	var m1, m2 Mutex
+	var gate Sema
+	var afterM2, afterM1 atomic.Int32
+	m := w.boot(t, "p", core.Config{}, func(self *core.Thread, _ any) {
+		r := self.Runtime()
+		barger, err := r.Create(func(c *core.Thread, _ any) {
+			m1.Enter(c)
+			m2.Enter(c)
+			gate.P(c)
+			m1.Exit(c)  // wakes w2; w1 stays queued
+			m1.Enter(c) // free, taken past w1
+			m2.Exit(c)  // sheds high's boost
+			afterM2.Store(int32(c.EffPriority()))
+			m1.Exit(c)
+			afterM1.Store(int32(c.EffPriority()))
+		}, nil, core.CreateOpts{Flags: core.ThreadWait, Priority: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		yieldUntil(t, self, func() bool { return sleepingOn(barger, "sema") })
+		waiter := func(mu *Mutex, prio int) *core.Thread {
+			c, err := r.Create(func(c *core.Thread, _ any) {
+				mu.Enter(c)
+				mu.Exit(c)
+			}, nil, core.CreateOpts{Flags: core.ThreadWait, Priority: prio})
+			if err != nil {
+				t.Fatal(err)
+			}
+			yieldUntil(t, self, func() bool { return sleepingOn(c, "mutex") })
+			return c
+		}
+		w1, w2, high := waiter(&m1, 5), waiter(&m1, 6), waiter(&m2, 10)
+		gate.V(self)
+		for _, c := range []*core.Thread{barger, w1, w2, high} {
+			self.Wait(c.ID())
+		}
+		noResidualLinks(t, r)
+	})
+	waitRT(t, m)
+	if got := afterM2.Load(); got != 5 {
+		t.Errorf("barger eff after releasing the boosting lock = %d, want 5 (the waiter it went past)", got)
+	}
+	if got := afterM1.Load(); got != 2 {
+		t.Errorf("barger eff after releasing both = %d, want base 2", got)
 	}
 }

@@ -2,6 +2,7 @@ package tsync
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sunosmt/internal/core"
@@ -41,7 +42,7 @@ type RWLock struct {
 	wq        waitq          // blocked writers
 	ts        core.Turnstile // priority-inheritance anchor (writer owner)
 	name      string
-	bi        *core.BlockInfo // cached wait-for edge; see blockInfo
+	bi        atomic.Pointer[core.BlockInfo] // cached wait-for edge; see blockInfo
 
 	// sv (process-shared variant): word 0 = readers, word 1 =
 	// writer flag, word 2 = waiting writers, word 3 = upgrade in
@@ -59,7 +60,7 @@ const RWShmSize = 48
 func (rw *RWLock) InitShared(sv *usync.Var) {
 	rw.mu.Lock()
 	rw.sv = sv
-	rw.bi = nil // the name changed
+	rw.bi.Store(nil) // the name changed
 	rw.mu.Unlock()
 	sv.Declare(usync.KindRW)
 }
@@ -88,15 +89,13 @@ func (rw *RWLock) nameLocked() string {
 // resolvable owner is the writer (readers are anonymous). Built once
 // and shared by every waiter, like Mutex.blockInfo.
 func (rw *RWLock) blockInfo() *core.BlockInfo {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	if rw.bi == nil {
-		rw.bi = &core.BlockInfo{Kind: "rwlock", Name: rw.nameLocked(), Owner: rw.ownerRef}
+	return edgeOf(&rw.bi, &rw.mu, func() *core.BlockInfo {
+		bi := &core.BlockInfo{Kind: "rwlock", Name: rw.nameLocked(), Owner: rw.ownerRef}
 		if rw.sv == nil {
-			rw.bi.Ts = &rw.ts
+			bi.Ts = &rw.ts
 		}
-	}
-	return rw.bi
+		return bi
+	})
 }
 
 // ownerRef resolves the writer owner for the wait-for graph; both
@@ -196,6 +195,9 @@ func (rw *RWLock) enterLocal(t *core.Thread, typ RWType, d time.Duration) error 
 			rw.mu.Unlock()
 			return ErrTimedOut
 		}
+		if rw.writer {
+			rw.ts.Contend(rw.owner) // before queueing: the writer now answers for us
+		}
 		if typ == RWWriter {
 			rw.wwaiting++
 			rw.ts.SetQueue(rw.wq.chanOf())
@@ -248,9 +250,7 @@ func (rw *RWLock) tryLocked(t *core.Thread, typ RWType) bool {
 		if rw.writer || rw.readers > 0 {
 			return false
 		}
-		rw.writer = true
-		rw.owner = t
-		rw.ts.Acquired(t)
+		rw.takeWriterLocked(t)
 		return true
 	}
 	if rw.writer || rw.wwaiting > 0 {
@@ -347,10 +347,19 @@ func (rw *RWLock) TryUpgrade(t *core.Thread) bool {
 		return false
 	}
 	rw.readers = 0
+	rw.takeWriterLocked(t)
+	return true
+}
+
+// takeWriterLocked makes t the writer. Like Mutex.takeLocked, it links
+// the turnstile only when t goes past queued readers or writers; rw.mu
+// is held.
+func (rw *RWLock) takeWriterLocked(t *core.Thread) {
 	rw.writer = true
 	rw.owner = t
-	rw.ts.Acquired(t)
-	return true
+	if rw.wq.len() > 0 || rw.rq.len() > 0 {
+		rw.ts.Contend(t)
+	}
 }
 
 // Holders reports (readers, writerHeld) for debugging.

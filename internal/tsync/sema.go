@@ -2,6 +2,7 @@ package tsync
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sunosmt/internal/core"
@@ -27,7 +28,7 @@ type Sema struct {
 	holder  *core.Thread // most recent P-er without a matching V
 	waiters waitq
 	name    string
-	bi      *core.BlockInfo // cached wait-for edge; see blockInfo
+	bi      atomic.Pointer[core.BlockInfo] // cached wait-for edge; see blockInfo
 
 	// sv (process-shared variant): word 0 is the count, word 1 the
 	// most recent holder (pid, tid), word 2 the robust state.
@@ -51,7 +52,7 @@ func (sp *Sema) Init(count uint) {
 func (sp *Sema) InitShared(sv *usync.Var, count uint) {
 	sp.mu.Lock()
 	sp.sv = sv
-	sp.bi = nil // the name changed
+	sp.bi.Store(nil) // the name changed
 	sp.mu.Unlock()
 	sv.Declare(usync.KindSema)
 	sp.InitSharedCount(count)
@@ -95,14 +96,12 @@ func (sp *Sema) nameLocked() string {
 // resolvable owner is the most recent un-V'd P-er, which makes
 // mutex-style semaphore usage visible to the deadlock detector. The
 // edge is immutable and names nothing but the semaphore, so it is
-// built once and shared by every waiter: blocking allocates nothing.
+// built once and shared by every waiter: blocking allocates nothing
+// (see edgeOf).
 func (sp *Sema) blockInfo() *core.BlockInfo {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.bi == nil {
-		sp.bi = &core.BlockInfo{Kind: "sema", Name: sp.nameLocked(), Owner: sp.ownerRef}
-	}
-	return sp.bi
+	return edgeOf(&sp.bi, &sp.mu, func() *core.BlockInfo {
+		return &core.BlockInfo{Kind: "sema", Name: sp.nameLocked(), Owner: sp.ownerRef}
+	})
 }
 
 // ownerRef resolves the semaphore's holder for the wait-for graph, at

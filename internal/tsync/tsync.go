@@ -186,6 +186,24 @@ func (w *waitq) popAll() []*core.Thread {
 	return w.wc.DequeueAll()
 }
 
+// edgeOf returns the wait-for edge cached in *p, building it with
+// build under the primitive's word lock mu on first use. Every later
+// wait reads it with one atomic load; InitShared resets it by storing
+// nil under mu.
+func edgeOf(p *atomic.Pointer[core.BlockInfo], mu *sync.Mutex, build func() *core.BlockInfo) *core.BlockInfo {
+	if bi := p.Load(); bi != nil {
+		return bi
+	}
+	mu.Lock()
+	bi := p.Load()
+	if bi == nil {
+		bi = build()
+		p.Store(bi)
+	}
+	mu.Unlock()
+	return bi
+}
+
 // chaosOf returns the chaos source perturbing t's system (nil — and
 // so inert — when chaos is disabled). Spurious wakeups are injected
 // only at the park sites in this package because every one of them
