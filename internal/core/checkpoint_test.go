@@ -21,15 +21,16 @@ func (c *countingClock) Now() time.Duration {
 }
 
 // TestCheckpointOneSection: with nothing requested of the thread and no
-// signal deliverable, Thread.Checkpoint is Kernel.Checkpoint and
-// nothing else — one clock reading, and no Runtime.mu, shown by making
-// the call while this goroutine holds it. Before, Checkpoint polled for
-// signals unconditionally: Runtime.mu for the thread-directed set, then
-// k.mu again in TakeSignal for the answer Kernel.Checkpoint had just
-// given. Run with a timeout: that version deadlocks here.
+// signal deliverable, Thread.Checkpoint reads the clock once and takes
+// neither Runtime.mu nor k.mu, shown by making the call while both are
+// held. Before, Checkpoint polled for signals unconditionally:
+// Runtime.mu for the thread-directed set, then k.mu again in TakeSignal
+// for the answer Kernel.Checkpoint had just given; and Kernel.Checkpoint
+// itself took k.mu to learn that nothing was posted. Run with a timeout:
+// either version deadlocks here.
 func TestCheckpointOneSection(t *testing.T) {
 	clk := &countingClock{Clock: ktime.NewReal()}
-	k := sim.NewKernel(sim.Config{NCPU: 1, Clock: clk, KernelSwitchCost: -1})
+	k := sim.NewKernel(sim.Config{NCPU: 2, Clock: clk, KernelSwitchCost: -1})
 	m := NewRuntime(k, k.NewProcess("test", nil), Config{})
 	ready, locked, checked := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	if _, err := m.Start(func(self *Thread, _ any) {
@@ -47,15 +48,46 @@ func TestCheckpointOneSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-ready
+	release := holdKernelLock(t, k)
 	m.mu.Lock()
+	before := clk.reads.Load()
 	close(locked)
 	select {
 	case <-checked:
+		if got := clk.reads.Load() - before; got != 1 {
+			t.Errorf("Checkpoint under both locks: %d clock reads, want 1", got)
+		}
 	case <-time.After(5 * time.Second):
-		t.Error("Checkpoint with nothing pending waits for Runtime.mu")
+		t.Error("Checkpoint with nothing pending waits for Runtime.mu or k.mu")
 	}
 	m.mu.Unlock()
+	release()
 	waitExit(t, m)
+}
+
+// holdKernelLock parks a helper LWP of a process of its own inside a
+// kernel section — SleepIf evaluates its commit condition under k.mu —
+// and returns once k.mu is held; release lets the helper go. The
+// kernel needs a CPU free for the helper.
+func holdKernelLock(t *testing.T, k *sim.Kernel) (release func()) {
+	t.Helper()
+	l, err := k.NewLWP(k.NewProcess("holder", nil), sim.ClassTS, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, rel, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { recover(); k.ExitLWP(l) }()
+		k.Start(l)
+		k.SleepIf(l, sim.NewWaitQ("hold"), func() bool {
+			close(held)
+			<-rel
+			return false
+		}, sim.SleepOpts{})
+	}()
+	<-held
+	return func() { close(rel); <-done }
 }
 
 // TestCheckpointDeliversThreadKill: a thread_kill posted to a running

@@ -50,10 +50,16 @@ var (
 // effective priority, FIFO among equals (or strict FIFO when fifo is
 // set) — linked intrusively through Thread.sqNext/sqPrev; guarded by
 // its shard's lock.
+//
+// n is written under the shard lock and read without it (Len, and the
+// empty case of DequeueOne and DequeueAll): every user enqueues and
+// dequeues under a lock of its own (a tsync word lock, Runtime.mu for
+// thread_wait), so one load under that lock is exact. Hence n moves only
+// when a waiter joins or leaves: a re-sort must not touch it.
 type sleepqBucket struct {
 	shard      uint64
 	head, tail *Thread
-	n          int
+	n          atomic.Int32
 
 	// fifo marks a strict arrival-order queue (ticket and MCS/CLH
 	// lock policies hand the lock to the oldest waiter regardless of
@@ -97,18 +103,19 @@ func (wc WaitChan) lock() *sync.Mutex { return &sleepqLock[wc.b.shard] }
 func (wc WaitChan) Enqueue(t *Thread) {
 	mu := wc.lock()
 	mu.Lock()
+	t.sqBkt.Store(wc.b)
 	wc.b.insertLocked(t)
+	wc.b.n.Add(1)
 	mu.Unlock()
 }
 
-// insertLocked places t by descending effective priority, FIFO among
+// insertLocked links t in by descending effective priority, FIFO among
 // equals (it goes behind every waiter at its own priority); the shard
-// lock is held. The common case — equal priorities — walks to the tail
-// only when a strictly lower-priority waiter exists, so uniform-
-// priority workloads keep the old append-at-tail cost via the tail
-// check below.
+// lock is held, and the count is the caller's. The common case — equal
+// priorities — walks to the tail only when a strictly lower-priority
+// waiter exists, so uniform-priority workloads keep the old
+// append-at-tail cost via the tail check below.
 func (b *sleepqBucket) insertLocked(t *Thread) {
-	t.sqBkt.Store(b)
 	p := t.effPrio.Load()
 	if b.fifo || b.tail == nil || b.tail.effPrio.Load() >= p {
 		// Empty, or t belongs at the tail (the usual FIFO case).
@@ -120,7 +127,6 @@ func (b *sleepqBucket) insertLocked(t *Thread) {
 			b.tail.sqNext = t
 		}
 		b.tail = t
-		b.n++
 		return
 	}
 	at := b.head
@@ -135,13 +141,13 @@ func (b *sleepqBucket) insertLocked(t *Thread) {
 		at.sqPrev.sqNext = t
 	}
 	at.sqPrev = t
-	b.n++
 }
 
 // reposition re-sorts t within its bucket after an effective-priority
 // change, if it is still queued there. Callers may hold Runtime.mu;
-// the shard lock is a leaf. t.sqBkt stays set throughout so a
-// concurrent teardown (sleepqDetach) never misses the thread.
+// the shard lock is a leaf. t.sqBkt stays set and the count stays put
+// throughout, so neither a concurrent teardown (sleepqDetach) nor a
+// lock-free Len sees the thread leave.
 func (wc WaitChan) reposition(t *Thread) {
 	if wc.b.fifo {
 		// Strict arrival order: a priority change never moves a
@@ -152,25 +158,15 @@ func (wc WaitChan) reposition(t *Thread) {
 	mu := wc.lock()
 	mu.Lock()
 	if t.sqBkt.Load() == wc.b {
-		b := wc.b
-		if t.sqPrev != nil {
-			t.sqPrev.sqNext = t.sqNext
-		} else {
-			b.head = t.sqNext
-		}
-		if t.sqNext != nil {
-			t.sqNext.sqPrev = t.sqPrev
-		} else {
-			b.tail = t.sqPrev
-		}
-		b.n--
-		b.insertLocked(t)
+		wc.b.spliceLocked(t)
+		wc.b.insertLocked(t)
 	}
 	mu.Unlock()
 }
 
-// unlinkLocked detaches t from b; the shard lock is held.
-func (b *sleepqBucket) unlinkLocked(t *Thread) {
+// spliceLocked takes t's links out of b's list, leaving t's own links,
+// its bucket pointer and the count alone; the shard lock is held.
+func (b *sleepqBucket) spliceLocked(t *Thread) {
 	if t.sqPrev != nil {
 		t.sqPrev.sqNext = t.sqNext
 	} else {
@@ -181,14 +177,23 @@ func (b *sleepqBucket) unlinkLocked(t *Thread) {
 	} else {
 		b.tail = t.sqPrev
 	}
+}
+
+// unlinkLocked detaches t from b; the shard lock is held.
+func (b *sleepqBucket) unlinkLocked(t *Thread) {
+	b.spliceLocked(t)
 	t.sqNext, t.sqPrev = nil, nil
 	t.sqBkt.Store(nil)
-	b.n--
+	b.n.Add(-1)
 }
 
 // DequeueOne removes and returns the best waiter — highest effective
-// priority, oldest among equals — or nil.
+// priority, oldest among equals — or nil. An empty channel says so from
+// its count, without the shard lock (see sleepqBucket).
 func (wc WaitChan) DequeueOne() *Thread {
+	if wc.b.n.Load() == 0 {
+		return nil
+	}
 	mu := wc.lock()
 	mu.Lock()
 	t := wc.b.head
@@ -200,16 +205,15 @@ func (wc WaitChan) DequeueOne() *Thread {
 }
 
 // DequeueAll removes every waiter, returned in queue (priority-then-
-// FIFO) order.
+// FIFO) order; an empty channel takes no lock, as in DequeueOne.
 func (wc WaitChan) DequeueAll() []*Thread {
+	if wc.b.n.Load() == 0 {
+		return nil
+	}
 	mu := wc.lock()
 	mu.Lock()
 	b := wc.b
-	if b.n == 0 {
-		mu.Unlock()
-		return nil
-	}
-	out := make([]*Thread, 0, b.n)
+	out := make([]*Thread, 0, b.n.Load())
 	for t := b.head; t != nil; {
 		next := t.sqNext
 		t.sqNext, t.sqPrev = nil, nil
@@ -217,7 +221,8 @@ func (wc WaitChan) DequeueAll() []*Thread {
 		out = append(out, t)
 		t = next
 	}
-	b.head, b.tail, b.n = nil, nil, 0
+	b.head, b.tail = nil, nil
+	b.n.Store(0)
 	mu.Unlock()
 	return out
 }
@@ -237,14 +242,16 @@ func (wc WaitChan) Remove(t *Thread) bool {
 	return true
 }
 
-// Len reports the number of queued waiters.
-func (wc WaitChan) Len() int {
-	mu := wc.lock()
-	mu.Lock()
-	n := wc.b.n
-	mu.Unlock()
-	return n
-}
+// Queued reports whether t is linked on a sleep channel. Only t queues
+// itself, so once a waker has dequeued it the answer stays false for as
+// long as t runs without waiting again: a waiter back from a park reads
+// it to skip a deregistration its waker already did.
+func (t *Thread) Queued() bool { return t.sqBkt.Load() != nil }
+
+// Len reports the number of queued waiters, without the shard lock.
+// The answer is exact for a caller that holds the lock every enqueue
+// onto the channel is made under (see sleepqBucket).
+func (wc WaitChan) Len() int { return int(wc.b.n.Load()) }
 
 // ResidualLinks counts library linkage that must be empty once a
 // runtime has quiesced: threads still linked on a sleep-queue bucket

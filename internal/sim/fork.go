@@ -128,6 +128,7 @@ func (k *Kernel) execInner(l *LWP, p *Process, name string) (*LWP, error) {
 	// Wake everyone; non-survivors unwind at their next kernel
 	// entry. Exec blocks until all the LWPs are destroyed (paper).
 	for _, x := range p.lwps {
+		x.slow.Store(true)
 		if x != l {
 			x.cond.Broadcast()
 		}

@@ -416,6 +416,7 @@ func (k *Kernel) newLWPLocked(p *Process, class Class, prio int, now time.Durati
 		exited:    make(chan struct{}),
 	}
 	l.curCPU.Store(-1)
+	l.slow.Store(true)
 	l.cond = sync.NewCond(&k.mu)
 	p.lwps[l.id] = l
 	p.liveLWPs++
@@ -778,8 +779,13 @@ func (k *Kernel) preemptCheckLocked() {
 			continue
 		}
 		for _, c := range ps.cpus {
-			if c.lwp != nil && c.lwp.globalPrio() < bestWaiting {
+			if c.lwp == nil {
+				continue
+			}
+			k.settleLocked(c.lwp)
+			if c.lwp.globalPrio() < bestWaiting {
 				c.lwp.preempt = true
+				c.lwp.slow.Store(true)
 			}
 		}
 	}
@@ -867,16 +873,37 @@ func (k *Kernel) chargeAtLocked(l *LWP, now time.Duration) {
 	}
 }
 
+// settleLocked charges an on-CPU LWP up to its last lock-free
+// checkpoint: exactly what that checkpoint would have charged had it
+// taken mu. Whatever reads an on-CPU LWP's times or TS usage, or changes
+// how a charge applies, settles it first.
+func (k *Kernel) settleLocked(l *LWP) {
+	if at := time.Duration(l.ckptAt.Load()); l.state == LWPOnCPU && at > l.chargeMark {
+		k.chargeAtLocked(l, at)
+	}
+}
+
 // Checkpoint is a cooperative preemption point. Animators call it at
 // synchronization operations, system-call boundaries and voluntary
 // yields. It handles process death and exec unwinding, process stop,
 // priority preemption and time-slice expiry. It reports whether a
 // signal is now deliverable to this LWP, in which case the caller
 // should invoke TakeSignal.
+//
+// With nothing posted (see LWP.slow), before the next TS decay, and
+// inside its time slice, it takes no lock: it notes its clock reading
+// and defers the charge to the next locked entry or settle. (Past the
+// slice it locks: whether anything is queued is asked under mu.)
 func (k *Kernel) Checkpoint(l *LWP) (signalPending bool) {
+	now := k.clock.Now()
+	if slice := k.cfg.TimeSlice; !l.slow.Load() && now < time.Duration(l.fastUntil.Load()) &&
+		(slice <= 0 || now-l.onCPUSince < slice) {
+		l.ckptAt.Store(int64(now))
+		return false
+	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.checkpointLocked(l, k.clock.Now())
+	k.checkpointLocked(l, now)
 	return k.deliverableLocked(l) != 0
 }
 
@@ -924,6 +951,16 @@ func (k *Kernel) checkpointLocked(l *LWP, now time.Duration) time.Duration {
 		k.scheduleLocked(now)
 		k.waitOnCPULocked(l)
 		now = k.clock.Now()
+	}
+	// An atomic store is a locked instruction; most entries change
+	// neither value, so store only a change.
+	if until := int64(l.nextDecay()); until != l.fastUntil.Load() {
+		l.fastUntil.Store(until)
+	}
+	if slow := k.chaos.Enabled() || p.dying || p.execing || p.state == ProcStopped || l.preempt ||
+		k.deliverableLocked(l) != 0 || l.vtimer != nil || l.ptimer != nil || l.prof != nil ||
+		p.cpuLimit.Soft != RlimitInfinity; slow != l.slow.Load() {
+		l.slow.Store(slow)
 	}
 	return now
 }

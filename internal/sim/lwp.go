@@ -103,6 +103,17 @@ type LWP struct {
 	cpuUsage   time.Duration // decayed usage, drives TS priority
 	lastDecay  time.Duration
 
+	// Checkpoint fast path (Kernel.Checkpoint). slow means the next
+	// checkpoint must take k.mu: every poster of something a checkpoint
+	// acts on sets it under k.mu, and each locked checkpoint recomputes
+	// it. fastUntil is the next TS decay (never, for a class that does
+	// not decay), which a lock-free checkpoint must come before. ckptAt
+	// is the clock reading of the last lock-free checkpoint: the point
+	// settleLocked charges up to.
+	slow      atomic.Bool
+	fastUntil atomic.Int64
+	ckptAt    atomic.Int64
+
 	// Intrusive dispatch-queue node (dispq.go): the per-CPU run
 	// queue the LWP is waiting on, its level there, and the FIFO
 	// links. Guarded by Kernel.mu.
@@ -243,6 +254,7 @@ func (l *LWP) Usage() (user, sys time.Duration) {
 	k := l.proc.kern
 	k.mu.Lock()
 	defer k.mu.Unlock()
+	k.settleLocked(l)
 	return l.userTime, l.sysTime
 }
 

@@ -229,6 +229,7 @@ func (p *Process) SetCPULimit(lim Rlimit) {
 	p.kern.mu.Lock()
 	p.cpuLimit = lim
 	p.xcpuSent = false
+	p.postAllLocked()
 	p.kern.mu.Unlock()
 }
 
@@ -282,10 +283,19 @@ func (p *Process) rusageLocked() Rusage {
 		SysTime:     p.deadSys,
 	}
 	for _, l := range p.lwps {
+		p.kern.settleLocked(l)
 		r.UserTime += l.userTime
 		r.SysTime += l.sysTime
 	}
 	return r
+}
+
+// postAllLocked makes the next checkpoint of every LWP of the process
+// take k.mu (see LWP.slow): what was posted concerns them all.
+func (p *Process) postAllLocked() {
+	for _, l := range p.lwps {
+		l.slow.Store(true)
+	}
 }
 
 // AddFault charges page faults to the process (called by internal/vm).

@@ -129,6 +129,7 @@ func (k *Kernel) moveCPULocked(c *CPU, dst *pset) {
 	}
 	if c.lwp != nil && c.lwp.ps != dst {
 		c.lwp.preempt = true
+		c.lwp.slow.Store(true)
 	}
 }
 
@@ -186,6 +187,7 @@ func (k *Kernel) psetRebindLocked(l *LWP, ps *pset, bound bool) {
 	}
 	if l.cpu != nil && l.cpu.ps != ps {
 		l.preempt = true
+		l.slow.Store(true)
 	}
 }
 

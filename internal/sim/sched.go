@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -122,6 +123,15 @@ func (l *LWP) chargeAndDecay(d time.Duration, now time.Duration) {
 	}
 }
 
+// nextDecay is when chargeAndDecay next halves a TS/GANG LWP's usage,
+// and never for a class that does not decay. Caller holds k.mu.
+func (l *LWP) nextDecay() time.Duration {
+	if l.class == ClassTS || l.class == ClassGang {
+		return l.lastDecay + tsDecayInterval
+	}
+	return math.MaxInt64
+}
+
 // Priocntl changes the scheduling class and class-relative priority of
 // an LWP, like priocntl(2). prio must be in [0, MaxUserPrio].
 func (k *Kernel) Priocntl(l *LWP, class Class, prio int) error {
@@ -143,6 +153,7 @@ func (k *Kernel) Priocntl(l *LWP, class Class, prio int) error {
 // re-pushed after, so its queue level and the kernel's gang counter
 // track the change.
 func (k *Kernel) reclassLocked(l *LWP, class Class, prio, gang int) {
+	k.settleLocked(l) // the deferred charge is the old class's
 	queued := l.rqOn
 	var c *CPU
 	if queued {
@@ -156,6 +167,7 @@ func (k *Kernel) reclassLocked(l *LWP, class Class, prio, gang int) {
 	} else {
 		l.gang = 0
 	}
+	l.fastUntil.Store(int64(l.nextDecay()))
 	if queued {
 		k.runqPushLocked(c, l)
 	}
@@ -213,6 +225,7 @@ func (k *Kernel) BindCPU(l *LWP, cpuID int) error {
 	}
 	if bound != nil && l.cpu != nil && l.cpu != bound {
 		l.preempt = true
+		l.slow.Store(true)
 	}
 	k.scheduleLocked(k.clock.Now())
 	return nil

@@ -180,6 +180,7 @@ func (k *Kernel) postSignalLocked(p *Process, sig Signal, target *LWP, now time.
 	// Caught signal: route to an LWP.
 	if target != nil {
 		target.pending = target.pending.Add(sig)
+		target.slow.Store(true)
 		k.kickLocked(target, now)
 		return
 	}
@@ -209,16 +210,20 @@ func (k *Kernel) postSignalLocked(p *Process, sig Signal, target *LWP, now time.
 	switch {
 	case sleeper != nil:
 		sleeper.pending = sleeper.pending.Add(sig)
+		sleeper.slow.Store(true)
 		k.kickLocked(sleeper, now)
 	case onCPU != nil:
 		onCPU.pending = onCPU.pending.Add(sig)
+		onCPU.slow.Store(true)
 		k.kickLocked(onCPU, now)
 	case runnable != nil:
 		runnable.pending = runnable.pending.Add(sig)
+		runnable.slow.Store(true)
 	default:
 		// All threads mask it: pend on the process until a
 		// thread unmasks the signal (paper).
 		p.pendingProc = p.pendingProc.Add(sig)
+		p.postAllLocked()
 	}
 }
 
@@ -336,6 +341,7 @@ func (k *Kernel) SetLWPMask(l *LWP, how SigHow, set Sigset) Sigset {
 	defer k.mu.Unlock()
 	old := l.mask
 	l.mask = ApplyMask(old, how, set).Minus(unmaskable)
+	l.slow.Store(true) // an unmasked process-pending signal is now deliverable
 	return old
 }
 
@@ -430,6 +436,7 @@ func (k *Kernel) killProcLocked(p *Process, status int, sig Signal, core bool, n
 	// wakes.
 	for _, l := range p.lwps {
 		k.removeRunnableLocked(l)
+		l.slow.Store(true)
 		l.cond.Broadcast()
 	}
 	if p.liveLWPs == 0 {
@@ -461,6 +468,7 @@ func (k *Kernel) stopProcLocked(p *Process) {
 	p.state = ProcStopped
 	// On-CPU LWPs park at their next checkpoint; nothing to do for
 	// sleepers (they stop when they wake and hit a checkpoint).
+	p.postAllLocked()
 }
 
 func (k *Kernel) contProcLocked(p *Process) {

@@ -65,6 +65,8 @@ const (
 func (k *Kernel) Setitimer(l *LWP, which Which, value, interval time.Duration) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
+	k.settleLocked(l) // time before the call is not the new timer's
+	l.slow.Store(true)
 	p := l.proc
 	switch which {
 	case ITimerReal:
@@ -117,7 +119,9 @@ func (k *Kernel) armRealLocked(p *Process, t *itimer, d time.Duration) {
 // also share one if accumulated information is desired."
 func (k *Kernel) SetProfiling(l *LWP, buf *ProfBuffer) {
 	k.mu.Lock()
+	k.settleLocked(l)
 	l.prof = buf
+	l.slow.Store(true)
 	k.mu.Unlock()
 }
 

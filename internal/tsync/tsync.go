@@ -146,6 +146,8 @@ func (w *waitq) chanFor(fifo bool) core.WaitChan {
 
 func (w *waitq) push(t *core.Thread) { w.chanOf().Enqueue(t) }
 
+// pop, len and popAll run under the word lock every enqueue takes, so
+// an empty channel answers from its count, without the shard lock.
 func (w *waitq) pop() *core.Thread {
 	if !w.wc.Valid() {
 		return nil
@@ -154,7 +156,7 @@ func (w *waitq) pop() *core.Thread {
 }
 
 func (w *waitq) remove(t *core.Thread) bool {
-	if !w.wc.Valid() {
+	if !w.wc.Valid() || !t.Queued() {
 		return false
 	}
 	return w.wc.Remove(t)
@@ -162,8 +164,11 @@ func (w *waitq) remove(t *core.Thread) bool {
 
 // removeUnder is remove for a caller outside the primitive's word lock
 // mu — a timer, or a waiter back from a park. False means a waker
-// already popped t.
+// already popped t; a t on no queue says so without either lock.
 func (w *waitq) removeUnder(mu *sync.Mutex, t *core.Thread) bool {
+	if !t.Queued() {
+		return false
+	}
 	mu.Lock()
 	removed := w.remove(t)
 	mu.Unlock()
