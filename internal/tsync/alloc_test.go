@@ -52,6 +52,54 @@ func TestSemaBlockZeroAlloc(t *testing.T) {
 	waitRT(t, m)
 }
 
+// TestSharedSemaBlockZeroAlloc: the same ping-pong on process-shared
+// semaphores, in which every P of the main thread sleeps in the kernel
+// once and is woken: the peer posts only after it has seen the main
+// thread's LWP on the variable's wait queue. The peer is bound, since a
+// shared wait blocks its LWP.
+func TestSharedSemaBlockZeroAlloc(t *testing.T) {
+	w := newWorld(1)
+	obj := vm.NewAnon(vm.PageSize)
+	m := w.boot(t, "p", core.Config{}, func(self *core.Thread, _ any) {
+		var ping, pong Sema
+		ping.InitShared(w.reg.Var(obj, 0), 0)
+		pong.InitShared(w.reg.Var(obj, 64), 0)
+		stop := false
+		peer, err := self.Runtime().Create(func(c *core.Thread, _ any) {
+			for {
+				ping.P(c)
+				if stop {
+					return
+				}
+				for pong.sv.Waiters() == 0 {
+					c.Yield()
+				}
+				pong.V(c)
+			}
+		}, nil, core.CreateOpts{Flags: core.ThreadWait | core.ThreadBindLWP})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		cycle := func() {
+			ping.V(self)
+			pong.P(self)
+		}
+		for i := 0; i < 64; i++ {
+			cycle()
+		}
+		if avg := testing.AllocsPerRun(200, cycle); avg > 0 {
+			t.Errorf("shared sema P/V kernel-sleep round trip allocates %.1f objects/op, want 0", avg)
+		}
+		stop = true
+		ping.V(self)
+		if _, err := self.Wait(peer.ID()); err != nil {
+			t.Error(err)
+		}
+	})
+	waitRT(t, m)
+}
+
 // TestCondWaitZeroAlloc: a Wait/Signal ping-pong under one mutex.
 func TestCondWaitZeroAlloc(t *testing.T) {
 	w := newWorld(1)

@@ -12,7 +12,9 @@ import (
 // edge is safe to share: it is built once under the word lock, cached,
 // immutable from then on, and published to the graph walkers through
 // one atomic pointer per blocked thread. Workers block on a mutex, a
-// semaphore and a rwlock (NoteBlocked with the cached edge) while host
+// semaphore, a rwlock and a condition variable (NoteBlocked with the
+// cached edge; the condition variable guards a baton that a worker
+// waits for in Wait and hands on with Signal) while host
 // goroutines walk the graph the way DetectDeadlocks and /proc lstatus
 // do — snapshot the edges, then resolve each owner through the edge's
 // closure — and between the two rounds InitShared drops every cached
@@ -24,9 +26,11 @@ func TestBlockInfoHammer(t *testing.T) {
 	w := newWorld(2)
 	obj := vm.NewAnon(vm.PageSize)
 	var (
-		mu  Mutex
-		sem Sema
-		rw  RWLock
+		mu, cmu Mutex
+		sem     Sema
+		rw      RWLock
+		cv      Cond
+		baton   bool // guarded by cmu
 	)
 	sem.Init(1)
 	prims := []struct {
@@ -40,6 +44,19 @@ func TestBlockInfoHammer(t *testing.T) {
 			share: func() { sem.InitShared(w.reg.Var(obj, 64), 1) }},
 		{lock: func(c *core.Thread) { rw.Enter(c, RWWriter) }, unlock: rw.Exit,
 			share: func() { rw.InitShared(w.reg.Var(obj, 128)) }},
+		{lock: func(c *core.Thread) {
+			cmu.Enter(c)
+			for baton {
+				cv.Wait(c, &cmu)
+			}
+			baton = true
+			cmu.Exit(c)
+		}, unlock: func(c *core.Thread) {
+			cmu.Enter(c)
+			baton = false
+			cmu.Exit(c)
+			cv.Signal(c)
+		}, share: func() { cv.InitShared(w.reg.Var(obj, 192)) }},
 	}
 	m := w.boot(t, "p", core.Config{}, func(self *core.Thread, _ any) {
 		r := self.Runtime()
@@ -89,7 +106,7 @@ func TestBlockInfoHammer(t *testing.T) {
 				default:
 				}
 				for _, e := range m.LockWaiters() {
-					if e.Name == "" || (e.Kind != "mutex" && e.Kind != "sema" && e.Kind != "rwlock") {
+					if e.Name == "" || (e.Kind != "mutex" && e.Kind != "sema" && e.Kind != "rwlock" && e.Kind != "cond") {
 						t.Errorf("malformed wait-for edge: %+v", e)
 						return
 					}

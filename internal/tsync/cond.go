@@ -1,12 +1,9 @@
 package tsync
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sunosmt/internal/core"
-	"sunosmt/internal/sim"
 	"sunosmt/internal/usync"
 )
 
@@ -15,113 +12,60 @@ import (
 // blocked by other threads, the waited-for condition must be
 // re-tested in a loop, exactly as the paper's usage example shows.
 // The zero value is a valid condition variable.
+//
+// A condition wait has no owner — someone must Signal — so it never
+// contributes an edge to deadlock cycles, but it does show up in
+// lstatus as what the thread is blocked on.
 type Cond struct {
-	mu      sync.Mutex
+	header
 	waiters waitq
-	name    string
-	bi      atomic.Pointer[core.BlockInfo] // cached wait-for edge; see blockInfo
-
-	// sv (process-shared variant): word 0 is the wake generation
-	// counter.
-	sv *usync.Var
 }
 
 // CondShmSize is the number of bytes a process-shared condition
-// variable occupies in mapped memory.
+// variable occupies in mapped memory: word 0 = wake generation.
 const CondShmSize = 8
 
 // InitShared binds the condition variable to shared state —
 // the USYNC_PROCESS variant (cv_init with THREAD_SYNC_SHARED).
-func (cv *Cond) InitShared(sv *usync.Var) {
-	cv.sv = sv
-	cv.bi.Store(nil) // the name changed
-}
+func (cv *Cond) InitShared(sv *usync.Var) { cv.bind(sv, condKind) }
 
 // Name returns the condition variable's identity for diagnostics.
-func (cv *Cond) Name() string {
-	if cv.sv != nil {
-		return cv.sv.Name()
-	}
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	return cv.nameLocked()
-}
-
-func (cv *Cond) nameLocked() string {
-	if cv.sv != nil {
-		return cv.sv.Name()
-	}
-	if cv.name == "" {
-		cv.name = autoName("cond")
-	}
-	return cv.name
-}
-
-// blockInfo is the wait-for edge for threads parked in Wait. A
-// condition wait has no owner — someone must Signal — so it never
-// contributes an edge to deadlock cycles, but it does show up in
-// lstatus as what the thread is blocked on. Built once and shared by
-// every waiter, so waiting allocates nothing (see edgeOf).
-func (cv *Cond) blockInfo() *core.BlockInfo {
-	return edgeOf(&cv.bi, &cv.mu, func() *core.BlockInfo {
-		return &core.BlockInfo{Kind: "cond", Name: cv.nameLocked()}
-	})
-}
+func (cv *Cond) Name() string { return cv.nameOf(condKind) }
 
 // Wait blocks until the condition is signalled (cv_wait): it releases
 // mp before blocking and reacquires it before returning. Spurious
 // wakeups are possible; callers loop.
-func (cv *Cond) Wait(t *core.Thread, mp *Mutex) {
+func (cv *Cond) Wait(t *core.Thread, mp *Mutex) { cv.TimedWait(t, mp, 0) }
+
+// TimedWait is Wait with a timeout bound, an extension of the shipped
+// library (cond_timedwait). It reports false on timeout; d <= 0 means
+// no bound. A waiter that a Signal has dequeued consumed that signal
+// and reports true, even if the deadline passes before it runs again.
+func (cv *Cond) TimedWait(t *core.Thread, mp *Mutex, d time.Duration) bool {
 	if cv.sv != nil {
-		cv.waitShared(t, mp, 0)
-		return
+		return cv.waitShared(t, mp, d)
 	}
+	clk, deadline := deadlineOf(t, d)
 	cv.mu.Lock()
 	cv.waiters.push(t)
 	cv.mu.Unlock()
 	mp.Exit(t)
+	timedOut := false
 	if chaosOf(t).SpuriousWakeup() {
 		t.Checkpoint() // chaos: spurious wakeup, park elided
 	} else {
-		t.NoteBlocked(cv.blockInfo())
-		t.Park()
-		t.NoteUnblocked()
+		var dequeue func() bool // timed waits only: Wait allocates nothing
+		if d > 0 {
+			dequeue = func() bool { return cv.waiters.removeUnder(&cv.mu, t) }
+		}
+		timedOut = block(t, cv.edge(condKind, nil, ""), false, clk, deadline, dequeue)
 	}
 	// Deregister in case the wake was a permit consumed elsewhere
 	// (stop/continue interleavings); harmless if already popped.
 	cv.waiters.removeUnder(&cv.mu, t)
 	mp.Enter(t)
 	t.Checkpoint()
-}
-
-// TimedWait is Wait with a timeout bound, an extension of the shipped
-// library (cond_timedwait). It reports false on timeout. Only
-// process-shared variables support exact kernel timeouts; unshared
-// variables approximate with a kernel timer wake.
-func (cv *Cond) TimedWait(t *core.Thread, mp *Mutex, d time.Duration) bool {
-	if cv.sv != nil {
-		return cv.waitShared(t, mp, d)
-	}
-	if d <= 0 {
-		cv.Wait(t, mp)
-		return true
-	}
-	// Arm a wake that fires if we are still queued at the deadline.
-	fired := make(chan struct{})
-	timer := t.Runtime().Kernel().Clock().AfterFunc(d, func() {
-		close(fired)
-		if cv.waiters.removeUnder(&cv.mu, t) {
-			t.Unpark()
-		}
-	})
-	cv.Wait(t, mp)
-	timer.Stop()
-	select {
-	case <-fired:
-		return false
-	default:
-		return true
-	}
+	return !timedOut
 }
 
 // Signal wakes one waiter (cv_signal). There is no guaranteed order
@@ -168,22 +112,16 @@ func (cv *Cond) Waiters() int {
 }
 
 // waitShared implements the process-shared wait: generation counting
-// through the mapped word with a race-free kernel commit. Returns
-// false on timeout.
+// through the mapped word with a race-free kernel commit. An untimed
+// wait is indefinite, like Sema.P's. Returns false on timeout.
 func (cv *Cond) waitShared(t *core.Thread, mp *Mutex, d time.Duration) bool {
 	var gen uint64
 	cv.sv.Atomically(func(w usync.Words) { gen = w.Load(0) })
 	mp.Exit(t)
-	opts := usync.SleepOpts{Indefinite: d <= 0} // see Sema.pShared
-	if d > 0 {
-		opts.Timeout = d
-	}
-	t.NoteBlocked(cv.blockInfo())
-	res, slept := cv.sv.SleepWhile(t.LWP(), func(w usync.Words) bool {
+	timedOut := cv.sleepShared(t, condKind, func(w usync.Words) bool {
 		return w.Load(0) == gen // no signal since we decided to wait
-	}, opts)
-	t.NoteUnblocked()
+	}, usync.SleepOpts{Indefinite: d <= 0, Timeout: d})
 	mp.Enter(t)
 	t.Checkpoint()
-	return !(slept && res == sim.WakeTimeout)
+	return !timedOut
 }

@@ -1,12 +1,9 @@
 package tsync
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sunosmt/internal/core"
-	"sunosmt/internal/ktime"
 	"sunosmt/internal/usync"
 )
 
@@ -21,13 +18,10 @@ import (
 // death sweeps it, and the next acquirer gets ErrOwnerDead (see
 // EnterErr and MakeConsistent).
 type Mutex struct {
-	mu      sync.Mutex   // word lock; models the atomic instructions
-	owner   *core.Thread // nil: the lock is free
+	header  // owner nil: the lock is free
 	variant Variant
 	waiters waitq
-	ts      core.Turnstile                 // priority-inheritance anchor (local only)
-	name    string                         // lazily assigned; identifies the lock in lstatus
-	bi      atomic.Pointer[core.BlockInfo] // cached wait-for edge; see blockInfo
+	ts      core.Turnstile // priority-inheritance anchor (local only)
 
 	// policy is the lock/wake policy: as configured (InitPolicy) until
 	// the first Enter or Exit resolves it to a concrete one and sets
@@ -37,16 +31,11 @@ type Mutex struct {
 	policy   Policy
 	pinned   bool
 	releases uint64
-
-	// sv, when non-nil, makes this a process-shared mutex whose
-	// state lives in mapped memory at the variable's offset:
-	// word 0 = lock state, word 1 = waiter count, word 2 = owner
-	// (pid, tid), word 3 = robust state.
-	sv *usync.Var
 }
 
 // MutexShmSize is the number of bytes a process-shared mutex occupies
-// in mapped memory.
+// in mapped memory: word 0 = lock state, 1 = waiter count, 2 = owner
+// (pid, tid), 3 = robust state.
 const MutexShmSize = 32
 
 // Init selects the implementation variant (mutex_init). Calling Init
@@ -80,67 +69,11 @@ func (mp *Mutex) LockPolicy() string {
 // InitShared binds the mutex to shared state at (obj, off) resolved
 // through reg — the USYNC_PROCESS variant. Threads in any process
 // that binds a Mutex to the same identity contend on the same lock.
-func (mp *Mutex) InitShared(sv *usync.Var) {
-	mp.mu.Lock()
-	mp.sv = sv
-	mp.bi.Store(nil) // the name changed
-	mp.mu.Unlock()
-	sv.Declare(usync.KindMutex)
-}
+func (mp *Mutex) InitShared(sv *usync.Var) { mp.bind(sv, mutexKind) }
 
 // Name returns the lock's identity for diagnostics: the shared
 // variable's system-wide name, or a lazily assigned "mutex#N".
-func (mp *Mutex) Name() string {
-	if mp.sv != nil {
-		return mp.sv.Name()
-	}
-	mp.mu.Lock()
-	defer mp.mu.Unlock()
-	return mp.nameLocked()
-}
-
-func (mp *Mutex) nameLocked() string {
-	if mp.sv != nil {
-		return mp.sv.Name()
-	}
-	if mp.name == "" {
-		mp.name = autoName("mutex")
-	}
-	return mp.name
-}
-
-// blockInfo is the wait-for edge published while parked on this
-// mutex. The owner resolves at walk time, never under the caller's
-// locks. The edge is immutable, so it is built once and shared by
-// every waiter — blocking allocates nothing (see edgeOf). The policy
-// it names is settled by then: the waiter's Enter pinned it before
-// blocking.
-func (mp *Mutex) blockInfo() *core.BlockInfo {
-	return edgeOf(&mp.bi, &mp.mu, func() *core.BlockInfo {
-		bi := &core.BlockInfo{Kind: "mutex", Name: mp.nameLocked(), Owner: mp.ownerRef}
-		if mp.sv == nil {
-			bi.Ts = &mp.ts
-			bi.Policy = mp.policy.String()
-		}
-		return bi
-	})
-}
-
-// ownerRef resolves the mutex's owner for the wait-for graph. A graph
-// walker can still be resolving an edge cached before InitShared, so
-// sv is read under the word lock InitShared publishes it under; and
-// the owner is identified there too, while it still is the owner — a
-// thread that has released may exit and have its Thread recycled.
-func (mp *Mutex) ownerRef() (core.OwnerRef, bool) {
-	mp.mu.Lock()
-	sv := mp.sv
-	ref, ok := localOwnerRef(mp.owner)
-	mp.mu.Unlock()
-	if sv != nil {
-		return sharedOwnerRef(sv, 2)
-	}
-	return ref, ok
-}
+func (mp *Mutex) Name() string { return mp.nameOf(mutexKind) }
 
 // Enter acquires the lock, blocking if it is already held
 // (mutex_enter). On an error-check mutex a lock-time deadlock panics,
@@ -175,10 +108,16 @@ func (mp *Mutex) EnterErr(t *core.Thread) error { return mp.TimedEnter(t, 0) }
 // ErrTimedOut if the lock cannot be acquired within d (cf.
 // Cond.TimedWait). d <= 0 means no deadline.
 func (mp *Mutex) TimedEnter(t *core.Thread, d time.Duration) error {
-	if mp.sv != nil {
-		return mp.enterShared(t, d)
+	if mp.sv == nil {
+		return mp.enterLocal(t, d)
 	}
-	return mp.enterLocal(t, d)
+	// The sleep breaks on release, on the owner-death sweep (which
+	// clears the lock word), and on NOTRECOVERABLE. It is not
+	// indefinite: see DESIGN.md "Which waits are indefinite".
+	self := ownerWord(t)
+	return mp.acquireShared(t, mutexKind, d, false, 1,
+		func(w usync.Words) error { return mp.takeShared(w, self) },
+		func(w usync.Words) bool { return w.Load(0) != 0 && w.Load(3) != usync.RobustNotRecoverable })
 }
 
 // MakeConsistent marks an owner-dead shared lock consistent again
@@ -200,58 +139,6 @@ func (mp *Mutex) MakeConsistent(t *core.Thread) bool {
 	return ok
 }
 
-// parkTimed parks t with a deadline. dequeue must atomically remove t
-// from the primitive's wait queue and report whether it was still
-// queued; when the timer wins that race the park is cut short and
-// parkTimed reports true (timed out). A racing real wake keeps its
-// normal meaning: the thread was popped by the waker, the timer's
-// dequeue fails, and parkTimed reports false.
-func parkTimed(t *core.Thread, clk ktime.Clock, deadline time.Duration, dequeue func() bool) bool {
-	rem := deadline - clk.Now()
-	if rem <= 0 {
-		if dequeue() {
-			return true
-		}
-		// Already woken for real: consume the wake.
-		t.Park()
-		return false
-	}
-	fired := make(chan struct{})
-	timer := clk.AfterFunc(rem, func() {
-		if dequeue() {
-			close(fired)
-			t.Unpark()
-		}
-	})
-	t.Park()
-	timer.Stop()
-	select {
-	case <-fired:
-		return true
-	default:
-		return false
-	}
-}
-
-// block is the park tail of every unshared primitive's wait loop:
-// publish the wait-for edge bi, optionally will t's priority down the
-// ownership chain, park, clear the edge. A nil dequeue parks without a
-// deadline; otherwise the park is parkTimed's, and block reports
-// whether the deadline cut it short.
-func block(t *core.Thread, bi *core.BlockInfo, will bool, clk ktime.Clock, deadline time.Duration, dequeue func() bool) (timedOut bool) {
-	t.NoteBlocked(bi)
-	if will {
-		t.WillPriority()
-	}
-	if dequeue != nil {
-		timedOut = parkTimed(t, clk, deadline, dequeue)
-	} else {
-		t.Park()
-	}
-	t.NoteUnblocked()
-	return timedOut
-}
-
 // TryEnter acquires the lock only if that requires no blocking
 // (mutex_tryenter); it reports whether the lock was taken. The paper
 // notes it can be used to avoid deadlock in lock-hierarchy
@@ -259,7 +146,15 @@ func block(t *core.Thread, bi *core.BlockInfo, will bool, clk ktime.Clock, deadl
 // transparently; a not-recoverable one is never taken.
 func (mp *Mutex) TryEnter(t *core.Thread) bool {
 	if mp.sv != nil {
-		return mp.tryEnterShared(t)
+		var err error
+		self := ownerWord(t)
+		mp.sv.Atomically(func(w usync.Words) {
+			if err = mp.takeShared(w, self); err == ErrOwnerDead {
+				w.Store(3, usync.RobustOK) // transparent recovery
+				err = nil
+			}
+		})
+		return err == nil
 	}
 	mp.mu.Lock()
 	defer mp.mu.Unlock()
@@ -278,104 +173,27 @@ func (mp *Mutex) Exit(t *core.Thread) {
 	mp.exitLocal(t)
 }
 
-// ownerWord encodes the calling thread as a shared owner word.
-func ownerWord(t *core.Thread) uint64 {
-	return usync.EncodeOwner(t.Runtime().Process().PID(), int(t.ID()))
-}
-
 // --- process-shared implementation --------------------------------------
 
-func (mp *Mutex) enterShared(t *core.Thread, d time.Duration) error {
-	self := ownerWord(t)
-	clk := t.Runtime().Kernel().Clock()
-	var deadline time.Duration
-	if d > 0 {
-		deadline = clk.Now() + d
-	}
-	// The waiter count is incremented once and decremented on every
-	// exit from this function — including a kernel unwind tearing
-	// through the sleep when this process dies, which previously
-	// leaked the count forever.
-	waiting := false
-	defer func() {
-		if waiting {
-			mp.sv.Atomically(func(w usync.Words) { w.Store(1, w.Load(1)-1) })
-		}
-	}()
-	var bi *core.BlockInfo
-	for {
-		var acquired, dead, notrec, selfOwned bool
-		mp.sv.Atomically(func(w usync.Words) {
-			switch {
-			case w.Load(3) == usync.RobustNotRecoverable:
-				notrec = true
-			case w.Load(0) == 0:
-				w.Store(0, 1)
-				w.Store(2, self)
-				dead = w.Load(3) == usync.RobustOwnerDead
-				acquired = true
-			default:
-				selfOwned = w.Load(2) == self
-			}
-		})
-		if notrec {
-			return ErrNotRecoverable
-		}
-		if acquired {
-			if dead {
-				return ErrOwnerDead
-			}
-			return nil
-		}
-		if selfOwned && mp.variant == VariantErrorCheck {
+// takeShared is the shared acquisition on the mapped words, for Enter
+// and TryEnter alike: nil or ErrOwnerDead when t took the lock, else
+// why it did not.
+func (mp *Mutex) takeShared(w usync.Words, self uint64) error {
+	switch {
+	case w.Load(3) == usync.RobustNotRecoverable:
+		return ErrNotRecoverable
+	case w.Load(0) != 0:
+		if w.Load(2) == self && mp.variant == VariantErrorCheck {
 			return ErrDeadlock
 		}
-		if d > 0 && clk.Now() >= deadline {
-			return ErrTimedOut
-		}
-		if !waiting {
-			waiting = true
-			mp.sv.Atomically(func(w usync.Words) { w.Store(1, w.Load(1)+1) })
-		}
-		opts := usync.SleepOpts{}
-		if d > 0 {
-			opts.Timeout = deadline - clk.Now()
-		}
-		if bi == nil {
-			bi = mp.blockInfo()
-		}
-		// Block in the kernel: the thread is temporarily bound to
-		// the LWP that blocks, as in a system call (paper) — the
-		// one carrying it now, since the Checkpoint below can move
-		// an unbound thread to another pool LWP between sleeps. The
-		// sleep breaks on release, on the owner-death sweep
-		// (which clears the lock word), and on NOTRECOVERABLE.
-		t.NoteBlocked(bi)
-		mp.sv.SleepWhile(t.LWP(), func(w usync.Words) bool {
-			return w.Load(0) != 0 && w.Load(3) != usync.RobustNotRecoverable
-		}, opts)
-		t.NoteUnblocked()
-		t.Checkpoint()
+		return errBusy
 	}
-}
-
-func (mp *Mutex) tryEnterShared(t *core.Thread) bool {
-	self := ownerWord(t)
-	acquired := false
-	mp.sv.Atomically(func(w usync.Words) {
-		if w.Load(3) == usync.RobustNotRecoverable {
-			return
-		}
-		if w.Load(0) == 0 {
-			w.Store(0, 1)
-			w.Store(2, self)
-			if w.Load(3) == usync.RobustOwnerDead {
-				w.Store(3, usync.RobustOK) // transparent recovery
-			}
-			acquired = true
-		}
-	})
-	return acquired
+	w.Store(0, 1)
+	w.Store(2, self)
+	if w.Load(3) == usync.RobustOwnerDead {
+		return ErrOwnerDead
+	}
+	return nil
 }
 
 func (mp *Mutex) exitShared(t *core.Thread) {

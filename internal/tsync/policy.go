@@ -221,14 +221,9 @@ func (mp *Mutex) ownedBy(t *core.Thread) bool {
 // have been stolen), finding itself owner after a hand-off. d > 0
 // bounds the wait (ErrTimedOut). Called with no locks held.
 func (mp *Mutex) enterLocal(t *core.Thread, d time.Duration) error {
-	clk := t.Runtime().Kernel().Clock()
-	var deadline time.Duration
-	if d > 0 {
-		deadline = clk.Now() + d
-	}
+	clk, deadline := deadlineOf(t, d)
 	var (
 		budget  spinBudget
-		bi      *core.BlockInfo
 		dequeue func() bool // timed waits only: the untimed path allocates nothing
 		granted bool        // possible only once t has queued under a hand-off discipline
 	)
@@ -294,16 +289,13 @@ func (mp *Mutex) enterLocal(t *core.Thread, d time.Duration) error {
 		for i := 0; i < dp.localSpinCap && !mp.ownedBy(t); i++ {
 			t.Yield()
 		}
-		if bi == nil {
-			bi = mp.blockInfo()
-		}
 		if d > 0 && dequeue == nil {
 			dequeue = func() bool { return mp.waiters.removeUnder(&mp.mu, t) }
 		}
 		// Parking wills our effective priority down the ownership
 		// chain so the holder (and whatever it is blocked on) outranks
 		// us meanwhile — the turnstile priority inheritance.
-		if block(t, bi, true, clk, deadline, dequeue) {
+		if block(t, mp.edge(mutexKind, &mp.ts, dp.name), true, clk, deadline, dequeue) {
 			return ErrTimedOut
 		}
 		budget = spinBudget{} // a fresh contention round gets a fresh spin budget

@@ -37,7 +37,7 @@ func TestRepositionHammer(t *testing.T) {
 			var edge *core.BlockInfo
 			switch kind {
 			case "cond":
-				edge = cv.blockInfo()
+				edge = cv.edge(condKind, nil, "")
 				wait = func(c *core.Thread) {
 					mu.Enter(c)
 					for !posted {
@@ -53,10 +53,10 @@ func TestRepositionHammer(t *testing.T) {
 					cv.Signal(self)
 				}
 			case "sema":
-				edge = sem.blockInfo()
+				edge = sem.edge(semaKind, nil, "")
 				wait, wake = sem.P, sem.V
 			case "mutex":
-				edge = mx.blockInfo()
+				edge = mx.edge(mutexKind, &mx.ts, "adaptive")
 				wait = func(c *core.Thread) { mx.Enter(c); mx.Exit(c) }
 				prepare, wake = mx.Enter, mx.Exit
 			}

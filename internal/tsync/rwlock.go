@@ -1,8 +1,6 @@
 package tsync
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sunosmt/internal/core"
@@ -32,84 +30,28 @@ const (
 // tracked (readers leave no owner word), matching the POSIX robust
 // model, which covers only exclusive ownership.
 type RWLock struct {
-	mu        sync.Mutex
+	header    // owner: the writer (readers are anonymous)
 	readers   int
 	writer    bool
-	owner     *core.Thread // writer owner (wait-for graph)
-	wwaiting  int          // writers waiting
+	wwaiting  int // writers waiting
 	upgrading bool
 	rq        waitq          // blocked readers
 	wq        waitq          // blocked writers
 	ts        core.Turnstile // priority-inheritance anchor (writer owner)
-	name      string
-	bi        atomic.Pointer[core.BlockInfo] // cached wait-for edge; see blockInfo
-
-	// sv (process-shared variant): word 0 = readers, word 1 =
-	// writer flag, word 2 = waiting writers, word 3 = upgrade in
-	// progress, word 4 = owner (pid, tid) of the writer or of the
-	// owner-dead claimant, word 5 = robust state.
-	sv *usync.Var
 }
 
 // RWShmSize is the number of bytes a process-shared readers/writer
-// lock occupies in mapped memory.
+// lock occupies in mapped memory: word 0 = readers, 1 = writer flag,
+// 2 = waiting writers, 3 = upgrade in progress, 4 = owner (pid, tid) of
+// the writer or of the owner-dead claimant, 5 = robust state.
 const RWShmSize = 48
 
 // InitShared binds the lock to shared state — the USYNC_PROCESS
 // variant (rw_init with THREAD_SYNC_SHARED).
-func (rw *RWLock) InitShared(sv *usync.Var) {
-	rw.mu.Lock()
-	rw.sv = sv
-	rw.bi.Store(nil) // the name changed
-	rw.mu.Unlock()
-	sv.Declare(usync.KindRW)
-}
+func (rw *RWLock) InitShared(sv *usync.Var) { rw.bind(sv, rwKind) }
 
 // Name returns the lock's identity for diagnostics.
-func (rw *RWLock) Name() string {
-	if rw.sv != nil {
-		return rw.sv.Name()
-	}
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	return rw.nameLocked()
-}
-
-func (rw *RWLock) nameLocked() string {
-	if rw.sv != nil {
-		return rw.sv.Name()
-	}
-	if rw.name == "" {
-		rw.name = autoName("rwlock")
-	}
-	return rw.name
-}
-
-// blockInfo is the wait-for edge for threads parked on this lock. The
-// resolvable owner is the writer (readers are anonymous). Built once
-// and shared by every waiter, like Mutex.blockInfo.
-func (rw *RWLock) blockInfo() *core.BlockInfo {
-	return edgeOf(&rw.bi, &rw.mu, func() *core.BlockInfo {
-		bi := &core.BlockInfo{Kind: "rwlock", Name: rw.nameLocked(), Owner: rw.ownerRef}
-		if rw.sv == nil {
-			bi.Ts = &rw.ts
-		}
-		return bi
-	})
-}
-
-// ownerRef resolves the writer owner for the wait-for graph; both
-// reads sit under the word lock for the reasons Mutex.ownerRef gives.
-func (rw *RWLock) ownerRef() (core.OwnerRef, bool) {
-	rw.mu.Lock()
-	sv := rw.sv
-	ref, ok := localOwnerRef(rw.owner)
-	rw.mu.Unlock()
-	if sv != nil {
-		return sharedOwnerRef(sv, 4)
-	}
-	return ref, ok
-}
+func (rw *RWLock) Name() string { return rw.nameOf(rwKind) }
 
 // Enter acquires a readers or writer lock (rw_enter), blocking as
 // needed. An owner-dead shared lock is recovered transparently (use
@@ -146,10 +88,29 @@ func (rw *RWLock) TimedWrLock(t *core.Thread, d time.Duration) error {
 // enter acquires through the shared or the unshared path; d > 0 bounds
 // the wait.
 func (rw *RWLock) enter(t *core.Thread, typ RWType, d time.Duration) error {
-	if rw.sv != nil {
-		return rw.enterShared(t, typ, d)
+	if rw.sv == nil {
+		return rw.enterLocal(t, typ, d)
 	}
-	return rw.enterLocal(t, typ, d)
+	// A writer counts itself in word 2 while it waits (the
+	// writer-preference gate readers wait behind) and waits out the
+	// readers, word 0; a reader waits out the waiting writers. An
+	// untimed wait is indefinite, as Sema.P's.
+	counter, other := -1, 2
+	if typ == RWWriter {
+		counter, other = 2, 0
+	}
+	self := ownerWord(t)
+	return rw.acquireShared(t, rwKind, d, d <= 0, counter,
+		func(w usync.Words) error { return rw.takeShared(w, typ, self) },
+		func(w usync.Words) bool {
+			switch w.Load(5) {
+			case usync.RobustNotRecoverable, usync.RobustOwnerDead:
+				return false // wake: the robust state must be acted on
+			case usync.RobustClaimed:
+				return true // claim pending: keep waiting
+			}
+			return w.Load(1) != 0 || w.Load(other) != 0
+		})
 }
 
 // MakeConsistent resolves an ErrOwnerDead claim held by the calling
@@ -178,12 +139,7 @@ func (rw *RWLock) MakeConsistent(t *core.Thread) bool {
 
 // enterLocal acquires the unshared lock; d > 0 bounds the wait.
 func (rw *RWLock) enterLocal(t *core.Thread, typ RWType, d time.Duration) error {
-	clk := t.Runtime().Kernel().Clock()
-	var deadline time.Duration
-	if d > 0 {
-		deadline = clk.Now() + d
-	}
-	var bi *core.BlockInfo
+	clk, deadline := deadlineOf(t, d)
 	var dequeue func() bool // timed waits only
 	for {
 		rw.mu.Lock()
@@ -211,9 +167,6 @@ func (rw *RWLock) enterLocal(t *core.Thread, typ RWType, d time.Duration) error 
 		if chaosOf(t).SpuriousWakeup() {
 			t.Checkpoint() // chaos: spurious wakeup, park elided
 		} else {
-			if bi == nil {
-				bi = rw.blockInfo()
-			}
 			if d > 0 && dequeue == nil {
 				q := &rw.rq
 				if typ == RWWriter {
@@ -222,7 +175,7 @@ func (rw *RWLock) enterLocal(t *core.Thread, typ RWType, d time.Duration) error 
 				dequeue = func() bool { return q.removeUnder(&rw.mu, t) }
 			}
 			// Willing priority boosts the writer holding us out.
-			timedOut = block(t, bi, true, clk, deadline, dequeue)
+			timedOut = block(t, rw.edge(rwKind, &rw.ts, ""), true, clk, deadline, dequeue)
 		}
 		rw.mu.Lock()
 		if typ == RWWriter {
@@ -265,7 +218,14 @@ func (rw *RWLock) tryLocked(t *core.Thread, typ RWType) bool {
 // death is never taken by TryEnter — recovery needs EnterErr.
 func (rw *RWLock) TryEnter(t *core.Thread, typ RWType) bool {
 	if rw.sv != nil {
-		return rw.tryEnterShared(t, typ)
+		err := errBusy
+		self := ownerWord(t)
+		rw.sv.Atomically(func(w usync.Words) {
+			if w.Load(5) == usync.RobustOK {
+				err = rw.takeShared(w, typ, self)
+			}
+		})
+		return err == nil
 	}
 	rw.mu.Lock()
 	defer rw.mu.Unlock()
@@ -380,128 +340,42 @@ func (rw *RWLock) Holders() (int, bool) {
 
 // --- process-shared implementation --------------------------------------
 
-func (rw *RWLock) tryEnterShared(t *core.Thread, typ RWType) bool {
-	self := ownerWord(t)
-	ok := false
-	rw.sv.Atomically(func(w usync.Words) {
-		if w.Load(5) != usync.RobustOK {
-			return
-		}
-		readers, writer, ww := w.Load(0), w.Load(1), w.Load(2)
+// takeShared is the shared acquisition on the mapped words, for enter
+// and TryEnter alike: nil or ErrOwnerDead when t took the lock, else why
+// it did not.
+func (rw *RWLock) takeShared(w usync.Words, typ RWType, self uint64) error {
+	switch w.Load(5) {
+	case usync.RobustNotRecoverable:
+		return ErrNotRecoverable
+	case usync.RobustOwnerDead:
+		// First acquirer after an owner death claims the lock in the
+		// requested mode, bypassing the writer-preference gate:
+		// recovery must not wait behind ordinary contention.
 		if typ == RWWriter {
-			if writer == 0 && readers == 0 {
-				w.Store(1, 1)
-				w.Store(4, self)
-				ok = true
-			}
-		} else if writer == 0 && ww == 0 {
-			w.Store(0, readers+1)
-			ok = true
-		}
-	})
-	return ok
-}
-
-func (rw *RWLock) enterShared(t *core.Thread, typ RWType, d time.Duration) error {
-	self := ownerWord(t)
-	clk := t.Runtime().Kernel().Clock()
-	var deadline time.Duration
-	if d > 0 {
-		deadline = clk.Now() + d
-	}
-	// Writer-waiting count: incremented once, decremented on every
-	// exit (including unwind) so a dying waiter cannot wedge the
-	// writer-preference gate.
-	wwait := false
-	defer func() {
-		if wwait {
-			rw.sv.Atomically(func(w usync.Words) { w.Store(2, w.Load(2)-1) })
-		}
-	}()
-	var bi *core.BlockInfo
-	for {
-		var acquired, dead, notrec bool
-		rw.sv.Atomically(func(w usync.Words) {
-			switch w.Load(5) {
-			case usync.RobustNotRecoverable:
-				notrec = true
-				return
-			case usync.RobustOwnerDead:
-				// First acquirer after an owner death claims the
-				// lock in the requested mode, bypassing the
-				// writer-preference gate: recovery must not wait
-				// behind ordinary contention.
-				if typ == RWWriter {
-					w.Store(1, 1)
-				} else {
-					w.Store(0, w.Load(0)+1)
-				}
-				w.Store(4, self)
-				w.Store(5, usync.RobustClaimed)
-				dead = true
-				acquired = true
-				return
-			case usync.RobustClaimed:
-				return // wait for the claim to resolve
-			}
-			readers, writer, ww := w.Load(0), w.Load(1), w.Load(2)
-			if typ == RWWriter {
-				if writer == 0 && readers == 0 {
-					w.Store(1, 1)
-					w.Store(4, self)
-					acquired = true
-				}
-			} else if writer == 0 && ww == 0 {
-				w.Store(0, readers+1)
-				acquired = true
-			}
-		})
-		if notrec {
-			return ErrNotRecoverable
-		}
-		if acquired {
-			if dead {
-				return ErrOwnerDead
-			}
-			return nil
-		}
-		if d > 0 && clk.Now() >= deadline {
-			return ErrTimedOut
-		}
-		if typ == RWWriter && !wwait {
-			wwait = true
-			rw.sv.Atomically(func(w usync.Words) { w.Store(2, w.Load(2)+1) })
-		}
-		opts := usync.SleepOpts{Indefinite: d <= 0} // see Sema.pShared
-		if d > 0 {
-			opts.Timeout = deadline - clk.Now()
-		}
-		if bi == nil {
-			bi = rw.blockInfo()
-		}
-		t.NoteBlocked(bi)
-		if typ == RWWriter {
-			rw.sv.SleepWhile(t.LWP(), func(w usync.Words) bool {
-				if rb := w.Load(5); rb == usync.RobustNotRecoverable || rb == usync.RobustOwnerDead {
-					return false // wake: the robust state must be acted on
-				} else if rb == usync.RobustClaimed {
-					return true // claim pending: keep waiting
-				}
-				return w.Load(1) != 0 || w.Load(0) != 0
-			}, opts)
+			w.Store(1, 1)
 		} else {
-			rw.sv.SleepWhile(t.LWP(), func(w usync.Words) bool {
-				if rb := w.Load(5); rb == usync.RobustNotRecoverable || rb == usync.RobustOwnerDead {
-					return false
-				} else if rb == usync.RobustClaimed {
-					return true
-				}
-				return w.Load(1) != 0 || w.Load(2) != 0
-			}, opts)
+			w.Store(0, w.Load(0)+1)
 		}
-		t.NoteUnblocked()
-		t.Checkpoint()
+		w.Store(4, self)
+		w.Store(5, usync.RobustClaimed)
+		return ErrOwnerDead
+	case usync.RobustClaimed:
+		return errBusy // wait for the claim to resolve
 	}
+	readers, writer := w.Load(0), w.Load(1)
+	if typ == RWWriter {
+		if writer != 0 || readers != 0 {
+			return errBusy
+		}
+		w.Store(1, 1)
+		w.Store(4, self)
+	} else {
+		if writer != 0 || w.Load(2) != 0 {
+			return errBusy
+		}
+		w.Store(0, readers+1)
+	}
+	return nil
 }
 
 func (rw *RWLock) exitShared(t *core.Thread) {

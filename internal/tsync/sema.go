@@ -1,8 +1,6 @@
 package tsync
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sunosmt/internal/core"
@@ -21,22 +19,18 @@ import (
 // is recorded, and if its process dies the sweep restores the
 // consumed unit and leaves a one-shot owner-dead mark that the next
 // PErr consumes. A death between a V and the next P is invisible, as
-// it is in every robust-semaphore design.
+// it is in every robust-semaphore design. That P-er is also the owner
+// a P blocked here waits for in the wait-for graph, which makes
+// mutex-style use visible to the deadlock detector.
 type Sema struct {
-	mu      sync.Mutex
+	header  // owner: the most recent P-er without a matching V
 	count   uint
-	holder  *core.Thread // most recent P-er without a matching V
 	waiters waitq
-	name    string
-	bi      atomic.Pointer[core.BlockInfo] // cached wait-for edge; see blockInfo
-
-	// sv (process-shared variant): word 0 is the count, word 1 the
-	// most recent holder (pid, tid), word 2 the robust state.
-	sv *usync.Var
 }
 
 // SemaShmSize is the number of bytes a process-shared semaphore
-// occupies in mapped memory.
+// occupies in mapped memory: word 0 = count, 1 = most recent holder
+// (pid, tid), 2 = robust state.
 const SemaShmSize = 24
 
 // Init sets the initial count (sema_init).
@@ -50,11 +44,7 @@ func (sp *Sema) Init(count uint) {
 // the USYNC_PROCESS variant — and sets the initial count
 // (InitSharedCount).
 func (sp *Sema) InitShared(sv *usync.Var, count uint) {
-	sp.mu.Lock()
-	sp.sv = sv
-	sp.bi.Store(nil) // the name changed
-	sp.mu.Unlock()
-	sv.Declare(usync.KindSema)
+	sp.bind(sv, semaKind)
 	sp.InitSharedCount(count)
 }
 
@@ -73,50 +63,7 @@ func (sp *Sema) InitSharedCount(count uint) {
 }
 
 // Name returns the semaphore's identity for diagnostics.
-func (sp *Sema) Name() string {
-	if sp.sv != nil {
-		return sp.sv.Name()
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.nameLocked()
-}
-
-func (sp *Sema) nameLocked() string {
-	if sp.sv != nil {
-		return sp.sv.Name()
-	}
-	if sp.name == "" {
-		sp.name = autoName("sema")
-	}
-	return sp.name
-}
-
-// blockInfo is the wait-for edge for threads parked in P. The
-// resolvable owner is the most recent un-V'd P-er, which makes
-// mutex-style semaphore usage visible to the deadlock detector. The
-// edge is immutable and names nothing but the semaphore, so it is
-// built once and shared by every waiter: blocking allocates nothing
-// (see edgeOf).
-func (sp *Sema) blockInfo() *core.BlockInfo {
-	return edgeOf(&sp.bi, &sp.mu, func() *core.BlockInfo {
-		return &core.BlockInfo{Kind: "sema", Name: sp.nameLocked(), Owner: sp.ownerRef}
-	})
-}
-
-// ownerRef resolves the semaphore's holder for the wait-for graph, at
-// walk time and never under the caller's locks. Both reads sit under
-// the word lock for the reasons Mutex.ownerRef gives.
-func (sp *Sema) ownerRef() (core.OwnerRef, bool) {
-	sp.mu.Lock()
-	sv := sp.sv
-	ref, ok := localOwnerRef(sp.holder)
-	sp.mu.Unlock()
-	if sv != nil {
-		return sharedOwnerRef(sv, 1)
-	}
-	return ref, ok
-}
+func (sp *Sema) Name() string { return sp.nameOf(semaKind) }
 
 // P decrements the semaphore, blocking while the count is zero
 // (sema_p). A pending owner-death mark on a shared semaphore is
@@ -136,25 +83,25 @@ func (sp *Sema) PErr(t *core.Thread) error { return sp.TimedP(t, 0) }
 // elapses before a unit is available (sema_timedwait). d <= 0 means no
 // deadline.
 func (sp *Sema) TimedP(t *core.Thread, d time.Duration) error {
-	if sp.sv != nil {
-		return sp.pShared(t, d)
+	if sp.sv == nil {
+		return sp.pLocal(t, d)
 	}
-	return sp.pLocal(t, d)
+	// An untimed wait is indefinite: it counts toward SIGWAITING, so
+	// the pool grows if this LWP was the last one running.
+	self := ownerWord(t)
+	return sp.acquireShared(t, semaKind, d, d <= 0, -1,
+		func(w usync.Words) error { return sp.takeShared(w, self) },
+		func(w usync.Words) bool { return w.Load(0) == 0 })
 }
 
 func (sp *Sema) pLocal(t *core.Thread, d time.Duration) error {
-	clk := t.Runtime().Kernel().Clock()
-	var deadline time.Duration
-	if d > 0 {
-		deadline = clk.Now() + d
-	}
-	var bi *core.BlockInfo
+	clk, deadline := deadlineOf(t, d)
 	var dequeue func() bool // timed waits only: an untimed P allocates nothing
 	for {
 		sp.mu.Lock()
 		if sp.count > 0 {
 			sp.count--
-			sp.holder = t
+			sp.owner = t
 			sp.mu.Unlock()
 			return nil
 		}
@@ -167,13 +114,10 @@ func (sp *Sema) pLocal(t *core.Thread, d time.Duration) error {
 		if chaosOf(t).SpuriousWakeup() {
 			t.Checkpoint() // chaos: spurious wakeup, park elided
 		} else {
-			if bi == nil {
-				bi = sp.blockInfo()
-			}
 			if d > 0 && dequeue == nil {
 				dequeue = func() bool { return sp.waiters.removeUnder(&sp.mu, t) }
 			}
-			if block(t, bi, false, clk, deadline, dequeue) {
+			if block(t, sp.edge(semaKind, nil, ""), false, clk, deadline, dequeue) {
 				return ErrTimedOut
 			}
 		}
@@ -187,19 +131,10 @@ func (sp *Sema) pLocal(t *core.Thread, d time.Duration) error {
 // (sema_tryp); it reports whether the decrement happened.
 func (sp *Sema) TryP(t *core.Thread) bool {
 	if sp.sv != nil {
-		ok := false
+		err := errBusy
 		self := ownerWord(t)
-		sp.sv.Atomically(func(w usync.Words) {
-			if c := w.Load(0); c > 0 {
-				w.Store(0, c-1)
-				w.Store(1, self)
-				if w.Load(2) == usync.RobustOwnerDead {
-					w.Store(2, usync.RobustOK) // absorbed silently
-				}
-				ok = true
-			}
-		})
-		return ok
+		sp.sv.Atomically(func(w usync.Words) { err = sp.takeShared(w, self) })
+		return err != errBusy // an owner-death mark is absorbed silently
 	}
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
@@ -207,7 +142,7 @@ func (sp *Sema) TryP(t *core.Thread) bool {
 		return false
 	}
 	sp.count--
-	sp.holder = t
+	sp.owner = t
 	return true
 }
 
@@ -231,8 +166,8 @@ func (sp *Sema) V(t *core.Thread) {
 	}
 	sp.mu.Lock()
 	sp.count++
-	if t != nil && sp.holder == t {
-		sp.holder = nil
+	if t != nil && sp.owner == t {
+		sp.owner = nil
 	}
 	wake := sp.waiters.pop()
 	sp.mu.Unlock()
@@ -253,53 +188,20 @@ func (sp *Sema) Count() uint {
 	return sp.count
 }
 
-func (sp *Sema) pShared(t *core.Thread, d time.Duration) error {
-	self := ownerWord(t)
-	clk := t.Runtime().Kernel().Clock()
-	var deadline time.Duration
-	if d > 0 {
-		deadline = clk.Now() + d
+// takeShared is the shared P on the mapped words, for P and TryP
+// alike: nil or ErrOwnerDead when t took a unit, else errBusy.
+func (sp *Sema) takeShared(w usync.Words, self uint64) error {
+	c := w.Load(0)
+	if c == 0 {
+		return errBusy
 	}
-	var bi *core.BlockInfo
-	for {
-		var acquired, dead bool
-		sp.sv.Atomically(func(w usync.Words) {
-			if c := w.Load(0); c > 0 {
-				w.Store(0, c-1)
-				w.Store(1, self)
-				if w.Load(2) == usync.RobustOwnerDead {
-					// One-shot: the first P after the death
-					// observes it; later Ps see a normal
-					// semaphore.
-					w.Store(2, usync.RobustOK)
-					dead = true
-				}
-				acquired = true
-			}
-		})
-		if acquired {
-			if dead {
-				return ErrOwnerDead
-			}
-			return nil
-		}
-		if d > 0 && clk.Now() >= deadline {
-			return ErrTimedOut
-		}
-		// An untimed wait is indefinite: it counts toward SIGWAITING,
-		// so the pool grows if this LWP was the last one running.
-		opts := usync.SleepOpts{Indefinite: d <= 0}
-		if d > 0 {
-			opts.Timeout = deadline - clk.Now()
-		}
-		if bi == nil {
-			bi = sp.blockInfo()
-		}
-		t.NoteBlocked(bi)
-		sp.sv.SleepWhile(t.LWP(), func(w usync.Words) bool {
-			return w.Load(0) == 0
-		}, opts)
-		t.NoteUnblocked()
-		t.Checkpoint()
+	w.Store(0, c-1)
+	w.Store(1, self)
+	if w.Load(2) == usync.RobustOwnerDead {
+		// One-shot: the first P after the death observes it; later Ps
+		// see a normal semaphore.
+		w.Store(2, usync.RobustOK)
+		return ErrOwnerDead
 	}
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sunosmt/internal/core"
+	"sunosmt/internal/ktime"
 	"sunosmt/internal/sim"
 	"sunosmt/internal/usync"
 	"sunosmt/internal/vm"
@@ -243,6 +244,41 @@ func TestCondTimedWait(t *testing.T) {
 		if ok {
 			t.Error("TimedWait reported signal on timeout")
 		}
+	})
+	waitRT(t, m)
+}
+
+// TestCondTimedWaitSignalBeatsDeadline: a waiter that a Signal has
+// already dequeued consumed that signal, even when its deadline passes
+// before it runs again. On one LWP and a Manual clock, the signaller
+// pops the waiter and then moves the clock past the deadline before it
+// yields, so the waiter's timer fires and finds it off the queue.
+// TimedWait must report the signal, not a timeout.
+func TestCondTimedWaitSignalBeatsDeadline(t *testing.T) {
+	clk := ktime.NewManual()
+	k := sim.NewKernel(sim.Config{NCPU: 1, Clock: clk})
+	w := &world{k: k, reg: usync.NewRegistry(k)}
+	var mu Mutex
+	var cv Cond
+	m := w.boot(t, "p", core.Config{}, func(self *core.Thread, _ any) {
+		sig, err := self.Runtime().Create(func(c *core.Thread, _ any) {
+			for cv.Waiters() == 0 {
+				c.Yield()
+			}
+			cv.Signal(c)
+			clk.Advance(time.Second)
+		}, nil, core.CreateOpts{Flags: core.ThreadWait})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mu.Enter(self)
+		ok := cv.TimedWait(self, &mu, time.Millisecond)
+		mu.Exit(self)
+		if !ok {
+			t.Error("TimedWait reported a timeout for a waiter the Signal had already dequeued")
+		}
+		self.Wait(sig.ID())
 	})
 	waitRT(t, m)
 }

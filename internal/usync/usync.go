@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sunosmt/internal/sim"
 	"sunosmt/internal/vm"
@@ -218,8 +217,3 @@ func (v *Var) Wake(n int) int {
 
 // Waiters reports how many LWPs are blocked on the variable.
 func (v *Var) Waiters() int { return v.wq.Len(v.reg.kern) }
-
-// SleepWhileTimeout is SleepWhile with a bound.
-func (v *Var) SleepWhileTimeout(l *sim.LWP, cond func(Words) bool, d time.Duration) (sim.WakeResult, bool) {
-	return v.SleepWhile(l, cond, SleepOpts{Interruptible: true, Timeout: d})
-}

@@ -195,7 +195,7 @@ func TestSleepWhileTimeout(t *testing.T) {
 	p := k.NewProcess("p", nil)
 	v := reg.Var(obj, 0)
 	d := animate(k, p, func(l *sim.LWP) {
-		r, slept := v.SleepWhileTimeout(l, func(w Words) bool { return true }, 2*time.Millisecond)
+		r, slept := v.SleepWhile(l, func(w Words) bool { return true }, SleepOpts{Interruptible: true, Timeout: 2 * time.Millisecond})
 		if !slept || r != sim.WakeTimeout {
 			t.Errorf("slept=%v res=%v, want timeout", slept, r)
 		}
