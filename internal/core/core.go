@@ -707,24 +707,39 @@ func (m *Runtime) onSigwaiting() {
 	need := m.runq.len() > 0 && !m.dying.Load() &&
 		len(m.pool)-m.retiring < m.cfg.MaxAutoLWPs &&
 		m.concurrency == 0
-	now := m.kern.Clock().Now()
-	if need && m.growBackoff > 0 && now < m.growNextAt {
-		m.growDeferred++
-		m.ensureGrowRetryLocked(m.growNextAt - now)
-		m.mu.Unlock()
-		return
+	if need && m.growBackoff > 0 {
+		if now := m.kern.Clock().Now(); now < m.growNextAt {
+			m.growDeferred++
+			m.ensureGrowRetryLocked(m.growNextAt - now)
+			m.mu.Unlock()
+			return
+		}
 	}
 	m.mu.Unlock()
 	if !need {
 		return
 	}
 	if err := m.addPoolLWP(); err != nil {
-		m.growthFailed(now, err)
+		m.growthFailed(m.kern.Clock().Now(), err)
 		return
 	}
 	m.mu.Lock()
 	m.growBackoff = 0
 	m.mu.Unlock()
+}
+
+// growIfAllBlocked is the waker's half of SIGWAITING growth. A caller
+// that queued a thread and found no idle LWP for it, with Runtime.mu
+// dropped, grows the pool on a fresh goroutine if every LWP is in an
+// indefinite sleep: the hook that episode ran may have read the run
+// queue before this thread was on it, and no LWP may ever wake to run
+// it. The kernel stores the all-blocked flag before its hook reads the
+// run queue and this caller queued before loading the flag, so either
+// the hook saw the thread or this load sees the flag.
+func (m *Runtime) growIfAllBlocked() {
+	if !m.cfg.DisableSigwaiting && m.proc.AllBlocked() {
+		go m.onSigwaiting()
+	}
 }
 
 // growthFailed records a failed SIGWAITING spawn: double the backoff

@@ -500,7 +500,7 @@ func TestSigwaitingGrowsPool(t *testing.T) {
 		wq := sim.NewWaitQ("ext")
 		k := r.Kernel()
 		k.SyscallEnter(self.LWP())
-		res, _ := k.SleepIf(self.LWP(), wq, nil, sim.SleepOpts{Indefinite: true, Timeout: time.Second})
+		res, _, _ := k.SleepIf(self.LWP(), wq, nil, sim.SleepOpts{Indefinite: true, Timeout: time.Second})
 		k.SyscallExit(self.LWP())
 		_ = res
 		for i := 0; i < 1000 && !grew.Load(); i++ {

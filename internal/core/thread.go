@@ -476,9 +476,12 @@ func (m *Runtime) enqueue(t *Thread) {
 		return
 	}
 	m.readyLocked(t, m.kern.Clock().Now())
-	kicks := m.placeLocked(1, int(t.effPrio.Load()), buf[:0])
+	kicks, short := m.placeLocked(1, int(t.effPrio.Load()), buf[:0])
 	m.mu.Unlock()
 	m.kick(kicks)
+	if short {
+		m.growIfAllBlocked()
+	}
 }
 
 // readyLocked makes an unbound thread runnable and queues it. Finding
@@ -494,8 +497,8 @@ func (m *Runtime) readyLocked(t *Thread, now time.Duration) {
 // at priority prio: idle pool LWPs come off the idle list onto kicks
 // (the caller unparks them once it has dropped m.mu), and if queued
 // threads outnumber them the lowest-priority running thread beneath
-// prio is asked to yield. Caller holds m.mu.
-func (m *Runtime) placeLocked(n, prio int, kicks []*sim.LWP) []*sim.LWP {
+// prio is asked to yield, and short is true. Caller holds m.mu.
+func (m *Runtime) placeLocked(n, prio int, kicks []*sim.LWP) (_ []*sim.LWP, short bool) {
 	for ; n > 0 && len(m.idle) > 0; n-- {
 		last := len(m.idle) - 1
 		kicks = append(kicks, m.idle[last].l)
@@ -504,7 +507,7 @@ func (m *Runtime) placeLocked(n, prio int, kicks []*sim.LWP) []*sim.LWP {
 	if n > 0 {
 		m.flagPreemptionLocked(prio)
 	}
-	return kicks
+	return kicks, n > 0
 }
 
 // kick unparks the LWPs a wake-up collected under m.mu.
@@ -673,7 +676,8 @@ func (t *Thread) parkSelf(state ThreadState) {
 		// call, allowed under m.mu.
 		ws := a.stopWaiters
 		a.stopWaiters = nil
-		m.kick(m.unparkLocked(ws, now, nil))
+		kicks, _ := m.unparkLocked(ws, now, nil)
+		m.kick(kicks)
 	}
 	if t.bound() {
 		m.mu.Unlock()
@@ -767,9 +771,12 @@ func (m *Runtime) unparkBatch(ts []*Thread) {
 	}
 	var buf [4]*sim.LWP
 	m.mu.Lock()
-	kicks := m.unparkLocked(ts, m.kern.Clock().Now(), buf[:0])
+	kicks, short := m.unparkLocked(ts, m.kern.Clock().Now(), buf[:0])
 	m.mu.Unlock()
 	m.kick(kicks)
+	if short {
+		m.growIfAllBlocked()
+	}
 }
 
 // unparkLocked is the locked half of a wake-up: every parked thread
@@ -777,8 +784,9 @@ func (m *Runtime) unparkBatch(ts []*Thread) {
 // kicks; an unbound one on the run queue, with idle pool LWPs appended
 // to kicks or one preemption flagged to serve it), and a thread that
 // has not parked yet is left a wake permit. Caller holds m.mu and
-// unparks the returned LWPs.
-func (m *Runtime) unparkLocked(ts []*Thread, now time.Duration, kicks []*sim.LWP) []*sim.LWP {
+// unparks the returned LWPs; short reports a woken thread no idle LWP
+// was found for (see placeLocked).
+func (m *Runtime) unparkLocked(ts []*Thread, now time.Duration, kicks []*sim.LWP) (_ []*sim.LWP, short bool) {
 	maxPrio := -1
 	woken := 0
 	for _, t := range ts {

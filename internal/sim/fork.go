@@ -225,7 +225,7 @@ func (k *Kernel) WaitChild(l *LWP, pid PID) (WaitResult, error) {
 		// under the kernel lock: a child that exits between the scan
 		// above and the enqueue has already issued its wakeup, and a
 		// plain Sleep here would miss it forever.
-		res, _ := k.SleepIf(l, &p.waitq, func() bool {
+		res, _, _ := k.SleepIf(l, &p.waitq, func() bool {
 			for _, z := range p.zombies {
 				if pid < 0 || z.pid == pid {
 					return false

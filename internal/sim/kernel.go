@@ -28,7 +28,8 @@
 // A single kernel lock (Kernel.mu) guards all scheduling, signal and
 // process state, exactly like a giant kernel lock. Methods with the
 // Locked suffix require it. The kernel never calls user code with mu
-// held; hooks run on fresh goroutines.
+// held: the SIGWAITING hook runs on the sleeping LWP that posted it
+// once that LWP has dropped mu, other hooks on fresh goroutines.
 //
 // # Unwinding
 //
@@ -182,6 +183,9 @@ type Kernel struct {
 	// synchronization registry uses them to sweep locks the dead
 	// process owned and mark them OWNERDEAD.
 	deathHooks []func(p *Process)
+
+	// callout times out every bounded kernel sleep (callout.go).
+	callout callout
 }
 
 // Unwind is the panic value used to tear an animator out of a dead or
@@ -423,7 +427,7 @@ func (k *Kernel) newLWPLocked(p *Process, class Class, prio int, now time.Durati
 	k.nactive++ // embryo counts as schedulable: it is about to run
 	// A fresh LWP can run threads, so the all-blocked condition no
 	// longer holds.
-	p.sigwaitingOn = false
+	p.clearAllBlocked()
 	return l
 }
 
@@ -1011,11 +1015,8 @@ func (k *Kernel) ExitLWP(l *LWP) {
 		l.ps.nbound--
 		l.psBound = false
 	}
-	if l.sleepTimer != nil {
-		// An unwind out of a bounded sleep leaves it armed.
-		l.sleepTimer.Stop()
-		l.sleepDeadline = 0
-	}
+	// An unwind out of a bounded sleep leaves its deadline queued.
+	k.calloutRemoveLocked(l)
 	k.setLWPStateLocked(l, now, LWPZombie)
 	p.deadUser += l.userTime
 	p.deadSys += l.sysTime

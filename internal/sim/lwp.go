@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"sunosmt/internal/ktime"
 )
 
 // LWPID identifies an LWP within its process. There is no system-wide
@@ -132,17 +130,18 @@ type LWP struct {
 	curCPU  atomic.Int32
 
 	// Sleep state; guarded by Kernel.mu. wqNext/wqPrev are the
-	// intrusive links of the WaitQ the LWP sleeps on. sleepTimer is the
-	// LWP's one timer for bounded sleeps, made at the first of them and
-	// re-armed by each; sleepDeadline is when the current sleep times
-	// out, 0 when it has no bound or the LWP is not sleeping.
+	// intrusive links of the WaitQ the LWP sleeps on. sleepDeadline is
+	// when the current sleep times out, 0 when it has no bound or the
+	// LWP is not sleeping; a nonzero one is queued in the kernel's
+	// callout at coIdx, ordered after earlier equal deadlines by coSeq.
 	wq            *WaitQ
 	wqNext        *LWP
 	wqPrev        *LWP
 	wakeRes       WakeResult
 	woken         bool
-	sleepTimer    ktime.Timer
 	sleepDeadline time.Duration
+	coIdx         int
+	coSeq         uint64
 	parkPermit    bool
 	indefinite    bool
 	interruptible bool

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 )
 
@@ -75,7 +76,15 @@ type Process struct {
 	// live, non-sigwait LWP is blocked in an indefinite wait.
 	indefSleepers int
 	sigwaiters    int
-	sigwaitingOn  bool // edge-trigger: don't repost until state changes
+	// sigwaitingOn is the edge trigger (no repost until the state
+	// changes): set when the signal is posted, cleared by any wake or
+	// new LWP. Written under Kernel.mu; the threads library loads it
+	// without (AllBlocked) after queueing a thread no LWP is idle for.
+	sigwaitingOn atomic.Bool
+	// sleeperPosts is set while SleepIf commits an indefinite sleep:
+	// a SIGWAITING posted meanwhile only sets hookDue, and the
+	// sleeping LWP runs the hook itself once it has dropped the lock.
+	sleeperPosts, hookDue bool
 
 	state        ProcState
 	dying        bool
@@ -110,8 +119,8 @@ type Process struct {
 	// only one real-time interval timer per process").
 	rtimer *itimer
 
-	// Hooks the threads library registers so the kernel can notify
-	// it; invoked on fresh goroutines with no kernel locks held.
+	// Hook the threads library registers so the kernel can notify
+	// it; invoked with no kernel locks held.
 	sigwaitingHook func()
 
 	exitedCh chan struct{}
@@ -298,6 +307,21 @@ func (p *Process) postAllLocked() {
 	}
 }
 
+// AllBlocked reports whether the process is in an all-blocked episode:
+// SIGWAITING was posted and no LWP has been woken or created since. It
+// takes no lock. A waker that queued a thread and found no idle LWP for
+// it loads it after queueing; the kernel stores it before the hook
+// reads the run queue, so one of the two sees the other's write.
+func (p *Process) AllBlocked() bool { return p.sigwaitingOn.Load() }
+
+// clearAllBlocked ends the all-blocked episode; it stores only a
+// change. Caller holds Kernel.mu.
+func (p *Process) clearAllBlocked() {
+	if p.sigwaitingOn.Load() {
+		p.sigwaitingOn.Store(false)
+	}
+}
+
 // AddFault charges page faults to the process (called by internal/vm).
 func (p *Process) AddFault(major bool) {
 	p.kern.mu.Lock()
@@ -309,10 +333,12 @@ func (p *Process) AddFault(major bool) {
 	p.kern.mu.Unlock()
 }
 
-// SetSigwaitingHook registers fn to run (on a fresh goroutine) each
-// time the kernel posts SIGWAITING to this process. The threads
-// library uses it to grow the LWP pool; it complements, not replaces,
-// normal delivery of SIGWAITING to a handler.
+// SetSigwaitingHook registers fn to run each time the kernel posts
+// SIGWAITING to this process, with no kernel lock held: on the LWP
+// whose sleep left the process all-blocked, or on a fresh goroutine
+// for a post from anywhere else. The threads library uses it to grow
+// the LWP pool; it complements, not replaces, normal delivery of
+// SIGWAITING to a handler.
 func (p *Process) SetSigwaitingHook(fn func()) {
 	p.kern.mu.Lock()
 	p.sigwaitingHook = fn

@@ -139,9 +139,15 @@ func (k *Kernel) postSignalLocked(p *Process, sig Signal, target *LWP, now time.
 	// The SIGWAITING hook is the library's ASLWP stand-in: it runs
 	// regardless of the signal's disposition, so the library can
 	// ignore SIGWAITING (avoiding EINTR storms in its own blocked
-	// LWPs) and still grow the pool.
+	// LWPs) and still grow the pool. A post made while SleepIf commits
+	// a sleep leaves the hook to that sleeping LWP; the rare others
+	// (SigWait, ExitLWP, kill) start a goroutine.
 	if sig == SIGWAITING && p.sigwaitingHook != nil {
-		go p.sigwaitingHook()
+		if p.sleeperPosts {
+			p.hookDue = true
+		} else {
+			go p.sigwaitingHook()
+		}
 	}
 
 	// A sigwaiter (the library's ASLWP) takes precedence and
@@ -402,10 +408,10 @@ func (k *Kernel) maybeSigwaitingLocked(p *Process, now time.Duration) {
 		return
 	}
 	eligible := p.liveLWPs - p.sigwaiters
-	if eligible <= 0 || p.indefSleepers < eligible || p.sigwaitingOn {
+	if eligible <= 0 || p.indefSleepers < eligible || p.sigwaitingOn.Load() {
 		return
 	}
-	p.sigwaitingOn = true
+	p.sigwaitingOn.Store(true)
 	k.rings.RecordAt(now, -1, trace.EvSigwaiting, int(p.pid), 0, 0, uint64(eligible))
 	k.postSignalLocked(p, SIGWAITING, nil, now)
 }

@@ -964,6 +964,6 @@ func TestSleepForManualClock(t *testing.T) {
 // only after they have seen the LWP asleep, so there is nothing for a
 // commit condition to check.
 func sleepOn(k *Kernel, l *LWP, wq *WaitQ, o SleepOpts) WakeResult {
-	res, _ := k.SleepIf(l, wq, nil, o)
+	res, _, _ := k.SleepIf(l, wq, nil, o)
 	return res
 }

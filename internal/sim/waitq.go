@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync/atomic"
 	"time"
 
 	"sunosmt/internal/trace"
@@ -18,7 +19,9 @@ import (
 type WaitQ struct {
 	name       string
 	head, tail *LWP // guarded by Kernel.mu
-	n          int
+	// n is written under Kernel.mu and read without it by WakeupAll,
+	// which returns at once when every queue it is given reads 0.
+	n atomic.Int32
 }
 
 // NewWaitQ returns a named wait queue (the name appears in traces and
@@ -37,7 +40,7 @@ func (w *WaitQ) add(l *LWP) {
 		w.head = l
 	}
 	w.tail = l
-	w.n++
+	w.n.Add(1)
 }
 
 func (w *WaitQ) remove(l *LWP) {
@@ -55,7 +58,7 @@ func (w *WaitQ) remove(l *LWP) {
 		w.tail = l.wqPrev
 	}
 	l.wqNext, l.wqPrev = nil, nil
-	w.n--
+	w.n.Add(-1)
 }
 
 // nth returns the i'th queued LWP (head = 0). Only the chaos
@@ -72,7 +75,7 @@ func (w *WaitQ) nth(i int) *LWP {
 func (w *WaitQ) Len(k *Kernel) int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return w.n
+	return int(w.n.Load())
 }
 
 // SleepOpts controls a kernel sleep.
@@ -93,16 +96,26 @@ type SleepOpts struct {
 // SleepIf blocks the LWP on wq until Wakeup, signal interruption, or
 // timeout, and reports true. The LWP's CPU is released for the
 // duration; on return the LWP holds a CPU again. SleepIf panics with
-// *Unwind if the process dies while sleeping.
+// *Unwind if the process dies while sleeping. The last result is the
+// clock reading the caller continues with: the one taken on waking, or
+// a fresh one if the LWP then had to wait for a CPU (the entry's own
+// when it did not sleep).
 //
-// cond is the commit condition, evaluated under the kernel lock
-// immediately before the LWP is queued: if it returns false the sleep
-// is abandoned and SleepIf returns (WakeNormal, false). This is the
+// cond is the commit condition, evaluated under the kernel lock with
+// the LWP already queued on wq: if it returns false the LWP is taken
+// off again and SleepIf returns (WakeNormal, false). This is the
 // futex-style race-free block every wait for another LWP's action
 // uses — the waker's state change and Wakeup cannot slip between the
-// caller's check and the enqueue. cond must not call back into the
-// kernel. Only a sleep nothing but its timeout ends passes nil.
-func (k *Kernel) SleepIf(l *LWP, wq *WaitQ, cond func() bool, o SleepOpts) (WakeResult, bool) {
+// caller's check and the enqueue, and a waker that finds wq empty
+// without the lock (WakeupAll) made its change before cond read it.
+// cond must not call back into the kernel. Only a sleep nothing but
+// its timeout ends passes nil.
+//
+// An indefinite sleep that leaves every LWP of the process blocked
+// runs the process's SIGWAITING hook itself, once the sleep is
+// committed, with k.mu dropped; a wake that lands meanwhile is seen
+// when it retakes the lock.
+func (k *Kernel) SleepIf(l *LWP, wq *WaitQ, cond func() bool, o SleepOpts) (WakeResult, bool, time.Duration) {
 	spinFor(k.cfg.KernelSwitchCost) // simulated trap entry + switch
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -112,22 +125,25 @@ func (k *Kernel) SleepIf(l *LWP, wq *WaitQ, cond func() bool, o SleepOpts) (Wake
 	// Injection happens only at sites whose callers declared the
 	// sleep interruptible, so every caller already handles EINTR.
 	if o.Interruptible && (k.deliverableLocked(l) != 0 || k.chaos.EINTR()) {
-		return WakeInterrupted, false
+		return WakeInterrupted, false, now
 	}
+	l.wq = wq
+	wq.add(l)
 	if cond != nil && !cond() {
-		return WakeNormal, false
+		wq.remove(l)
+		l.wq = nil
+		return WakeNormal, false, now
 	}
 	p := l.proc
 	k.releaseCPULocked(l, now, LWPSleeping)
-	l.wq = wq
-	wq.add(l)
 	l.woken = false
 	l.wakeRes = WakeNormal
 	l.interruptible = o.Interruptible
-	indefinite := o.Indefinite || k.cfg.SignalOnAnyBlock
-	if indefinite {
+	var hook func()
+	if o.Indefinite || k.cfg.SignalOnAnyBlock {
 		l.indefinite = true
 		p.indefSleepers++
+		p.sleeperPosts = true
 		k.maybeSigwaitingLocked(p, now)
 		// Chaos: randomize SIGWAITING timing by posting it early,
 		// before the true all-LWPs-blocked condition holds. Early
@@ -137,13 +153,21 @@ func (k *Kernel) SleepIf(l *LWP, wq *WaitQ, cond func() bool, o SleepOpts) (Wake
 		if k.chaos.Sigwaiting() {
 			k.postSignalLocked(p, SIGWAITING, nil, now)
 		}
+		p.sleeperPosts = false
+		if p.hookDue {
+			p.hookDue = false
+			hook = p.sigwaitingHook
+		}
 	}
 	if o.Timeout > 0 {
-		l.sleepDeadline = now + o.Timeout
-		if l.sleepTimer == nil {
-			l.sleepTimer = k.clock.AfterFunc(o.Timeout, l.sleepTimeout)
-		} else {
-			l.sleepTimer.Reset(o.Timeout)
+		k.calloutAddLocked(l, now+o.Timeout, now)
+	}
+	if hook != nil {
+		k.mu.Unlock()
+		hook()
+		k.mu.Lock()
+		if reason, bad := k.mustUnwindLocked(l); bad {
+			k.unwindLocked(l, reason)
 		}
 	}
 	for !l.woken {
@@ -152,35 +176,15 @@ func (k *Kernel) SleepIf(l *LWP, wq *WaitQ, cond func() bool, o SleepOpts) (Wake
 			k.unwindLocked(l, reason)
 		}
 	}
-	if l.sleepDeadline != 0 {
-		l.sleepDeadline = 0
-		l.sleepTimer.Stop()
-	}
 	res := l.wakeRes
-	k.makeRunnableLocked(l, k.clock.Now())
+	now = k.clock.Now()
+	k.makeRunnableLocked(l, now)
+	waited := l.state != LWPOnCPU
 	k.waitOnCPULocked(l)
-	return res, true
-}
-
-// sleepTimeout is the callback of the LWP's sleep timer. The timer is
-// reused from sleep to sleep, so a call can arrive late — started by the
-// clock for one sleep, it gets k.mu only after the LWP woke some other
-// way and slept again — or, under chaos jitter, early. It times out only
-// a sleep whose deadline has passed; an early call re-arms the timer
-// for what remains.
-func (l *LWP) sleepTimeout() {
-	k := l.proc.kern
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if l.state != LWPSleeping || l.woken || l.sleepDeadline == 0 {
-		return
+	if waited {
+		now = k.clock.Now()
 	}
-	now := k.clock.Now()
-	if rem := l.sleepDeadline - now; rem > 0 {
-		l.sleepTimer.Reset(rem)
-		return
-	}
-	k.wakeLWPLocked(l, now, WakeTimeout)
+	return res, true, now
 }
 
 // wakeLWPLocked pulls a sleeping LWP off its wait queue and marks it
@@ -193,6 +197,7 @@ func (k *Kernel) wakeLWPLocked(l *LWP, now time.Duration, res WakeResult) {
 		l.wq.remove(l)
 		l.wq = nil
 	}
+	k.calloutRemoveLocked(l)
 	if l.indefinite {
 		l.proc.indefSleepers--
 		l.indefinite = false
@@ -201,7 +206,7 @@ func (k *Kernel) wakeLWPLocked(l *LWP, now time.Duration, res WakeResult) {
 	l.woken = true
 	l.wakeRes = res
 	// The process is no longer all-blocked.
-	l.proc.sigwaitingOn = false
+	l.proc.clearAllBlocked()
 	k.rings.RecordAt(now, -1, trace.EvWakeup, int(l.proc.pid), int(l.id), 0, uint64(res))
 	l.cond.Broadcast()
 }
@@ -215,13 +220,22 @@ func (k *Kernel) Wakeup(wq *WaitQ, n int) int {
 }
 
 // WakeupAll wakes every LWP blocked on each of the queues, taken in
-// the order given, in one kernel section. An empty queue costs nothing,
-// traced or not.
+// the order given, in one kernel section. When every queue is empty it
+// takes no kernel lock: a sleeper is queued before its commit condition
+// reads the state the caller changed (see SleepIf), so a queue that
+// reads empty here holds no one who could have missed the change.
 func (k *Kernel) WakeupAll(wqs ...*WaitQ) {
+	empty := true
+	for _, wq := range wqs {
+		empty = empty && wq.n.Load() == 0
+	}
+	if empty {
+		return
+	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	for _, wq := range wqs {
-		if wq.n > 0 {
+		if wq.n.Load() > 0 {
 			k.wakeupLocked(wq, -1, k.rings.Now())
 		}
 	}
@@ -229,15 +243,15 @@ func (k *Kernel) WakeupAll(wqs ...*WaitQ) {
 
 func (k *Kernel) wakeupLocked(wq *WaitQ, n int, now time.Duration) int {
 	if n < 0 {
-		n = wq.n
+		n = int(wq.n.Load())
 	}
 	count := 0
-	for count < n && wq.n > 0 {
+	for count < n && wq.n.Load() > 0 {
 		// Chaos: wake a non-head waiter, breaking FIFO order. Any
 		// queued LWP is a legitimate wake target; callers built on
 		// sleep queues re-check their condition after waking.
 		l := wq.head
-		if alt := k.chaos.WakeReorder(wq.n); alt > 0 {
+		if alt := k.chaos.WakeReorder(int(wq.n.Load())); alt > 0 {
 			if cand := wq.nth(alt); cand != nil {
 				l = cand
 			}

@@ -201,11 +201,12 @@ func (v *Var) SleepWhile(l *sim.LWP, cond func(Words) bool, opts SleepOpts) (sim
 	k := v.reg.kern
 	k.SyscallEnter(l)
 	defer k.SyscallExit(l)
-	return k.SleepIf(l, v.wq, func() bool {
+	res, slept, _ := k.SleepIf(l, v.wq, func() bool {
 		v.begin()
 		defer v.end()
 		return cond(Words{v})
 	}, opts)
+	return res, slept
 }
 
 // Wake wakes up to n LWPs blocked on the variable (n < 0: all) and

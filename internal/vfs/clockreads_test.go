@@ -37,12 +37,17 @@ func awaitState(l *sim.LWP, s sim.LWPState) {
 // dispatched in the section that made it runnable; no simulated switch
 // cost. At the parent of the change that introduced the discipline:
 // Write 5, ready Poll 5, Read 5, round trip 28 (rings on: 5, 5, 5, 32).
+//
+// The poll round trip is the same with a deadline Poll before each of
+// side a's reads, which then never blocks: the sleeping Poll reads the
+// clock 4 times (entry, sleep entry, wake, exit), and 5 before its
+// retry used the reading the sleep woke on (15 and 17 a round then).
 func TestClockReadsPerEntry(t *testing.T) {
-	t.Run("rings off", func(t *testing.T) { clockReadsPerEntry(t, 0, 2, 2, 2, 12) })
-	t.Run("rings on", func(t *testing.T) { clockReadsPerEntry(t, 4096, 2, 2, 2, 14) })
+	t.Run("rings off", func(t *testing.T) { clockReadsPerEntry(t, 0, 2, 2, 2, 12, 14) })
+	t.Run("rings on", func(t *testing.T) { clockReadsPerEntry(t, 4096, 2, 2, 2, 14, 16) })
 }
 
-func clockReadsPerEntry(t *testing.T, eventRing int, write, poll, read, roundTrip int64) {
+func clockReadsPerEntry(t *testing.T, eventRing int, write, poll, read, roundTrip, pollRoundTrip int64) {
 	clk := &countingClock{Clock: ktime.NewReal()}
 	h := newHarnessCfg(sim.Config{NCPU: 2, Clock: clk, KernelSwitchCost: -1, EventRing: eventRing})
 	awaitState(h.keeper, sim.LWPParked)
@@ -72,11 +77,21 @@ func clockReadsPerEntry(t *testing.T, eventRing int, write, poll, read, roundTri
 		}
 	})
 	h.wait(t, one, "single-LWP counts")
+	if got := roundTrips(t, h, clk, ping, pong, false); got != roundTrip {
+		t.Errorf("round trip (2 writes + 2 blocking reads): %d clock reads, want %d", got, roundTrip)
+	}
+	if got := roundTrips(t, h, clk, ping, pong, true); got != pollRoundTrip {
+		t.Errorf("poll round trip (2 writes, a sleeping Poll, a read, a blocking read): %d clock reads, want %d", got, pollRoundTrip)
+	}
+}
 
-	// The round trip: a writes ping and blocks reading pong; b, blocked
-	// reading ping, wakes and echoes on pong. Each side writes only once
-	// it has seen the other asleep, so every read blocks exactly once,
-	// and a counts from one such point to the same point rounds later.
+// roundTrips returns the clock reads of one round trip, averaged over
+// many: a writes ping and blocks reading pong (or, with poll, sleeps in
+// a 1 s Poll of pong and then reads it); b, blocked reading ping, wakes
+// and echoes on pong. Each side writes only once it has seen the other
+// asleep, so every wait blocks exactly once, and a counts from one such
+// point to the same point rounds later.
+func roundTrips(t *testing.T, h *harness, clk *countingClock, ping, pong [2]int, poll bool) int64 {
 	const rounds = 50
 	var a, b atomic.Pointer[sim.LWP]
 	var span int64
@@ -111,6 +126,11 @@ func clockReadsPerEntry(t *testing.T, eventRing int, write, poll, read, roundTri
 				break
 			}
 			h.pf.Write(l, ping[1], buf)
+			if poll {
+				if n, err := h.pf.Poll(l, []PollFD{{FD: pong[0], Events: PollIn}}, time.Second); n != 1 || err != nil {
+					t.Errorf("poll of the echo = %d, %v", n, err)
+				}
+			}
 			if n, err := h.pf.Read(l, pong[0], buf); n != 1 || err != nil {
 				t.Errorf("read of the echo = %d, %v", n, err)
 			}
@@ -120,9 +140,10 @@ func clockReadsPerEntry(t *testing.T, eventRing int, write, poll, read, roundTri
 	})
 	h.wait(t, aDone, "side a")
 	h.wait(t, bDone, "side b")
-	if span != roundTrip*rounds {
-		t.Errorf("%d round trips (2 writes + 2 blocking reads each): %d clock reads, want %d a round trip", rounds, span, roundTrip)
+	if span%rounds != 0 {
+		t.Errorf("%d round trips: %d clock reads, not the same each round", rounds, span)
 	}
+	return span / rounds
 }
 
 // TestPollTimeoutIsAbsolute: a Poll whose condition stays false returns

@@ -94,7 +94,7 @@ func (p *Pipe) read(l *sim.LWP, b []byte) (int, error) {
 			return 0, io.EOF
 		}
 		p.mu.Unlock()
-		res, _ := k.SleepIf(l, p.rq, p.readBlocks, sim.SleepOpts{Interruptible: true, Indefinite: true})
+		res, _, _ := k.SleepIf(l, p.rq, p.readBlocks, sim.SleepOpts{Interruptible: true, Indefinite: true})
 		if res == sim.WakeInterrupted {
 			return 0, sim.ErrIntr
 		}
@@ -124,7 +124,7 @@ func (p *Pipe) write(l *sim.LWP, b []byte) (int, error) {
 			continue
 		}
 		p.mu.Unlock()
-		res, _ := k.SleepIf(l, p.wq, p.writeBlocks, sim.SleepOpts{Interruptible: true, Indefinite: true})
+		res, _, _ := k.SleepIf(l, p.wq, p.writeBlocks, sim.SleepOpts{Interruptible: true, Indefinite: true})
 		if res == sim.WakeInterrupted {
 			return total, sim.ErrIntr
 		}

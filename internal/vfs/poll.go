@@ -35,7 +35,9 @@ func (pf *ProcFiles) Poll(l *sim.LWP, fds []PollFD, timeout time.Duration) (int,
 	defer k.SyscallExit(l)
 
 	// deadline is absolute on the kernel clock, from the entry's one
-	// reading: a wake that leaves nothing ready sleeps for what remains.
+	// reading: a wake that leaves nothing ready sleeps for what remains,
+	// measured from the reading the sleep woke on (SleepIf's last
+	// result), not from another one.
 	deadline := time.Duration(-1)
 	if timeout > 0 {
 		deadline = now + timeout
@@ -78,28 +80,25 @@ func (pf *ProcFiles) Poll(l *sim.LWP, fds []PollFD, timeout time.Duration) (int,
 		// pipe wakes its pollers. The sleep commits under the kernel lock
 		// only if that pipe still has nothing asked for (k.mu → p.mu, as
 		// in Pipe.read), which makes a single-pipe poll race-free. A
-		// multi-pipe poll still hears nothing from the other pipes, so it
-		// stays bounded at 1 ms and re-checks them all: queueing on every
-		// pollq at once waits for the kernel-wake rewrite (ROADMAP 2).
+		// multi-pipe poll still hears nothing from the other pipes, so
+		// each of its sleeps lasts at most 1 ms, deadline or not, and it
+		// re-checks them all: queueing on every pollq at once waits for
+		// the kernel-wake rewrite (ROADMAP 2b). A timed-out sleep re-scans
+		// too, and returns 0 only with nothing ready and the deadline
+		// gone.
 		opts := sim.SleepOpts{Interruptible: true, Indefinite: true}
 		if deadline >= 0 {
 			if opts.Timeout = deadline - now; opts.Timeout <= 0 {
 				return 0, nil
 			}
-		} else if npipes > 1 {
+		}
+		if npipes > 1 && (opts.Timeout == 0 || opts.Timeout > time.Millisecond) {
 			opts.Timeout = time.Millisecond
 		}
-		res, _ := k.SleepIf(l, first.pollq, func() bool { return first.poll(want) == 0 }, opts)
-		switch res {
-		case sim.WakeInterrupted:
+		var res sim.WakeResult
+		res, _, now = k.SleepIf(l, first.pollq, func() bool { return first.poll(want) == 0 }, opts)
+		if res == sim.WakeInterrupted {
 			return 0, sim.ErrIntr
-		case sim.WakeTimeout:
-			if deadline >= 0 {
-				return 0, nil
-			}
-		}
-		if deadline >= 0 {
-			now = k.Clock().Now()
 		}
 	}
 }

@@ -423,6 +423,45 @@ func TestPollTimeout(t *testing.T) {
 	h.wait(t, done, "poller")
 }
 
+// TestPollDeadlineSeesEveryPipe: a Poll with a deadline over two pipes
+// returns as soon as the second one is written. It used to sleep on the
+// first pipe's queue for its whole timeout and return 0 without looking
+// again (300 ms and 0, three runs in three).
+func TestPollDeadlineSeesEveryPipe(t *testing.T) {
+	const T = 300 * time.Millisecond
+	h := newHarness(2)
+	var r1, r2, w2 int
+	setup := h.run(func(l *sim.LWP) {
+		r1, _, _ = h.pf.Pipe(l)
+		r2, w2, _ = h.pf.Pipe(l)
+	})
+	h.wait(t, setup, "setup")
+	var n int
+	var err error
+	var elapsed time.Duration
+	poller := h.run(func(l *sim.LWP) {
+		fds := []PollFD{{FD: r1, Events: PollIn}, {FD: r2, Events: PollIn}}
+		start := h.k.Clock().Now()
+		n, err = h.pf.Poll(l, fds, T)
+		elapsed = h.k.Clock().Now() - start
+		if fds[1].Revents&PollIn == 0 {
+			t.Errorf("second pipe's revents = %v, want PollIn", fds[1].Revents)
+		}
+	})
+	writer := h.run(func(l *sim.LWP) {
+		h.k.SleepFor(l, 5*time.Millisecond)
+		h.pf.Write(l, w2, []byte("x"))
+	})
+	h.wait(t, poller, "poller")
+	h.wait(t, writer, "writer")
+	if n != 1 || err != nil {
+		t.Errorf("Poll(%v) = %d, %v; want 1, nil", T, n, err)
+	}
+	if elapsed >= T/2 {
+		t.Errorf("Poll(%v) returned after %v, want well before its deadline", T, elapsed)
+	}
+}
+
 func TestForkIntoSharesOpenFiles(t *testing.T) {
 	// Two CPUs: the parent's animator waits (in Go, still on its
 	// CPU) for the child's LWP, which needs the second CPU.
