@@ -68,12 +68,23 @@ func (ts *Turnstile) SetQueue(wc WaitChan) { ts.q1.Store(wc.b) }
 // queue).
 func (ts *Turnstile) SetQueue2(wc WaitChan) { ts.q2.Store(wc.b) }
 
+// Linked returns the owner the turnstile is linked to, nil if none;
+// called under the object's word lock.
+func (ts *Turnstile) Linked() *Thread { return ts.linked }
+
 // Contend links the turnstile into o's held list, so o's effective
 // priority accounts for the object's waiters from now on. Called under
 // the object's word lock by a thread about to block behind owner o —
 // before it queues and wills its priority — and by a new owner o that
 // took the object past queued waiters. A turnstile already linked to o
 // costs nothing; a dead owner is not linked.
+//
+// Ownership can move without a Released: a mutex owner releases with
+// one swap and takes the word lock only afterwards, and in between
+// another thread can take the lock past the queue and contend. The
+// stale owner is then unhooked and its effective priority recomputed,
+// as Released does, so no boost willed through this object outlives
+// its ownership.
 func (ts *Turnstile) Contend(o *Thread) {
 	if ts.linked == o {
 		return
@@ -81,10 +92,11 @@ func (ts *Turnstile) Contend(o *Thread) {
 	ts.linked = o
 	m := o.m
 	m.mu.Lock()
-	if ts.owner != nil {
-		// Ownership moved without a release (should not happen for
-		// local primitives); unhook from the stale owner first.
-		ts.unlinkLocked(ts.owner)
+	stale := ts.owner
+	mirror := false
+	if stale != nil {
+		ts.unlinkLocked(stale)
+		mirror = m.recomputeEffLocked(stale)
 	}
 	if o.state != ThreadZombie {
 		ts.owner = o
@@ -96,6 +108,9 @@ func (ts *Turnstile) Contend(o *Thread) {
 		o.heldTs = ts
 	}
 	m.mu.Unlock()
+	if mirror {
+		m.mirrorBoundPrio(stale)
+	}
 }
 
 // unlinkLocked detaches ts from o's held list; Runtime.mu is held.
@@ -131,11 +146,7 @@ func (ts *Turnstile) Released(t *Thread) {
 		return
 	}
 	ts.unlinkLocked(o)
-	eff := o.prio
-	if h := m.heldMaxLocked(o); h > eff {
-		eff = h
-	}
-	mirror := m.setEffLocked(o, eff)
+	mirror := m.recomputeEffLocked(o)
 	m.mu.Unlock()
 	if mirror {
 		m.mirrorBoundPrio(o)
@@ -217,6 +228,17 @@ func (m *Runtime) heldMaxLocked(t *Thread) int {
 	return best
 }
 
+// recomputeEffLocked sets t's effective priority from its base priority
+// and the waiters of the turnstiles it still holds, reporting what
+// setEffLocked does. Runtime.mu is held.
+func (m *Runtime) recomputeEffLocked(t *Thread) bool {
+	eff := t.prio
+	if h := m.heldMaxLocked(t); h > eff {
+		eff = h
+	}
+	return m.setEffLocked(t, eff)
+}
+
 // HandOff transfers turnstile ownership from the releasing thread
 // directly to to, the waiter being granted the lock, without an
 // unowned window: in one Runtime.mu critical section the turnstile
@@ -241,11 +263,7 @@ func (ts *Turnstile) HandOff(from, to *Thread) {
 	}
 	// Recompute the releaser first: any boost willed through this
 	// object is shed now that its waiters are to's problem.
-	effFrom := from.prio
-	if h := m.heldMaxLocked(from); h > effFrom {
-		effFrom = h
-	}
-	mirrorFrom := m.setEffLocked(from, effFrom)
+	mirrorFrom := m.recomputeEffLocked(from)
 
 	// Link the turnstile to the new owner and boost it from the
 	// waiters still queued. to is typically sleeping (about to be
@@ -257,11 +275,7 @@ func (ts *Turnstile) HandOff(from, to *Thread) {
 		to.heldTs.prev = ts
 	}
 	to.heldTs = ts
-	effTo := to.prio
-	if h := m.heldMaxLocked(to); h > effTo {
-		effTo = h
-	}
-	mirrorTo := m.setEffLocked(to, effTo)
+	mirrorTo := m.recomputeEffLocked(to)
 	m.mu.Unlock()
 	if mirrorFrom {
 		m.mirrorBoundPrio(from)

@@ -159,9 +159,8 @@ type LWP struct {
 	// onstack"). Guarded by Kernel.mu.
 	altStack AltStack
 
-	// In-syscall flag plus times; guarded by Kernel.mu.
-	inSyscall    bool
-	syscallStart time.Duration
+	// In-syscall flag; guarded by Kernel.mu.
+	inSyscall bool
 
 	// Resource usage (paper: "User time and system CPU usage" are
 	// per-LWP state). Guarded by Kernel.mu.
@@ -203,8 +202,6 @@ func (l *LWP) Class() Class {
 	return l.class
 }
 
-// Wchan returns the name of the kernel wait queue the LWP is sleeping
-// on ("" when it is not sleeping) — the /proc WCHAN of this kernel.
 // Priority returns the LWP's class-relative user priority.
 func (l *LWP) Priority() int {
 	k := l.proc.kern
@@ -225,6 +222,8 @@ func (l *LWP) BoundCPU() int {
 	return l.boundCPU.id
 }
 
+// Wchan returns the name of the kernel wait queue the LWP is sleeping
+// on ("" when it is not sleeping) — the /proc WCHAN of this kernel.
 func (l *LWP) Wchan() string {
 	k := l.proc.kern
 	k.mu.Lock()

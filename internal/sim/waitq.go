@@ -313,7 +313,6 @@ func (k *Kernel) SyscallEnter(l *LWP) time.Duration {
 	now := k.checkpointLocked(l, k.clock.Now())
 	k.chargeAtLocked(l, now) // close out user time
 	l.inSyscall = true
-	l.syscallStart = now
 	return now
 }
 

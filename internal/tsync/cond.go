@@ -58,7 +58,7 @@ func (cv *Cond) TimedWait(t *core.Thread, mp *Mutex, d time.Duration) bool {
 		if d > 0 {
 			dequeue = func() bool { return cv.waiters.removeUnder(&cv.mu, t) }
 		}
-		timedOut = block(t, cv.edge(condKind, nil, ""), false, clk, deadline, dequeue)
+		timedOut = block(t, cv.edge(condKind, nil, nil, ""), false, clk, deadline, dequeue)
 	}
 	// Deregister in case the wake was a permit consumed elsewhere
 	// (stop/continue interleavings); harmless if already popped.

@@ -1,6 +1,7 @@
 package tsync
 
 import (
+	"sync/atomic"
 	"time"
 
 	"sunosmt/internal/core"
@@ -18,7 +19,23 @@ import (
 // death sweeps it, and the next acquirer gets ErrOwnerDead (see
 // EnterErr and MakeConsistent).
 type Mutex struct {
-	header  // owner nil: the lock is free
+	header
+	// owner is the unshared lock itself: nil while it is free, taken
+	// with CompareAndSwap(nil, t) and released with CompareAndSwap(t,
+	// nil) — the test-and-set of the paper's mutex.
+	owner atomic.Pointer[core.Thread]
+	// adaptive is set, under the word lock, when the policy is pinned
+	// adaptive: the only row whose owner releases with a swap.
+	adaptive atomic.Bool
+	// fast says the word lock has nothing to do for an uncontended
+	// acquisition or release: the policy is pinned adaptive, no waiter
+	// is queued and the turnstile is unlinked. While it is set, Enter
+	// and TryEnter are one swap of owner, and the owner's Exit ends at
+	// its swap. It is stored only under the word lock: set by
+	// refastLocked, cleared by a waiter before its last probe of owner.
+	// A swap that finds it clear afterwards finishes under the word
+	// lock (takeFast, exitLocal).
+	fast    atomic.Bool
 	variant Variant
 	waiters waitq
 	ts      core.Turnstile // priority-inheritance anchor (local only)
@@ -109,6 +126,9 @@ func (mp *Mutex) EnterErr(t *core.Thread) error { return mp.TimedEnter(t, 0) }
 // Cond.TimedWait). d <= 0 means no deadline.
 func (mp *Mutex) TimedEnter(t *core.Thread, d time.Duration) error {
 	if mp.sv == nil {
+		if mp.fast.Load() && mp.takeFast(t) {
+			return nil
+		}
 		return mp.enterLocal(t, d)
 	}
 	// The sleep breaks on release, on the owner-death sweep (which
@@ -156,9 +176,12 @@ func (mp *Mutex) TryEnter(t *core.Thread) bool {
 		})
 		return err == nil
 	}
+	if mp.fast.Load() {
+		return mp.takeFast(t)
+	}
 	mp.mu.Lock()
 	defer mp.mu.Unlock()
-	return mp.takeLocked(t, false)
+	return mp.takeLocked(t, false) == nil
 }
 
 // Exit releases the lock (mutex_exit): the policy either wakes the

@@ -9,7 +9,13 @@
 // constants in the disciplines table. The word lock, the owner word,
 // the turnstile, and the robust shared-memory variant are common to
 // every row; the process-shared path never comes here — its waiters
-// sleep in the kernel on the mapped words.
+// sleep in the kernel on the mapped words. Only the adaptive row swaps
+// the owner word outside the word lock: while nobody waits (Mutex.fast)
+// Enter and TryEnter take a free lock with one swap, and its owner
+// always releases with one, finishing under the word lock only when a
+// waiter has cleared fast. The hand-off rows must never leave the lock
+// free while a waiter is queued, and parkinglot counts every release,
+// so those three release under the word lock.
 //
 // What release does splits the rows into two families:
 //
@@ -155,8 +161,21 @@ func (mp *Mutex) disciplineLocked(t *core.Thread) *discipline {
 			p = PolicyAdaptive
 		}
 		mp.policy, mp.pinned = p.concrete(), true
+		if mp.policy == PolicyAdaptive {
+			mp.adaptive.Store(true)
+			mp.refastLocked()
+		}
 	}
 	return &disciplines[mp.policy]
+}
+
+// refastLocked sets fast once the word lock has nothing left to do for
+// an uncontended pair: the lock is pinned adaptive, no waiter is queued
+// and the turnstile is unlinked. Word lock held.
+func (mp *Mutex) refastLocked() {
+	if !mp.fast.Load() && mp.adaptive.Load() && mp.waiters.len() == 0 && mp.ts.Linked() == nil {
+		mp.fast.Store(true)
+	}
 }
 
 // spinBudget counts one waiter's pre-queue probes against its
@@ -188,30 +207,64 @@ func (s *spinBudget) take(dp *discipline, owner *core.Thread) bool {
 // takeLocked completes an acquisition if it can: the lock is free, or
 // — granted — a hand-off release dequeued t and made it owner while it
 // waited (the lock was never free meanwhile, so nobody barged in
-// between). Taking a free lock links the turnstile only when waiters
-// are still queued, so t's effective priority keeps accounting for
-// the threads it went past; an uncontended acquisition takes no
-// scheduler lock. Word lock held.
-func (mp *Mutex) takeLocked(t *core.Thread, granted bool) bool {
-	if granted && mp.owner == t {
-		return true
+// between). It returns nil when t holds the lock, else the owner that
+// keeps it out. Taking a free lock links the turnstile only when
+// waiters are still queued, so t's effective priority keeps accounting
+// for the threads it went past; an uncontended acquisition takes no
+// scheduler lock. The swap is needed under the word lock too: a fast
+// acquirer or releaser does not take it. Word lock held.
+func (mp *Mutex) takeLocked(t *core.Thread, granted bool) *core.Thread {
+	for {
+		o := mp.owner.Load()
+		if granted && o == t {
+			return nil
+		}
+		if o != nil {
+			return o
+		}
+		if mp.owner.CompareAndSwap(nil, t) {
+			if mp.waiters.len() > 0 {
+				mp.ts.Contend(t)
+			}
+			return nil
+		}
 	}
-	if mp.owner != nil {
+}
+
+// takeFast is the acquisition of a lock whose fast flag the caller saw
+// set: one swap of the owner word, reporting whether t took the lock.
+// A waiter may have queued between the flag test and the swap; it
+// clears the flag first, so finding it clear after the swap sends t to
+// link the turnstile as takeLocked does.
+func (mp *Mutex) takeFast(t *core.Thread) bool {
+	if !mp.owner.CompareAndSwap(nil, t) {
 		return false
 	}
-	mp.owner = t
-	if mp.waiters.len() > 0 {
-		mp.ts.Contend(t)
+	if !mp.fast.Load() {
+		mp.mu.Lock()
+		if mp.waiters.len() > 0 {
+			mp.ts.Contend(t)
+		}
+		mp.mu.Unlock()
 	}
 	return true
 }
 
-// ownedBy reports whether t owns the mutex.
-func (mp *Mutex) ownedBy(t *core.Thread) bool {
-	mp.mu.Lock()
-	owned := mp.owner == t
-	mp.mu.Unlock()
-	return owned
+// ownerLocked identifies the owner while it still owns: the owner word
+// is not under the word lock, and a thread that has released may exit
+// and have its Thread recycled, so the ID read counts only if a second
+// load finds the same owner.
+func (mp *Mutex) ownerLocked() (core.OwnerRef, bool) {
+	for {
+		o := mp.owner.Load()
+		if o == nil {
+			return core.OwnerRef{}, false
+		}
+		id := o.ID()
+		if mp.owner.Load() == o {
+			return core.OwnerRef{TID: id}, true
+		}
+	}
 }
 
 // enterLocal is the unshared acquisition path, one loop for every
@@ -230,12 +283,11 @@ func (mp *Mutex) enterLocal(t *core.Thread, d time.Duration) error {
 	for {
 		mp.mu.Lock()
 		dp := mp.disciplineLocked(t)
-		if mp.takeLocked(t, granted) {
-			mp.mu.Unlock()
+		owner := mp.takeLocked(t, granted)
+		mp.mu.Unlock()
+		if owner == nil {
 			return nil
 		}
-		owner := mp.owner // not nil: takeLocked found the lock held
-		mp.mu.Unlock()
 		// EDEADLK at lock time: self-ownership, or the wait-for graph
 		// shows the owner (transitively) waiting on us. Checked before
 		// parking.
@@ -261,13 +313,18 @@ func (mp *Mutex) enterLocal(t *core.Thread, d time.Duration) error {
 		}
 		// Queue and park. The enqueue happens under the word lock;
 		// the wake permit protocol in core makes the release-side
-		// unpark race-free.
+		// unpark race-free. Clearing fast before the last probe pairs
+		// with the fast Exit's re-load after its swap: either that
+		// Exit sees the flag clear and finishes under the word lock,
+		// waking us, or our probe sees its release.
 		mp.mu.Lock()
-		if mp.takeLocked(t, granted) {
+		mp.fast.Store(false)
+		owner = mp.takeLocked(t, granted)
+		if owner == nil {
 			mp.mu.Unlock()
 			return nil // released, or handed to us, between probes
 		}
-		mp.ts.Contend(mp.owner) // before queueing: the owner now answers for us
+		mp.ts.Contend(owner) // before queueing: the owner now answers for us
 		q := mp.waiters.chanFor(dp.fifo)
 		mp.ts.SetQueue(q)
 		q.Enqueue(t)
@@ -286,7 +343,7 @@ func (mp *Mutex) enterLocal(t *core.Thread, d time.Duration) error {
 		// the lock — so an imminent hand-off is caught without a
 		// park/unpark round trip. The park below then consumes the
 		// grant's wake permit immediately.
-		for i := 0; i < dp.localSpinCap && !mp.ownedBy(t); i++ {
+		for i := 0; i < dp.localSpinCap && mp.owner.Load() != t; i++ {
 			t.Yield()
 		}
 		if d > 0 && dequeue == nil {
@@ -295,9 +352,15 @@ func (mp *Mutex) enterLocal(t *core.Thread, d time.Duration) error {
 		// Parking wills our effective priority down the ownership
 		// chain so the holder (and whatever it is blocked on) outranks
 		// us meanwhile — the turnstile priority inheritance.
-		if block(t, mp.edge(mutexKind, &mp.ts, dp.name), true, clk, deadline, dequeue) {
+		if block(t, mp.edge(mutexKind, mp, &mp.ts, dp.name), true, clk, deadline, dequeue) {
 			return ErrTimedOut
 		}
+		// A park can return on a stale permit — an Exit that popped us
+		// while we took the spurious path above unparked us later —
+		// leaving us queued. Deregister, as Sema and Cond do, or a
+		// later Exit pops a thread that is not waiting and strands the
+		// one that is.
+		mp.waiters.removeUnder(&mp.mu, t)
 		budget = spinBudget{} // a fresh contention round gets a fresh spin budget
 	}
 }
@@ -307,22 +370,46 @@ func (mp *Mutex) enterLocal(t *core.Thread, d time.Duration) error {
 // lock free for whoever gets there first; a hand-off release transfers
 // ownership to the woken waiter with the lock held throughout, and the
 // turnstile moves with it. Called with no locks held.
+//
+// The owner of an adaptive lock releases with one swap, and is done if
+// fast is set after it. A waiter that cleared the flag may have queued
+// behind t, so otherwise t finishes under the word lock: it wakes the
+// best waiter if the lock is still free (a barger that took it now
+// answers for the queue), and releases the turnstile only if it is
+// still linked to t (a barger may have relinked it; Contend then shed
+// t's boost). A swap that fails — t is not the owner — takes the
+// locked path, where the error-check variant panics.
 func (mp *Mutex) exitLocal(t *core.Thread) {
-	mp.mu.Lock()
-	dp := mp.disciplineLocked(t)
-	if mp.variant == VariantErrorCheck && mp.owner != t {
-		mp.mu.Unlock()
-		panic("tsync: mutex_exit of a lock not held by the thread")
-	}
-	mp.releases++
-	wake := mp.waiters.pop()
-	if wake != nil && dp.handOffEvery != 0 && mp.releases%dp.handOffEvery == 0 {
-		mp.owner = wake // never free: no barging window this round
-		mp.ts.HandOff(t, wake)
+	var wake *core.Thread
+	if mp.adaptive.Load() && mp.owner.CompareAndSwap(t, nil) {
+		if mp.fast.Load() {
+			return
+		}
+		mp.mu.Lock()
+		if mp.owner.Load() == nil {
+			wake = mp.waiters.pop()
+		}
+		if mp.ts.Linked() == t {
+			mp.ts.Released(t)
+		}
 	} else {
-		mp.owner = nil
-		mp.ts.Released(t) // shed any boost willed through this lock
+		mp.mu.Lock()
+		dp := mp.disciplineLocked(t)
+		if mp.variant == VariantErrorCheck && mp.owner.Load() != t {
+			mp.mu.Unlock()
+			panic("tsync: mutex_exit of a lock not held by the thread")
+		}
+		mp.releases++
+		wake = mp.waiters.pop()
+		if wake != nil && dp.handOffEvery != 0 && mp.releases%dp.handOffEvery == 0 {
+			mp.owner.Store(wake) // never free: no barging window this round
+			mp.ts.HandOff(t, wake)
+		} else {
+			mp.owner.Store(nil)
+			mp.ts.Released(t) // shed any boost willed through this lock
+		}
 	}
+	mp.refastLocked()
 	mp.mu.Unlock()
 	if wake != nil {
 		wake.Unpark()

@@ -37,7 +37,7 @@ func TestRepositionHammer(t *testing.T) {
 			var edge *core.BlockInfo
 			switch kind {
 			case "cond":
-				edge = cv.edge(condKind, nil, "")
+				edge = cv.edge(condKind, nil, nil, "")
 				wait = func(c *core.Thread) {
 					mu.Enter(c)
 					for !posted {
@@ -53,10 +53,10 @@ func TestRepositionHammer(t *testing.T) {
 					cv.Signal(self)
 				}
 			case "sema":
-				edge = sem.edge(semaKind, nil, "")
+				edge = sem.edge(semaKind, &sem, nil, "")
 				wait, wake = sem.P, sem.V
 			case "mutex":
-				edge = mx.edge(mutexKind, &mx.ts, "adaptive")
+				edge = mx.edge(mutexKind, &mx, &mx.ts, "adaptive")
 				wait = func(c *core.Thread) { mx.Enter(c); mx.Exit(c) }
 				prepare, wake = mx.Enter, mx.Exit
 			}

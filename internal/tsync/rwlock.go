@@ -30,7 +30,8 @@ const (
 // tracked (readers leave no owner word), matching the POSIX robust
 // model, which covers only exclusive ownership.
 type RWLock struct {
-	header    // owner: the writer (readers are anonymous)
+	header
+	holder    *core.Thread // the writer (readers are anonymous); word lock
 	readers   int
 	writer    bool
 	wwaiting  int // writers waiting
@@ -45,6 +46,8 @@ type RWLock struct {
 // 2 = waiting writers, 3 = upgrade in progress, 4 = owner (pid, tid) of
 // the writer or of the owner-dead claimant, 5 = robust state.
 const RWShmSize = 48
+
+func (rw *RWLock) ownerLocked() (core.OwnerRef, bool) { return refOf(rw.holder) }
 
 // InitShared binds the lock to shared state — the USYNC_PROCESS
 // variant (rw_init with THREAD_SYNC_SHARED).
@@ -152,7 +155,7 @@ func (rw *RWLock) enterLocal(t *core.Thread, typ RWType, d time.Duration) error 
 			return ErrTimedOut
 		}
 		if rw.writer {
-			rw.ts.Contend(rw.owner) // before queueing: the writer now answers for us
+			rw.ts.Contend(rw.holder) // before queueing: the writer now answers for us
 		}
 		if typ == RWWriter {
 			rw.wwaiting++
@@ -175,7 +178,7 @@ func (rw *RWLock) enterLocal(t *core.Thread, typ RWType, d time.Duration) error 
 				dequeue = func() bool { return q.removeUnder(&rw.mu, t) }
 			}
 			// Willing priority boosts the writer holding us out.
-			timedOut = block(t, rw.edge(rwKind, &rw.ts, ""), true, clk, deadline, dequeue)
+			timedOut = block(t, rw.edge(rwKind, rw, &rw.ts, ""), true, clk, deadline, dequeue)
 		}
 		rw.mu.Lock()
 		if typ == RWWriter {
@@ -246,7 +249,7 @@ func (rw *RWLock) Exit(t *core.Thread) {
 	switch {
 	case rw.writer:
 		rw.writer = false
-		rw.owner = nil
+		rw.holder = nil
 		rw.ts.Released(t) // shed any boost willed by blocked acquirers
 	case rw.readers > 0:
 		rw.readers--
@@ -283,7 +286,7 @@ func (rw *RWLock) Downgrade(t *core.Thread) {
 		panic("tsync: rw_downgrade without the writer lock")
 	}
 	rw.writer = false
-	rw.owner = nil
+	rw.holder = nil
 	rw.ts.Released(t) // readers hold no turnstile
 	rw.readers = 1
 	if rw.wwaiting == 0 {
@@ -316,7 +319,7 @@ func (rw *RWLock) TryUpgrade(t *core.Thread) bool {
 // is held.
 func (rw *RWLock) takeWriterLocked(t *core.Thread) {
 	rw.writer = true
-	rw.owner = t
+	rw.holder = t
 	if rw.wq.len() > 0 || rw.rq.len() > 0 {
 		rw.ts.Contend(t)
 	}

@@ -23,7 +23,8 @@ import (
 // a P blocked here waits for in the wait-for graph, which makes
 // mutex-style use visible to the deadlock detector.
 type Sema struct {
-	header  // owner: the most recent P-er without a matching V
+	header
+	holder  *core.Thread // the most recent P-er without a matching V; word lock
 	count   uint
 	waiters waitq
 }
@@ -32,6 +33,8 @@ type Sema struct {
 // occupies in mapped memory: word 0 = count, 1 = most recent holder
 // (pid, tid), 2 = robust state.
 const SemaShmSize = 24
+
+func (sp *Sema) ownerLocked() (core.OwnerRef, bool) { return refOf(sp.holder) }
 
 // Init sets the initial count (sema_init).
 func (sp *Sema) Init(count uint) {
@@ -101,7 +104,7 @@ func (sp *Sema) pLocal(t *core.Thread, d time.Duration) error {
 		sp.mu.Lock()
 		if sp.count > 0 {
 			sp.count--
-			sp.owner = t
+			sp.holder = t
 			sp.mu.Unlock()
 			return nil
 		}
@@ -117,7 +120,7 @@ func (sp *Sema) pLocal(t *core.Thread, d time.Duration) error {
 			if d > 0 && dequeue == nil {
 				dequeue = func() bool { return sp.waiters.removeUnder(&sp.mu, t) }
 			}
-			if block(t, sp.edge(semaKind, nil, ""), false, clk, deadline, dequeue) {
+			if block(t, sp.edge(semaKind, sp, nil, ""), false, clk, deadline, dequeue) {
 				return ErrTimedOut
 			}
 		}
@@ -142,7 +145,7 @@ func (sp *Sema) TryP(t *core.Thread) bool {
 		return false
 	}
 	sp.count--
-	sp.owner = t
+	sp.holder = t
 	return true
 }
 
@@ -166,8 +169,8 @@ func (sp *Sema) V(t *core.Thread) {
 	}
 	sp.mu.Lock()
 	sp.count++
-	if t != nil && sp.owner == t {
-		sp.owner = nil
+	if t != nil && sp.holder == t {
+		sp.holder = nil
 	}
 	wake := sp.waiters.pop()
 	sp.mu.Unlock()

@@ -22,8 +22,8 @@
 // thread parks at user level and its LWP picks another thread).
 //
 // What the four have in common is written once, in this file: the
-// object header embedded first in each (word lock, owner, lazily
-// assigned name, cached wait-for edge, shared binding), the futex loop
+// object header embedded first in each (word lock, lazily assigned
+// name, cached wait-for edge, shared binding), the futex loop
 // and kernel sleep of the shared variants (acquireShared, sleepShared),
 // and the park tail of the unshared ones (block, parkTimed). Each
 // primitive's own file holds its state and the tests on it: takeLocked,
@@ -97,17 +97,35 @@ var (
 var nameSeq atomic.Uint64
 
 // header is what the four primitives have in common, embedded first in
-// Mutex, Sema, RWLock and Cond. The word lock mu models the atomic
-// instructions of a real implementation and is never held while
-// parked. It guards owner and name, and every store of sv and bi: bind
-// stores both in one section, so an edge built under the lock never
-// names an old binding.
+// Mutex, Sema, RWLock and Cond. The word lock mu stands for the atomic
+// sections of a real implementation wherever one sync/atomic operation
+// cannot do the job, and is never held while parked: it guards the
+// primitive's queue and counts, a semaphore's or rwlock's holder, and
+// name, and every store of sv and bi — bind stores both in one section,
+// so an edge built under the lock never names an old binding. An
+// unshared Mutex's owner is not under it: that owner word is the lock,
+// taken and released by compare-and-swap (see Mutex.fast).
 type header struct {
-	mu    sync.Mutex
-	owner *core.Thread                   // Mutex owner, RWLock writer, Sema's last P-er without a V; nil for Cond
-	name  string                         // lazily assigned; names an unshared object in lstatus
-	bi    atomic.Pointer[core.BlockInfo] // cached wait-for edge; see edge
-	sv    *usync.Var                     // non-nil: process-shared, state in the mapped words
+	mu   sync.Mutex
+	name string                         // lazily assigned; names an unshared object in lstatus
+	bi   atomic.Pointer[core.BlockInfo] // cached wait-for edge; see edge
+	sv   *usync.Var                     // non-nil: process-shared, state in the mapped words
+}
+
+// ownable is an unshared primitive with an owner for the wait-for
+// graph: a Mutex's owner word, an RWLock's writer, a Sema's last P-er
+// without a V. ownerLocked identifies it, or reports false if there is
+// none; the word lock is held.
+type ownable interface {
+	ownerLocked() (core.OwnerRef, bool)
+}
+
+// refOf identifies holder, a thread the word lock keeps from letting go.
+func refOf(holder *core.Thread) (core.OwnerRef, bool) {
+	if holder == nil {
+		return core.OwnerRef{}, false
+	}
+	return core.OwnerRef{TID: holder.ID()}, true
 }
 
 // bind makes the object process-shared at sv (InitShared). The cached
@@ -145,10 +163,11 @@ func (h *header) nameLocked(k *kind) string {
 // the object. The owner resolves at walk time, so the edge is immutable:
 // it is built once, under the word lock, and shared by every waiter —
 // blocking allocates nothing — and later waits read it with one atomic
-// load. ts and policy are an unshared Mutex's or RWLock's turnstile and
-// lock policy (a Mutex pins its policy before it first blocks); a shared
-// binding has neither.
-func (h *header) edge(k *kind, ts *core.Turnstile, policy string) *core.BlockInfo {
+// load. o resolves the owner of the unshared object (nil for Cond); ts
+// and policy are an unshared Mutex's or RWLock's turnstile and lock
+// policy (a Mutex pins its policy before it first blocks); a shared
+// binding has none of the three.
+func (h *header) edge(k *kind, o ownable, ts *core.Turnstile, policy string) *core.BlockInfo {
 	if bi := h.bi.Load(); bi != nil {
 		return bi
 	}
@@ -158,7 +177,7 @@ func (h *header) edge(k *kind, ts *core.Turnstile, policy string) *core.BlockInf
 	if bi == nil {
 		bi = &core.BlockInfo{Kind: k.name, Name: h.nameLocked(k)}
 		if k.owner >= 0 {
-			bi.Owner = func() (core.OwnerRef, bool) { return h.ownerRef(k.owner) }
+			bi.Owner = func() (core.OwnerRef, bool) { return h.ownerRef(k.owner, o) }
 		}
 		if h.sv == nil {
 			bi.Ts, bi.Policy = ts, policy
@@ -169,21 +188,22 @@ func (h *header) edge(k *kind, ts *core.Turnstile, policy string) *core.BlockInf
 }
 
 // ownerRef resolves the owner for the wait-for graph, at walk time and
-// never under the caller's locks; word is the shared owner word. A
-// walker can still be resolving an edge cached before bind, so sv is
-// read under the word lock bind stores it under, and a local owner is
-// identified there too, while it still is the owner — a thread that has
-// released may exit and have its Thread recycled.
-func (h *header) ownerRef(word int) (core.OwnerRef, bool) {
+// never under the caller's locks; word is the shared owner word, o the
+// unshared owner. A walker can still be resolving an edge cached before
+// bind, so sv is read under the word lock bind stores it under, and a
+// local owner is identified there too, while it still is the owner — a
+// thread that has released may exit and have its Thread recycled.
+func (h *header) ownerRef(word int, o ownable) (core.OwnerRef, bool) {
 	h.mu.Lock()
-	sv, o := h.sv, h.owner
+	sv := h.sv
 	var ref core.OwnerRef
-	if o != nil {
-		ref.TID = o.ID()
+	owned := false
+	if sv == nil && o != nil {
+		ref, owned = o.ownerLocked()
 	}
 	h.mu.Unlock()
 	if sv == nil {
-		return ref, o != nil
+		return ref, owned
 	}
 	var ow uint64
 	sv.Atomically(func(w usync.Words) { ow = w.Load(word) })
@@ -252,7 +272,7 @@ func (h *header) acquireShared(t *core.Thread, k *kind, d time.Duration, indefin
 // since a Checkpoint between sleeps can move an unbound thread to
 // another pool LWP. Reports whether the sleep timed out.
 func (h *header) sleepShared(t *core.Thread, k *kind, busy func(usync.Words) bool, opts usync.SleepOpts) bool {
-	t.NoteBlocked(h.edge(k, nil, ""))
+	t.NoteBlocked(h.edge(k, nil, nil, ""))
 	res, slept := h.sv.SleepWhile(t.LWP(), busy, opts)
 	t.NoteUnblocked()
 	return slept && res == sim.WakeTimeout
