@@ -74,13 +74,9 @@ func main() {
 			}
 		}, nil, mt.CreateOpts{Flags: mt.ThreadWait | mt.ThreadBindLWP})
 		ids = append(ids, b.ID())
-		// Confine the bound thread to a processor set so the pset and
-		// binding columns of /proc/sched and psinfo have rows to show.
-		ps := sys.PsetCreate()
-		if err := sys.PsetAssign(ps, 1); err != nil {
-			log.Fatal(err)
-		}
-		if err := sys.PsetBind(b, ps); err != nil {
+		// Bind the bound thread's LWP to CPU 1 so psinfo's BOUND-CPU
+		// column has a row to show.
+		if err := sys.BindCPU(b, 1); err != nil {
 			log.Fatal(err)
 		}
 		for {

@@ -9,8 +9,8 @@
 // -perfetto writes the merged stream as Chrome trace JSON (open it at
 // ui.perfetto.dev): a track per CPU showing which LWP held it, a
 // track per thread with microstate-colored slices, wakeup flow
-// arrows, and instants for preemptions, steals, balances, and
-// fast-forward jumps.
+// arrows, and instants for preemptions, migrations and fast-forward
+// jumps.
 //
 // -record and -replay are schedule time travel. -record <file> runs a
 // deterministic workload variant — one CPU, a frozen manual clock,

@@ -94,16 +94,6 @@ type Config struct {
 	// detection pass. Cycles found are order-independent; the site
 	// exercises the walk itself.
 	DetectReorder int
-	// StealReorder makes the kernel's work-stealing dispatcher steal
-	// from a different victim queue than the best one. The thief still
-	// takes *a* queued item, so perturbation never idles a CPU or
-	// LWP while work exists — only placement is explored.
-	StealReorder int
-	// BalanceEarly runs the periodic run-queue balancer ahead of its
-	// period at a scheduling point. Early balancing is the safe
-	// direction: moves only ever shift queued work toward idler
-	// CPUs, and the work-conservation invariant is unaffected.
-	BalanceEarly int
 	// AllocFail fails an address-space carve (Mmap, Sbrk, stack
 	// segment) with a transient ENOMEM. Failing is the safe
 	// direction only for callers that handle ENOMEM, so the rate is
@@ -137,8 +127,6 @@ func DefaultConfig(seed uint64) Config {
 		SweepReorder:   300,
 		AgeOutEarly:    150,
 		DetectReorder:  200,
-		StealReorder:   150,
-		BalanceEarly:   100,
 	}
 }
 
@@ -424,25 +412,6 @@ func (s *Source) DetectReorder(n int) int {
 		return -1
 	}
 	return s.choose("core.detect", n, s.cfg.DetectReorder)
-}
-
-// StealReorder returns the index of the victim queue a work-stealing
-// dispatcher should steal from instead of the best-priority one, or
-// -1 to keep the best. n is the number of queues with stealable work.
-func (s *Source) StealReorder(n int) int {
-	if s == nil {
-		return -1
-	}
-	return s.choose("sched.steal", n, s.cfg.StealReorder)
-}
-
-// BalanceEarly reports whether the periodic run-queue balancer should
-// run now, ahead of its configured period.
-func (s *Source) BalanceEarly() bool {
-	if s == nil {
-		return false
-	}
-	return s.fire("sched.balance", s.cfg.BalanceEarly)
 }
 
 // AllocFail reports whether an address-space carve should fail with a

@@ -293,8 +293,8 @@ func (t *Thread) Bound() bool { return t.bndLWP != nil }
 
 // BoundLWP returns the LWP a bound thread is permanently attached to,
 // or nil for an unbound thread. Kernel scheduling controls that
-// outlive a single dispatch — priocntl, pset_bind, processor_bind —
-// only make sense against this LWP.
+// outlive a single dispatch — priocntl, processor_bind — only make
+// sense against this LWP.
 func (t *Thread) BoundLWP() *sim.LWP { return t.bndLWP }
 
 func (t *Thread) bound() bool { return t.bndLWP != nil }

@@ -8,13 +8,12 @@
 //
 // Layout (all nodes are synthetic, generated at open time):
 //
-//	/proc/sched               per-CPU dispatcher queues: processor
-//	                          set, queue depth, dispatch/steal/
-//	                          migration counters, balancer moves
+//	/proc/sched               dispatcher: per-CPU dispatch and
+//	                          migration counters, run-queue depth
 //	/proc/<pid>/status        process summary
 //	/proc/<pid>/lwps          one line per LWP
 //	/proc/<pid>/psinfo        scheduling placement per LWP: class,
-//	                          priority, processor set, CPU binding
+//	                          priority, CPU binding
 //	/proc/<pid>/threads       one line per library thread (via the
 //	                          registered lister; absent without one)
 //	/proc/<pid>/lstatus       lock wait-for edges of the process's
@@ -154,39 +153,32 @@ func (pfs *ProcFS) lwpStatus(p *sim.Process) []byte {
 }
 
 // schedStatus renders the machine-wide dispatcher view: one row per
-// CPU with its processor set, instantaneous queue depth (and how many
-// of those are hard-bound, hence unstealable), and the monotonic
-// dispatch/steal/migration counters, followed by the processor sets
-// and the balancer's move count.
+// CPU with its monotonic dispatch and migration counters, then the
+// instantaneous depth of the one dispatch queue.
 func (pfs *ProcFS) schedStatus() []byte {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-4s %-5s %-6s %-6s %-10s %-8s %s\n",
-		"CPU", "PSET", "RUNQ", "BOUND", "DISPATCH", "STEAL", "MIGRATE")
+	fmt.Fprintf(&sb, "%-4s %-10s %s\n", "CPU", "DISPATCH", "MIGRATE")
 	for _, cs := range pfs.kern.SchedStats() {
-		fmt.Fprintf(&sb, "%-4d %-5d %-6d %-6d %-10d %-8d %d\n",
-			cs.CPU, cs.Pset, cs.RunqDepth, cs.RunqBound, cs.Dispatches, cs.Steals, cs.Migrations)
+		fmt.Fprintf(&sb, "%-4d %-10d %d\n", cs.CPU, cs.Dispatches, cs.Migrations)
 	}
-	for _, ps := range pfs.kern.Psets() {
-		fmt.Fprintf(&sb, "pset %d: cpus %v bound-lwps %d\n", ps.ID, ps.CPUs, ps.BoundLWPs)
-	}
-	fmt.Fprintf(&sb, "balance-moves: %d\n", pfs.kern.BalanceMoves())
+	fmt.Fprintf(&sb, "runq: %d\n", pfs.kern.RunqDepth())
 	return []byte(sb.String())
 }
 
 // psinfo renders the scheduling placement of each LWP: class, user
-// priority, the processor set it is confined to, and the CPU it is
-// hard-bound to (- when unbound) — the psrset/pbind view.
+// priority, and the CPU it is hard-bound to (- when unbound) — the
+// pbind view.
 func (pfs *ProcFS) psinfo(p *sim.Process) []byte {
 	lwps := p.LWPs()
 	sort.Slice(lwps, func(i, j int) bool { return lwps[i].ID() < lwps[j].ID() })
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-6s %-6s %-6s %-6s %s\n", "LWPID", "CLASS", "PRIO", "PSET", "BOUND-CPU")
+	fmt.Fprintf(&sb, "%-6s %-6s %-6s %s\n", "LWPID", "CLASS", "PRIO", "BOUND-CPU")
 	for _, l := range lwps {
 		bound := "-"
 		if c := l.BoundCPU(); c >= 0 {
 			bound = fmt.Sprintf("%d", c)
 		}
-		fmt.Fprintf(&sb, "%-6d %-6v %-6d %-6d %s\n", l.ID(), l.Class(), l.Priority(), l.Pset(), bound)
+		fmt.Fprintf(&sb, "%-6d %-6v %-6d %s\n", l.ID(), l.Class(), l.Priority(), bound)
 	}
 	return []byte(sb.String())
 }

@@ -113,11 +113,11 @@ func TestProcStatusAndThreads(t *testing.T) {
 			t.Errorf("threads footer should carry one run-queue traffic line:\n%s", threads)
 		}
 		psinfo := readAll(t, k, opf, l, "/proc/"+itoa(int(pid))+"/psinfo")
-		if !strings.Contains(psinfo, "PSET") || !strings.Contains(psinfo, "BOUND-CPU") {
+		if !strings.Contains(psinfo, "CLASS") || !strings.Contains(psinfo, "BOUND-CPU") {
 			t.Errorf("psinfo missing placement columns:\n%s", psinfo)
 		}
 		sched := readAll(t, k, opf, l, "/proc/sched")
-		if !strings.Contains(sched, "STEAL") || !strings.Contains(sched, "balance-moves:") {
+		if !strings.Contains(sched, "MIGRATE") || !strings.Contains(sched, "runq:") {
 			t.Errorf("sched missing dispatcher columns:\n%s", sched)
 		}
 		if strings.Count(sched, "\n") < 3 { // header + 2 CPUs
@@ -147,9 +147,10 @@ func TestProcStatusAndThreads(t *testing.T) {
 	}
 }
 
-// TestPsinfoReflectsBinding checks that psrset/pbind state — an LWP's
-// class, processor set, and hard CPU binding — shows up in its
-// process's psinfo node and in the machine-wide sched node.
+// TestPsinfoReflectsBinding checks that pbind state — an LWP's class
+// and hard CPU binding — shows up in its process's psinfo node, and
+// that the machine-wide sched node has a row per CPU and the queue's
+// depth.
 func TestPsinfoReflectsBinding(t *testing.T) {
 	k := sim.NewKernel(sim.Config{NCPU: 2})
 	fs := vfs.NewFS(k)
@@ -160,13 +161,6 @@ func TestPsinfoReflectsBinding(t *testing.T) {
 	target := k.NewProcess("bound", nil)
 	bl, err := k.NewLWP(target, sim.ClassRT, 10)
 	if err != nil {
-		t.Fatal(err)
-	}
-	ps := k.PsetCreate()
-	if err := k.PsetAssign(ps, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.PsetBind(bl, ps); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.BindCPU(bl, 1); err != nil {
@@ -194,14 +188,16 @@ func TestPsinfoReflectsBinding(t *testing.T) {
 		if row == "" {
 			t.Errorf("psinfo has no row for lwp %d:\n%s", bl.ID(), psinfo)
 		}
-		for _, want := range []string{"RT", itoa(int(ps)), "1"} {
+		for _, want := range []string{"RT", "10", "1"} {
 			if !strings.Contains(row, want) {
 				t.Errorf("psinfo row %q missing %q", row, want)
 			}
 		}
 		sched := readAll(t, k, opf, l, "/proc/sched")
-		if !strings.Contains(sched, "pset "+itoa(int(ps))+": cpus [1] bound-lwps 1") {
-			t.Errorf("sched missing pset membership:\n%s", sched)
+		for _, want := range []string{"\n0 ", "\n1 ", "\nrunq: 0\n"} {
+			if !strings.Contains(sched, want) {
+				t.Errorf("sched missing %q:\n%s", want, sched)
+			}
 		}
 	}()
 	select {

@@ -279,30 +279,6 @@ func TestCheckpointPostingTable(t *testing.T) {
 				t.Errorf("after BindCPU(%d) and a Checkpoint the LWP is on CPU %d", to, got)
 			}
 		}},
-		{"pset assign", Config{NCPU: 2}, func(t *testing.T, e env) {
-			from := curCPU(e)
-			if err := e.k.PsetAssign(e.k.PsetCreate(), from); err != nil {
-				t.Fatal(err)
-			}
-			ckpt(t, e)
-			if got := curCPU(e); got == from {
-				t.Errorf("after its CPU left the default pset the LWP is still on CPU %d", got)
-			}
-		}},
-		{"pset bind", Config{NCPU: 2}, func(t *testing.T, e env) {
-			to := 1 - curCPU(e)
-			ps := e.k.PsetCreate()
-			if err := e.k.PsetAssign(ps, to); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.k.PsetBind(e.a.l, ps); err != nil {
-				t.Fatal(err)
-			}
-			ckpt(t, e)
-			if got := curCPU(e); got != to {
-				t.Errorf("after PsetBind and a Checkpoint the LWP is on CPU %d, want %d", got, to)
-			}
-		}},
 		{"slice expired with an LWP queued", Config{TimeSlice: 10 * time.Millisecond}, func(t *testing.T, e env) {
 			ran := queued(t, e, ClassTS, defaultTSPrio) // equal priority: no preemption flag
 			e.clk.Advance(20 * time.Millisecond)

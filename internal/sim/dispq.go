@@ -2,17 +2,17 @@ package sim
 
 import "math/bits"
 
-// This file holds the per-CPU dispatch queues. Dispatch used to pop
-// from one shared runnable list under the kernel lock; it now mirrors
-// the Solaris dispatcher structure proper: every CPU owns a fixed
-// array of per-priority FIFO queues (disp_q) indexed by an
-// active-priority bitmap (dqactmap), and placement/steal policy moves
-// LWPs between CPUs instead of a global scan choosing per pick.
+// This file holds the kernel's dispatch queue: every runnable LWP
+// waits on the one lwpRunq on the Kernel, a fixed array of
+// per-priority FIFO queues indexed by an active-priority bitmap
+// (dqactmap), and a free CPU takes the best LWP eligible for it.
+// Eligibility is the one per-CPU rule: an LWP hard-bound (BindCPU) to
+// another CPU is skipped.
 //
-// All fields are guarded by Kernel.mu (the simulated giant lock); the
-// sharding buys O(1) picks, cache-warm affinity placement and an
-// explicit steal/balance policy rather than lock-level parallelism,
-// which the animation model cannot express.
+// All fields are guarded by Kernel.mu. Per-CPU queues would buy
+// nothing here: every queue would sit under that same lock, a
+// simulated CPU has no cache to keep warm, and one queue is
+// work-conserving by construction.
 
 // NumGlobalPrio is the number of global dispatch priority levels
 // (TS 0-59, SYS 60-99, RT 100-159). Queue levels are exact global
@@ -24,15 +24,13 @@ type lwpQ struct {
 	head, tail *LWP
 }
 
-// lwpRunq is one CPU's dispatch queue: a FIFO ring per global
-// priority plus an occupancy bitmap, so push, pop, remove and top are
-// O(1). LWPs link intrusively through rqNext/rqPrev. The queue also
-// counts its CPU-bound entries: those are invisible to work stealing.
+// lwpRunq is the dispatch queue: a FIFO ring per global priority plus
+// an occupancy bitmap, so push, remove and top are O(1). LWPs link
+// intrusively through rqNext/rqPrev.
 type lwpRunq struct {
 	qs     [NumGlobalPrio]lwpQ
 	bitmap [(NumGlobalPrio + 63) / 64]uint64
 	n      int
-	nbound int // queued LWPs bound to this CPU; never stolen
 }
 
 // globalLevel clamps a global priority onto a queue level.
@@ -62,9 +60,6 @@ func (r *lwpRunq) push(l *LWP, lvl int) {
 		q.tail = l
 	}
 	r.n++
-	if l.boundCPU != nil {
-		r.nbound++
-	}
 }
 
 // unlink detaches a queued LWP in O(1).
@@ -86,9 +81,6 @@ func (r *lwpRunq) unlink(l *LWP) {
 	l.rqNext, l.rqPrev = nil, nil
 	l.rqOn = false
 	r.n--
-	if l.boundCPU != nil {
-		r.nbound--
-	}
 }
 
 // top returns the highest occupied level, or -1 when empty.
@@ -96,29 +88,6 @@ func (r *lwpRunq) top() int {
 	for w := len(r.bitmap) - 1; w >= 0; w-- {
 		if word := r.bitmap[w]; word != 0 {
 			return w<<6 + bits.Len64(word) - 1
-		}
-	}
-	return -1
-}
-
-// stealableN reports how many queued LWPs another CPU may take.
-func (r *lwpRunq) stealableN() int { return r.n - r.nbound }
-
-// topStealable returns the highest level holding an unbound LWP, or
-// -1. With no bound entries queued (the common case) this is a bitmap
-// read; otherwise active levels are walked for the first unbound LWP.
-func (r *lwpRunq) topStealable() int {
-	if r.n == r.nbound {
-		return -1
-	}
-	if r.nbound == 0 {
-		return r.top()
-	}
-	for lvl := r.top(); lvl >= 0; lvl = r.nextBelow(lvl) {
-		for l := r.qs[lvl].head; l != nil; l = l.rqNext {
-			if l.boundCPU == nil {
-				return lvl
-			}
 		}
 	}
 	return -1
@@ -141,52 +110,19 @@ func (r *lwpRunq) nextBelow(lvl int) int {
 	return -1
 }
 
-// head returns the FIFO head of the given level.
-func (r *lwpRunq) head(lvl int) *LWP {
-	if lvl < 0 {
-		return nil
-	}
-	return r.qs[lvl].head
-}
+// eligible reports whether l may run on c: it is not hard-bound to
+// another CPU.
+func eligible(l *LWP, c *CPU) bool { return l.boundCPU == nil || l.boundCPU == c }
 
-// firstStealableAt returns the first unbound LWP at or below lvl.
-func (r *lwpRunq) firstStealableAt(lvl int) *LWP {
-	for ; lvl >= 0; lvl = r.nextBelow(lvl) {
-		for l := r.qs[lvl].head; l != nil; l = l.rqNext {
-			if l.boundCPU == nil {
-				return l
-			}
-		}
-	}
-	return nil
-}
-
-// bottomStealable returns the lowest-priority, most-recently-queued
-// unbound LWP — the least disruptive entry for the balancer to move.
-func (r *lwpRunq) bottomStealable() *LWP {
-	if r.n == r.nbound {
-		return nil
-	}
-	for w := 0; w < len(r.bitmap); w++ {
-		word := r.bitmap[w]
-		for word != 0 {
-			lvl := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			for l := r.qs[lvl].tail; l != nil; l = l.rqPrev {
-				if l.boundCPU == nil {
-					return l
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// nth returns the i'th queued LWP in priority-then-FIFO order — the
-// O(n) walk taken only when a chaos source reorders a pick.
-func (r *lwpRunq) nth(i int) *LWP {
+// nth returns the i'th LWP eligible for c in priority-then-FIFO
+// order, or nil when fewer are queued. nth(c, 0) is c's pick: with no
+// LWP bound elsewhere queued, the head of the top level.
+func (r *lwpRunq) nth(c *CPU, i int) *LWP {
 	for lvl := r.top(); lvl >= 0; lvl = r.nextBelow(lvl) {
 		for l := r.qs[lvl].head; l != nil; l = l.rqNext {
+			if !eligible(l, c) {
+				continue
+			}
 			if i == 0 {
 				return l
 			}
@@ -196,7 +132,19 @@ func (r *lwpRunq) nth(i int) *LWP {
 	return nil
 }
 
-// forEach visits every queued LWP (gang scans, /proc, re-leveling).
+// eligibleN counts the queued LWPs eligible for c — the O(n) walk
+// taken only when a chaos source may reorder a pick.
+func (r *lwpRunq) eligibleN(c *CPU) int {
+	n := 0
+	r.forEach(func(l *LWP) {
+		if eligible(l, c) {
+			n++
+		}
+	})
+	return n
+}
+
+// forEach visits every queued LWP (gang scans, re-leveling).
 func (r *lwpRunq) forEach(fn func(*LWP)) {
 	for lvl := r.top(); lvl >= 0; lvl = r.nextBelow(lvl) {
 		for l := r.qs[lvl].head; l != nil; l = l.rqNext {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -11,7 +10,7 @@ import (
 )
 
 // Dispatcher conformance suite: white-box, table-driven checks of the
-// per-CPU dispatch queues and the placement/steal/balance policy.
+// dispatch queue and the pick, preemption and re-level policy.
 // Everything runs single-threaded under k.mu with hand-built CPU
 // occupancy, so each case is a deterministic statement about policy,
 // not a race against real animator goroutines.
@@ -34,16 +33,19 @@ func occupyAll(k *Kernel, p *Process) {
 	k.mu.Unlock()
 }
 
-// queueOn makes a runnable LWP that queues on the given CPU (via the
-// cache-affinity rule: lastCPU wins while every CPU is busy).
-func queueOn(k *Kernel, p *Process, cpu int, class Class, prio int) *LWP {
+// queue makes a runnable LWP, bound to CPU bind unless bind < 0, that
+// stays queued because every CPU is occupied.
+func queue(t *testing.T, k *Kernel, p *Process, bind int, class Class, prio int) *LWP {
+	t.Helper()
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	l := k.newLWPLocked(p, class, prio, k.clock.Now())
-	l.lastCPU = cpu
+	if bind >= 0 {
+		l.boundCPU = k.cpus[bind]
+	}
 	k.makeRunnableLocked(l, k.clock.Now())
-	if l.rqCPU != k.cpus[cpu] {
-		panic(fmt.Sprintf("queueOn: lwp landed on %v, want cpu %d", l.rqCPU, cpu))
+	if !l.rqOn {
+		t.Fatalf("lwp was dispatched, want it queued")
 	}
 	return l
 }
@@ -90,7 +92,7 @@ func TestLwpRunqOrder(t *testing.T) {
 					r.push(l, o.lvl)
 					continue
 				}
-				h := r.head(r.top())
+				h := r.nth(nil, 0)
 				if h != lwps[o.expect] {
 					t.Fatalf("head = %p, want %q", h, o.expect)
 				}
@@ -103,128 +105,21 @@ func TestLwpRunqOrder(t *testing.T) {
 	}
 }
 
-// TestPlacementAffinityFirst checks placeLocked's rules: hard binding
-// beats everything, then the last CPU when free (or when nothing is
-// free), then any free CPU, then the shallowest queue.
-func TestPlacementAffinityFirst(t *testing.T) {
-	cases := []struct {
-		name string
-		// busy marks CPUs to occupy; depth queues extra LWPs there.
-		busy    []int
-		depth   map[int]int
-		lastCPU int
-		bindCPU int // -1 none
-		want    int
-	}{
-		{"affine-free", []int{0, 2, 3}, nil, 1, -1, 1},
-		{"affine-busy-prefers-free", []int{0, 1}, nil, 1, -1, 2},
-		{"all-busy-affine-wins", []int{0, 1, 2, 3}, nil, 2, -1, 2},
-		{"all-busy-shallowest", []int{0, 1, 2, 3},
-			map[int]int{0: 2, 1: 1, 2: 3, 3: 1}, -1, -1, 1},
-		{"bound-beats-affinity", []int{0, 1, 2, 3}, nil, 1, 3, 3},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			k, p := dispKernel(4)
-			k.mu.Lock()
-			for _, ci := range tc.busy {
-				l := k.newLWPLocked(p, ClassTS, 0, k.clock.Now())
-				k.setLWPStateLocked(l, k.clock.Now(), LWPRunnable)
-				k.assignLocked(l, k.cpus[ci], k.clock.Now())
-			}
-			for ci, n := range tc.depth {
-				for i := 0; i < n; i++ {
-					q := k.newLWPLocked(p, ClassTS, 10, k.clock.Now())
-					k.runqPushLocked(k.cpus[ci], q)
-				}
-			}
-			l := k.newLWPLocked(p, ClassTS, 30, k.clock.Now())
-			l.lastCPU = tc.lastCPU
-			if tc.bindCPU >= 0 {
-				l.boundCPU = k.cpus[tc.bindCPU]
-			}
-			got := k.placeLocked(l).id
-			k.mu.Unlock()
-			if got != tc.want {
-				t.Fatalf("placed on cpu %d, want %d", got, tc.want)
-			}
-		})
-	}
-}
-
-// TestStealTakesHighestPriority checks the pick policy of a free CPU:
-// own head unless a sibling advertises strictly higher stealable work,
-// in which case the highest-priority stealable LWP anywhere in the
-// processor set is taken (and counted as a steal).
-func TestStealTakesHighestPriority(t *testing.T) {
-	cases := []struct {
-		name string
-		// queued[cpu] lists TS priorities queued there (in order).
-		queued   map[int][]int
-		pickFor  int
-		wantPrio int // -1: expect no pick
-		steal    bool
-	}{
-		{"steals-best-across-siblings",
-			map[int][]int{1: {30, 50}, 2: {40}}, 0, 50, true},
-		{"own-empty-steals-only-work",
-			map[int][]int{2: {10}}, 0, 10, true},
-		{"own-equal-keeps-own",
-			map[int][]int{0: {50}, 1: {50}}, 0, 50, false},
-		{"own-higher-keeps-own",
-			map[int][]int{0: {50}, 1: {40}}, 0, 50, false},
-		{"sibling-strictly-higher-steals",
-			map[int][]int{0: {40}, 1: {50}}, 0, 50, true},
-		{"nothing-anywhere",
-			map[int][]int{}, 0, -1, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			k, p := dispKernel(3)
-			occupyAll(k, p)
-			for ci, prios := range tc.queued {
-				for _, prio := range prios {
-					queueOn(k, p, ci, ClassTS, prio)
-				}
-			}
-			k.mu.Lock()
-			c := k.cpus[tc.pickFor]
-			c.lwp = nil // free the CPU without rescheduling
-			before := c.steals
-			l := k.pickForLocked(c, k.clock.Now())
-			k.mu.Unlock()
-			if tc.wantPrio < 0 {
-				if l != nil {
-					t.Fatalf("picked lwp prio %d, want none", l.userPrio)
-				}
-				return
-			}
-			if l == nil || l.userPrio != tc.wantPrio {
-				t.Fatalf("picked %v, want prio %d", l, tc.wantPrio)
-			}
-			stole := c.steals > before
-			if stole != tc.steal {
-				t.Fatalf("steal = %v, want %v", stole, tc.steal)
-			}
-		})
-	}
-}
-
 // TestPriocntlRequeues checks the remove-modify-push discipline: a
 // class or priority change on a queued LWP moves it to its new level
-// immediately, on the same CPU's queue.
+// immediately.
 func TestPriocntlRequeues(t *testing.T) {
 	k, p := dispKernel(2)
 	occupyAll(k, p)
-	a := queueOn(k, p, 1, ClassTS, 30)
-	b := queueOn(k, p, 1, ClassTS, 30)
+	a := queue(t, k, p, -1, ClassTS, 30)
+	b := queue(t, k, p, -1, ClassTS, 30)
 	if err := k.Priocntl(b, ClassRT, 10); err != nil {
 		t.Fatal(err)
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if !b.rqOn || b.rqCPU != k.cpus[1] {
-		t.Fatalf("b not queued on cpu 1 after priocntl")
+	if !b.rqOn {
+		t.Fatalf("b not queued after priocntl")
 	}
 	if b.rqLevel != rtMinGlobal+10 {
 		t.Fatalf("b at level %d, want %d", b.rqLevel, rtMinGlobal+10)
@@ -235,69 +130,81 @@ func TestPriocntlRequeues(t *testing.T) {
 	// b now outranks a: it must be the pick.
 	c := k.cpus[1]
 	c.lwp = nil
-	if l := k.pickForLocked(c, k.clock.Now()); l != b {
+	if l := k.pickForLocked(c); l != b {
 		t.Fatalf("pick after priocntl = %v, want the RT lwp", l)
 	}
 }
 
-// TestBindExcludesSteal checks both exclusion rules: a hard CPU
-// binding hides the LWP from sibling CPUs, and a processor-set
-// binding hides it from CPUs outside the set.
+// TestBindExcludesSteal checks that a hard CPU binding hides a queued
+// LWP from every other CPU: a free CPU passes over it, even when it
+// outranks everything else queued, and goes idle when nothing else is.
 func TestBindExcludesSteal(t *testing.T) {
 	t.Run("cpu-bound-never-stolen", func(t *testing.T) {
 		k, p := dispKernel(2)
 		occupyAll(k, p)
+		bound := queue(t, k, p, 1, ClassTS, 50)
+		free := queue(t, k, p, -1, ClassTS, 10)
 		k.mu.Lock()
-		l := k.newLWPLocked(p, ClassTS, 50, k.clock.Now())
-		l.boundCPU = k.cpus[1]
-		k.makeRunnableLocked(l, k.clock.Now())
-		if l.rqCPU != k.cpus[1] {
-			t.Fatalf("bound lwp queued on %v", l.rqCPU)
-		}
+		defer k.mu.Unlock()
 		c0 := k.cpus[0]
-		c0.lwp = nil
-		got := k.pickForLocked(c0, k.clock.Now())
-		k.mu.Unlock()
-		if got != nil {
-			t.Fatalf("cpu 0 stole a hard-bound lwp: %v", got)
+		c0.lwp = nil // free the CPU without rescheduling
+		if got := k.pickForLocked(c0); got != free {
+			t.Fatalf("cpu 0 picked %v, want the unbound lwp", got)
+		}
+		if got := k.pickForLocked(c0); got != nil {
+			t.Fatalf("cpu 0 took the lwp bound to cpu 1: %v", got)
+		}
+		c1 := k.cpus[1]
+		c1.lwp = nil
+		if got := k.pickForLocked(c1); got != bound {
+			t.Fatalf("cpu 1 picked %v, want the lwp bound to it", got)
 		}
 	})
-	t.Run("pset-confines-steal", func(t *testing.T) {
-		k, p := dispKernel(4)
-		ps := k.PsetCreate()
-		for _, ci := range []int{2, 3} {
-			if err := k.PsetAssign(ps, ci); err != nil {
-				t.Fatal(err)
+}
+
+// TestPreemptAsksWhoCanRunHere: an LWP queued for CPU 0 alone never
+// preempts CPU 1's LWP — preempting it would requeue it only to re-pick
+// it, since nothing queued may run on CPU 1. An RT one still flags CPU
+// 0's LWP for preemption; a TS one does not stop CPU 1's time slice
+// from running on past its end.
+func TestPreemptAsksWhoCanRunHere(t *testing.T) {
+	cases := []struct {
+		name  string
+		slice time.Duration
+		class Class
+		prio  int
+	}{
+		{"higher-priority", 0, ClassRT, 10},
+		{"slice-expired", 10 * time.Millisecond, ClassTS, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := ktime.NewManual()
+			k := NewKernel(Config{NCPU: 2, Clock: clk, TimeSlice: tc.slice, EventRing: 256,
+				LWPCreateCost: -1, KernelSwitchCost: -1})
+			p := k.NewProcess("preempt", nil)
+			occupyAll(k, p)
+			queue(t, k, p, 0, tc.class, tc.prio)
+			clk.Advance(2 * tc.slice)
+			k.mu.Lock()
+			on0, on1 := k.cpus[0].lwp, k.cpus[1].lwp
+			flagged0, flagged1 := on0.preempt, on1.preempt
+			k.checkpointLocked(on1, k.clock.Now())
+			k.mu.Unlock()
+			if want := tc.class == ClassRT; flagged0 != want {
+				t.Errorf("the LWP on cpu 0 flagged = %v, want %v", flagged0, want)
 			}
-		}
-		occupyAll(k, p)
-		k.mu.Lock()
-		l := k.newLWPLocked(p, ClassTS, 50, k.clock.Now())
-		k.mu.Unlock()
-		if err := k.PsetBind(l, ps); err != nil {
-			t.Fatal(err)
-		}
-		k.mu.Lock()
-		k.makeRunnableLocked(l, k.clock.Now())
-		if got := l.rqCPU.id; got != 2 && got != 3 {
-			t.Fatalf("pset-bound lwp queued on cpu %d", got)
-		}
-		// A free CPU in the default set must not see it...
-		c0 := k.cpus[0]
-		c0.lwp = nil
-		cross := k.pickForLocked(c0, k.clock.Now())
-		// ...while a free CPU in the set takes it.
-		c3 := k.cpus[3]
-		c3.lwp = nil
-		own := k.pickForLocked(c3, k.clock.Now())
-		k.mu.Unlock()
-		if cross != nil {
-			t.Fatalf("default-set cpu stole across pset: %v", cross)
-		}
-		if own != l {
-			t.Fatalf("pset cpu picked %v, want the bound lwp", own)
-		}
-	})
+			if flagged1 {
+				t.Error("the LWP on cpu 1 is flagged for an LWP that cannot run there")
+			}
+			recs, _ := k.Rings().Snapshot()
+			for _, r := range recs {
+				if r.Kind == trace.EvPreempt && r.CPU == 1 {
+					t.Errorf("cpu 1's LWP was preempted: %v", r)
+				}
+			}
+		})
+	}
 }
 
 // TestClassSemantics pins the class priority laws: TS priorities sink
@@ -336,58 +243,57 @@ func TestClassSemantics(t *testing.T) {
 	}
 }
 
-// TestBalancerRelevelsAndEvens drives the virtual clock past the
-// balance period and checks both balancer duties: queued TS LWPs whose
-// decayed usage changed their priority move to their current level,
-// and depths within a pset even out.
-func TestBalancerRelevelsAndEvens(t *testing.T) {
+// TestRelevelOnPeriod drives the virtual clock past the re-level
+// period and checks that a queued TS LWP whose decayed usage changed
+// its priority moves to its current level, and to the FIFO tail there.
+func TestRelevelOnPeriod(t *testing.T) {
 	clk := ktime.NewManual()
 	k := NewKernel(Config{NCPU: 2, Clock: clk, LWPCreateCost: -1, KernelSwitchCost: -1})
-	p := k.NewProcess("balance", nil)
+	p := k.NewProcess("relevel", nil)
 	occupyAll(k, p)
-	var queued []*LWP
-	for i := 0; i < 4; i++ {
-		queued = append(queued, queueOn(k, p, 0, ClassTS, 40))
-	}
+	aged := queue(t, k, p, -1, ClassTS, 40)
+	other := queue(t, k, p, -1, ClassTS, 30)
 	k.mu.Lock()
-	// Age one queued LWP after it was queued, so its queue level is
-	// stale until the balancer re-levels it.
-	aged := queued[0]
+	// Age the LWP after it was queued, so its queue level is stale
+	// until the re-level moves it.
 	aged.cpuUsage = 50 * time.Millisecond // 10 levels of penalty
 	staleLvl := aged.rqLevel
-	k.mu.Unlock()
-
-	clk.Advance(balancePeriod + time.Millisecond)
-	k.mu.Lock()
-	k.maybeBalanceLocked(k.clock.Now())
-	d0, d1 := k.cpus[0].runq.n, k.cpus[1].runq.n
+	k.maybeRelevelLocked(k.clock.Now())
+	early := aged.rqLevel
+	clk.Advance(relevelPeriod + time.Millisecond)
+	k.maybeRelevelLocked(k.clock.Now())
 	newLvl := aged.rqLevel
-	moves := k.balanceMoves
+	c0 := k.cpus[0]
+	c0.lwp = nil
+	first := k.pickForLocked(c0)
 	k.mu.Unlock()
 
+	if early != staleLvl {
+		t.Errorf("re-levelled before its period: level %d, want %d", early, staleLvl)
+	}
 	if newLvl != staleLvl-10 {
 		t.Errorf("aged lwp at level %d, want %d", newLvl, staleLvl-10)
 	}
-	if d0+d1 != 4 || d0 > d1+1 || d1 > d0+1 {
-		t.Errorf("depths not evened: cpu0=%d cpu1=%d", d0, d1)
-	}
-	if moves == 0 {
-		t.Errorf("balancer reported no moves")
+	if first != other {
+		t.Errorf("picked %v first, want the LWP the aged one sank below", first)
 	}
 }
 
 // TestDispatchDeterminism replays a scripted scheduling workload twice
 // under the same chaos seed and requires bit-identical event-ring
-// journals — steals, migrations, balancer timing and all. The script
-// runs single-threaded under the kernel lock on a manual clock, so the
-// only nondeterminism available is the chaos source itself.
+// journals — chaos pick reorders, bindings, migrations and re-level
+// timing and all. The script runs single-threaded under the kernel lock
+// on a manual clock, so the only nondeterminism available is the chaos
+// source itself.
 func TestDispatchDeterminism(t *testing.T) {
-	run := func(seed uint64) []trace.Record {
+	run := func(seed uint64) ([]trace.Record, int) {
 		clk := ktime.NewManual()
+		src := chaos.New(chaos.DefaultConfig(seed))
+		src.StartRecording()
 		k := NewKernel(Config{
 			NCPU: 4, Clock: clk, EventRing: 1024,
 			LWPCreateCost: -1, KernelSwitchCost: -1,
-			Chaos: chaos.New(chaos.DefaultConfig(seed)),
+			Chaos: src,
 		})
 		p := k.NewProcess("det", nil)
 		var lwps []*LWP
@@ -408,40 +314,49 @@ func TestDispatchDeterminism(t *testing.T) {
 			l := lwps[step%len(lwps)]
 			switch {
 			case l.cpu != nil:
-				// Preempt it back to its queue.
+				// Preempt it back to the queue.
 				k.releaseCPULocked(l, k.clock.Now(), LWPRunnable)
 				k.enqueueLocked(l)
 				k.scheduleLocked(k.clock.Now())
 			case l.rqOn && step%3 == 0:
-				// Re-place it with fresh affinity, as a wakeup would.
-				k.runqRemoveLocked(l)
-				l.lastCPU = (step / 3) % 4
-				k.enqueueLocked(l)
+				// Bind it to a CPU, or unbind it, as BindCPU would.
+				if l.boundCPU == nil {
+					l.boundCPU = k.cpus[(step/3)%4]
+				} else {
+					l.boundCPU = nil
+				}
 				k.scheduleLocked(k.clock.Now())
 			}
 			k.mu.Unlock()
 		}
 		recs, _ := k.Rings().Snapshot()
-		return recs
+		reorders := 0
+		for _, d := range src.Schedule().Decisions {
+			if d.Site == "sim.pick" && d.Value >= 0 {
+				reorders++
+			}
+		}
+		return recs, reorders
 	}
 
-	a, b := run(42), run(42)
+	a, reorders := run(42)
+	b, _ := run(42)
 	if len(a) == 0 {
 		t.Fatal("no events recorded")
 	}
 	if len(a) != len(b) {
 		t.Fatalf("journal lengths differ: %d vs %d", len(a), len(b))
 	}
-	steals := 0
+	migrations := 0
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("journals diverge at %d:\n  %v\n  %v", i, a[i], b[i])
 		}
-		if a[i].Kind == trace.EvSteal {
-			steals++
+		if a[i].Kind == trace.EvMigrate {
+			migrations++
 		}
 	}
-	if steals == 0 {
-		t.Error("workload exercised no steals; the determinism check is vacuous")
+	if migrations == 0 || reorders == 0 {
+		t.Errorf("workload exercised %d migrations and %d pick reorders, want >= 1 of each; the determinism check is vacuous", migrations, reorders)
 	}
 }

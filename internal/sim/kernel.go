@@ -125,13 +125,12 @@ const (
 	defaultKernelSwitchCost = 1500 * time.Nanosecond
 )
 
-// balancePeriod is how often the dispatcher's periodic balancer evens
-// out per-CPU run-queue depths within each processor set (and
-// re-levels queued timeshare LWPs whose decayed usage moved their
-// priority). The balancer runs at scheduling points against the
-// kernel's clock, never on its own goroutine, so balanced schedules
-// stay seed-replayable.
-const balancePeriod = 10 * time.Millisecond
+// relevelPeriod is how often the dispatcher moves queued timeshare
+// LWPs whose decayed usage changed their priority to their current
+// level (the ts_update analogue). It runs at scheduling points against
+// the kernel's clock, never on its own goroutine, so schedules stay
+// seed-replayable.
+const relevelPeriod = 10 * time.Millisecond
 
 // spinFor models a fixed kernel path length by burning host CPU.
 func spinFor(d time.Duration) {
@@ -164,24 +163,22 @@ type Kernel struct {
 	// sleepq is where SleepFor's sleepers wait; nothing wakes it.
 	sleepq WaitQ
 
-	// Dispatcher state (per-CPU queues live on the CPUs; see
-	// dispq.go). nrunnable and gangQueued are the global counts the
-	// hot paths consult instead of scanning queues.
-	psets        map[PsetID]*pset
-	nextPset     PsetID
-	nrunnable    int // queued LWPs across all CPUs
-	gangQueued   int // queued gang members (enables the gang slow path)
-	lastBalance  time.Duration
-	balanceMoves uint64
+	// Dispatcher state (dispq.go): every runnable LWP waits on runq.
+	// gangQueued is the count the hot path consults instead of
+	// scanning the queue.
+	runq        lwpRunq
+	gangQueued  int // queued gang members (enables the gang slow path)
+	lastRelevel time.Duration
 
 	// forkHooks run (in registration order, with mu released) when
 	// a process is duplicated; layers above the kernel use them to
 	// copy fd tables and address spaces.
 	forkHooks []func(parent, child *Process)
 	// deathHooks run (on fresh goroutines, with mu released) once
-	// per process death — voluntary exit or kill alike. The shared
-	// synchronization registry uses them to sweep locks the dead
-	// process owned and mark them OWNERDEAD.
+	// per process death — kill, Exit, or the last LWP exiting — after
+	// the process's last LWP has unwound. The shared synchronization
+	// registry uses them to sweep locks the dead process owned and
+	// mark them OWNERDEAD.
 	deathHooks []func(p *Process)
 
 	// callout times out every bounded kernel sleep (callout.go).
@@ -241,19 +238,14 @@ func NewKernel(cfg Config) *Kernel {
 		clock: cfg.Clock,
 		chaos: cfg.Chaos,
 		procs: make(map[PID]*Process),
-		psets: make(map[PsetID]*pset),
 
 		sleepq: WaitQ{name: "nanosleep"},
 	}
 	if cfg.EventRing > 0 {
 		k.rings = trace.NewRings(cfg.NCPU, cfg.EventRing, k.clock.Now)
 	}
-	def := &pset{id: PsetDefault}
-	k.psets[PsetDefault] = def
 	for i := 0; i < cfg.NCPU; i++ {
-		c := &CPU{id: i, ps: def}
-		k.cpus = append(k.cpus, c)
-		def.cpus = append(def.cpus, c)
+		k.cpus = append(k.cpus, &CPU{id: i})
 	}
 	if ff := ktime.FastForwardOf(k.clock); ff != nil {
 		k.ff = ff
@@ -321,8 +313,9 @@ func (k *Kernel) AddForkHook(fn func(parent, child *Process)) {
 }
 
 // AddDeathHook registers fn to run (on a fresh goroutine, no kernel
-// locks held) each time a process begins to die, whether by voluntary
-// exit or by signal. Exactly one invocation per process death.
+// locks held) each time a process dies, whether by voluntary exit or
+// by signal, once its last LWP has unwound. Exactly one invocation per
+// process death.
 func (k *Kernel) AddDeathHook(fn func(p *Process)) {
 	k.mu.Lock()
 	k.deathHooks = append(k.deathHooks, fn)
@@ -416,7 +409,6 @@ func (k *Kernel) newLWPLocked(p *Process, class Class, prio int, now time.Durati
 		msBorn:    now,
 		msMark:    now,
 		lastCPU:   -1,
-		ps:        k.psets[PsetDefault],
 		exited:    make(chan struct{}),
 	}
 	l.curCPU.Store(-1)
@@ -452,95 +444,43 @@ func (k *Kernel) makeRunnableLocked(l *LWP, now time.Duration) {
 	k.scheduleLocked(now)
 }
 
-// enqueueLocked places a runnable LWP on a CPU's dispatch queue.
+// enqueueLocked and dequeueLocked are the only mutators of the
+// dispatch queue: they keep the gang counter consistent. Class,
+// priority and gang changes to a queued LWP must dequeue first and
+// enqueue after. dequeueLocked reports whether l was queued.
 func (k *Kernel) enqueueLocked(l *LWP) {
-	k.runqPushLocked(k.placeLocked(l), l)
-}
-
-// runqPushLocked and runqRemoveLocked are the only mutators of the
-// per-CPU queues: they keep the global runnable and gang counters
-// consistent. Class, priority, gang, CPU-binding and pset changes to
-// a queued LWP must remove first and re-push after.
-func (k *Kernel) runqPushLocked(c *CPU, l *LWP) {
-	c.runq.push(l, globalLevel(l.globalPrio()))
-	l.rqCPU = c
-	k.nrunnable++
+	k.runq.push(l, globalLevel(l.globalPrio()))
 	if l.gang != 0 {
 		k.gangQueued++
 	}
 }
 
-func (k *Kernel) runqRemoveLocked(l *LWP) {
-	l.rqCPU.runq.unlink(l)
-	l.rqCPU = nil
-	k.nrunnable--
+func (k *Kernel) dequeueLocked(l *LWP) bool {
+	if !l.rqOn {
+		return false
+	}
+	k.runq.unlink(l)
 	if l.gang != 0 {
 		k.gangQueued--
 	}
+	return true
 }
 
-// placeLocked chooses the CPU a runnable LWP queues on: its bound CPU
-// if hard-bound; otherwise, within its processor set, the CPU it last
-// ran on (cache affinity) when that CPU is free or no CPU is free, a
-// free CPU over a busy affine one (work conservation beats warmth),
-// and the shallowest queue when everything is busy.
-func (k *Kernel) placeLocked(l *LWP) *CPU {
-	if l.boundCPU != nil {
-		return l.boundCPU
-	}
-	ps := l.ps
-	var affin *CPU
-	if l.lastCPU >= 0 {
-		if c := k.cpus[l.lastCPU]; c.ps == ps {
-			affin = c
-		}
-	}
-	var free *CPU
-	for _, c := range ps.cpus {
-		if c.lwp == nil {
-			free = c
-			break
-		}
-	}
-	if affin != nil && (affin.lwp == nil || free == nil) {
-		return affin
-	}
-	if free != nil {
-		return free
-	}
-	best := ps.cpus[0]
-	for _, c := range ps.cpus[1:] {
-		if c.runq.n < best.runq.n {
-			best = c
-		}
-	}
-	return best
-}
-
-// scheduleLocked assigns queued LWPs to free CPUs: each free CPU pops
-// its own queue, stealing from a processor-set sibling when the
-// sibling holds strictly better (or the only) stealable work. It then
-// runs the periodic balancer if its period elapsed and flags any
-// outranked on-CPU LWP for preemption.
+// scheduleLocked gives every free CPU the best queued LWP eligible for
+// it, re-levels the queue if its period elapsed, and flags any
+// outranked on-CPU LWP for preemption. One pass suffices: a CPU that
+// finds nothing eligible finds nothing later in the pass either, since
+// the pass only takes LWPs off the queue.
 func (k *Kernel) scheduleLocked(now time.Duration) {
-	for {
-		progress := false
-		for _, c := range k.cpus {
-			if c.lwp != nil {
-				continue
-			}
-			l := k.pickForLocked(c, now)
-			if l == nil {
-				continue
-			}
-			k.assignLocked(l, c, now)
-			progress = true
+	for _, c := range k.cpus {
+		if c.lwp != nil {
+			continue
 		}
-		if !progress {
-			break
+		if l := k.pickForLocked(c); l != nil {
+			k.assignLocked(l, c, now)
 		}
 	}
-	k.maybeBalanceLocked(now)
+	k.maybeRelevelLocked(now)
 	k.preemptCheckLocked()
 }
 
@@ -563,171 +503,83 @@ func (k *Kernel) onCPUGangsLocked() map[int]bool {
 	return gangs
 }
 
-// pickForLocked selects the LWP for a free CPU: the head of its own
-// queue's top level, unless a sibling queue in the same processor set
-// holds strictly higher-priority stealable work (or c's queue is
-// empty), in which case c steals — so per-CPU queues preserve the
-// shared queue's global priority order, and no CPU idles while its
-// set has stealable work.
-func (k *Kernel) pickForLocked(c *CPU, now time.Duration) *LWP {
+// pickForLocked takes the LWP a free CPU runs next off the queue: the
+// best one eligible for c, or nil when none is queued.
+func (k *Kernel) pickForLocked(c *CPU) *LWP {
 	if k.gangQueued > 0 {
-		return k.pickGangLocked(c, now)
+		return k.pickGangLocked(c)
 	}
-	own := c.runq.top()
-	vLvl := -1
-	var victim *CPU
-	var candidates []*CPU
-	collect := k.chaos.Enabled()
-	for _, d := range c.ps.cpus {
-		if d == c {
-			continue
-		}
-		lvl := d.runq.topStealable()
-		if lvl < 0 {
-			continue
-		}
-		if collect {
-			candidates = append(candidates, d)
-		}
-		if lvl > vLvl {
-			vLvl, victim = lvl, d
-		}
-	}
-	if victim != nil && vLvl > own {
-		// Chaos: steal from a different victim queue. The thief
-		// still takes that queue's best stealable LWP, so the CPU is
-		// never idled; only placement is perturbed.
-		if alt := k.chaos.StealReorder(len(candidates)); alt >= 0 {
-			victim = candidates[alt]
-		}
-		l := victim.runq.firstStealableAt(victim.runq.topStealable())
-		k.runqRemoveLocked(l)
-		c.steals++
-		k.rings.RecordAt(now, c.id, trace.EvSteal, int(l.proc.pid), int(l.id), 0, uint64(victim.id))
-		return l
-	}
-	if own < 0 {
+	l := k.runq.nth(c, 0)
+	if l == nil {
 		return nil
 	}
-	// Chaos: dispatch a non-best LWP from c's own queue, delaying
-	// the best one; preemptCheckLocked reclaims a CPU for it.
-	if alt := k.chaos.PickReorder(c.runq.n); alt >= 0 {
-		if l := c.runq.nth(alt); l != nil {
-			k.runqRemoveLocked(l)
-			return l
+	// Chaos: dispatch a non-best eligible LWP, delaying the best one;
+	// preemptCheckLocked reclaims a CPU for it.
+	if k.chaos.Enabled() {
+		if alt := k.chaos.PickReorder(k.runq.eligibleN(c)); alt >= 0 {
+			l = k.runq.nth(c, alt)
 		}
 	}
-	l := c.runq.head(own)
-	k.runqRemoveLocked(l)
+	k.dequeueLocked(l)
 	return l
 }
 
 // pickGangLocked is the dispatch slow path while gang members are
-// queued: it scans every queue in c's processor set, boosting members
-// of gangs already on CPU, reproducing the shared-queue co-scheduling
-// semantics. Gang workloads are rare; the common path never scans.
-func (k *Kernel) pickGangLocked(c *CPU, now time.Duration) *LWP {
+// queued: it scans the whole queue, boosting members of gangs already
+// on CPU, so a gang's runnable members are co-scheduled onto free
+// CPUs together. Gang workloads are rare; the common path never scans.
+func (k *Kernel) pickGangLocked(c *CPU) *LWP {
 	gangs := k.onCPUGangsLocked()
 	var best *LWP
 	bestPrio := -1
-	var bestCPU *CPU
-	var eligible []*LWP
-	var eligibleCPU []*CPU
+	var candidates []*LWP
 	collect := k.chaos.Enabled()
-	for _, d := range c.ps.cpus {
-		d.runq.forEach(func(l *LWP) {
-			if l.boundCPU != nil && l.boundCPU != c {
-				return
+	k.runq.forEach(func(l *LWP) {
+		if !eligible(l, c) {
+			return
+		}
+		if collect {
+			candidates = append(candidates, l)
+		}
+		prio := l.globalPrio()
+		if l.gang != 0 && gangs[l.gang] {
+			prio += gangBonus
+			if prio > sysMaxGlobal {
+				prio = sysMaxGlobal
 			}
-			if collect {
-				eligible = append(eligible, l)
-				eligibleCPU = append(eligibleCPU, d)
-			}
-			prio := l.globalPrio()
-			if l.gang != 0 && gangs[l.gang] {
-				prio += gangBonus
-				if prio > sysMaxGlobal {
-					prio = sysMaxGlobal
-				}
-			}
-			if prio > bestPrio {
-				bestPrio = prio
-				best = l
-				bestCPU = d
-			}
-		})
-	}
+		}
+		if prio > bestPrio {
+			bestPrio = prio
+			best = l
+		}
+	})
 	if best == nil {
 		return nil
 	}
-	if alt := k.chaos.PickReorder(len(eligible)); alt >= 0 {
-		best, bestCPU = eligible[alt], eligibleCPU[alt]
+	if alt := k.chaos.PickReorder(len(candidates)); alt >= 0 {
+		best = candidates[alt]
 	}
-	k.runqRemoveLocked(best)
-	if bestCPU != c {
-		c.steals++
-		k.rings.RecordAt(now, c.id, trace.EvSteal, int(best.proc.pid), int(best.id), 0, uint64(bestCPU.id))
-	}
+	k.dequeueLocked(best)
 	return best
 }
 
-// maybeBalanceLocked runs the balancer when its period has elapsed on
-// the kernel clock (or a chaos source forces an early pass). The
-// balancer never runs on its own goroutine: it piggybacks on
-// scheduling points, so balanced schedules replay from a seed.
-func (k *Kernel) maybeBalanceLocked(now time.Duration) {
-	if k.nrunnable == 0 {
+// maybeRelevelLocked re-levels the queue when its period has elapsed
+// on the kernel clock: queued timeshare LWPs whose decayed usage moved
+// their priority go to their current level.
+func (k *Kernel) maybeRelevelLocked(now time.Duration) {
+	if k.runq.n == 0 || now-k.lastRelevel < relevelPeriod {
 		return
 	}
-	if now-k.lastBalance < balancePeriod && !k.chaos.BalanceEarly() {
-		return
-	}
-	k.balanceLocked(now)
-}
-
-// balanceLocked re-levels queued timeshare LWPs whose decayed usage
-// moved their priority (the ts_update analogue) and evens out
-// stealable queue depths within each processor set, moving the
-// lowest-priority, youngest entries from the deepest queue toward the
-// shallowest until they differ by at most one.
-func (k *Kernel) balanceLocked(now time.Duration) {
-	k.lastBalance = now
-	var relevel []*LWP
-	for _, c := range k.cpus {
-		c.runq.forEach(func(l *LWP) {
-			if lvl := globalLevel(l.globalPrio()); lvl != l.rqLevel {
-				relevel = append(relevel, l)
-			}
-		})
-	}
-	for _, l := range relevel {
-		c := l.rqCPU
-		k.runqRemoveLocked(l)
-		k.runqPushLocked(c, l)
-	}
-	for _, ps := range k.psets {
-		if len(ps.cpus) < 2 {
-			continue
+	k.lastRelevel = now
+	var stale []*LWP
+	k.runq.forEach(func(l *LWP) {
+		if globalLevel(l.globalPrio()) != l.rqLevel {
+			stale = append(stale, l)
 		}
-		for {
-			lo, hi := ps.cpus[0], ps.cpus[0]
-			for _, c := range ps.cpus[1:] {
-				if c.runq.n < lo.runq.n {
-					lo = c
-				}
-				if c.runq.stealableN() > hi.runq.stealableN() {
-					hi = c
-				}
-			}
-			if hi.runq.stealableN()-lo.runq.n < 2 || lo == hi {
-				break
-			}
-			l := hi.runq.bottomStealable()
-			k.runqRemoveLocked(l)
-			k.runqPushLocked(lo, l)
-			k.balanceMoves++
-			k.rings.RecordAt(now, lo.id, trace.EvBalance, int(l.proc.pid), int(l.id), 0, uint64(hi.id))
-		}
+	})
+	for _, l := range stale {
+		k.dequeueLocked(l)
+		k.enqueueLocked(l)
 	}
 }
 
@@ -765,32 +617,25 @@ func (k *Kernel) releaseCPULocked(l *LWP, now time.Duration, newState LWPState) 
 	k.scheduleLocked(now)
 }
 
-// preemptCheckLocked flags on-CPU LWPs for preemption when a
-// higher-priority LWP is waiting for a CPU. Preemption is cooperative
-// and takes effect at the victim's next checkpoint.
+// preemptCheckLocked flags an on-CPU LWP for preemption when an LWP
+// eligible for its CPU and of higher priority is queued. Preemption is
+// cooperative and takes effect at the victim's next checkpoint.
 func (k *Kernel) preemptCheckLocked() {
-	if k.nrunnable == 0 {
+	if k.runq.n == 0 {
 		return
 	}
-	for _, ps := range k.psets {
-		bestWaiting := -1
-		for _, c := range ps.cpus {
-			if lvl := c.runq.top(); lvl > bestWaiting {
-				bestWaiting = lvl
-			}
-		}
-		if bestWaiting < 0 {
+	for _, c := range k.cpus {
+		if c.lwp == nil {
 			continue
 		}
-		for _, c := range ps.cpus {
-			if c.lwp == nil {
-				continue
-			}
-			k.settleLocked(c.lwp)
-			if c.lwp.globalPrio() < bestWaiting {
-				c.lwp.preempt = true
-				c.lwp.slow.Store(true)
-			}
+		best := k.runq.nth(c, 0)
+		if best == nil {
+			continue
+		}
+		k.settleLocked(c.lwp)
+		if c.lwp.globalPrio() < best.rqLevel {
+			c.lwp.preempt = true
+			c.lwp.slow.Store(true)
 		}
 	}
 }
@@ -829,16 +674,10 @@ func (k *Kernel) waitOnCPULocked(l *LWP) {
 
 func (k *Kernel) unwindLocked(l *LWP, reason string) {
 	// Leave cleanup to ExitLWP, which the recovering animator must
-	// call; just make sure we are not on a run queue so the
+	// call; just make sure we are not on the run queue so the
 	// dispatcher cannot hand us a CPU mid-unwind.
-	k.removeRunnableLocked(l)
+	k.dequeueLocked(l)
 	panic(&Unwind{Proc: l.proc, Reason: reason})
-}
-
-func (k *Kernel) removeRunnableLocked(l *LWP) {
-	if l.rqOn {
-		k.runqRemoveLocked(l)
-	}
 }
 
 // --- time accounting ---------------------------------------------------
@@ -897,7 +736,8 @@ func (k *Kernel) settleLocked(l *LWP) {
 // With nothing posted (see LWP.slow), before the next TS decay, and
 // inside its time slice, it takes no lock: it notes its clock reading
 // and defers the charge to the next locked entry or settle. (Past the
-// slice it locks: whether anything is queued is asked under mu.)
+// slice it locks: whether an LWP that may replace it is queued is
+// asked under mu.)
 func (k *Kernel) Checkpoint(l *LWP) (signalPending bool) {
 	now := k.clock.Now()
 	if slice := k.cfg.TimeSlice; !l.slow.Load() && now < time.Duration(l.fastUntil.Load()) &&
@@ -941,8 +781,11 @@ func (k *Kernel) checkpointLocked(l *LWP, now time.Duration) time.Duration {
 		k.waitOnCPULocked(l)
 		now = k.clock.Now()
 	}
+	// The slice expires only for an LWP that another could replace:
+	// one eligible for its CPU is queued.
 	slice := k.cfg.TimeSlice
-	expired := slice > 0 && now-l.onCPUSince >= slice && k.nrunnable > 0
+	expired := slice > 0 && now-l.onCPUSince >= slice && k.runq.n > 0 &&
+		(l.cpu == nil || k.runq.nth(l.cpu, 0) != nil)
 	// Chaos: force a preemption as if the slice expired, so the
 	// dispatcher re-decides who runs here.
 	forced := l.state == LWPOnCPU && k.chaos.Preempt()
@@ -1010,11 +853,7 @@ func (k *Kernel) ExitLWP(l *LWP) {
 	if l.state == LWPSigWait {
 		p.sigwaiters--
 	}
-	k.removeRunnableLocked(l)
-	if l.psBound {
-		l.ps.nbound--
-		l.psBound = false
-	}
+	k.dequeueLocked(l)
 	// An unwind out of a bounded sleep leaves its deadline queued.
 	k.calloutRemoveLocked(l)
 	k.setLWPStateLocked(l, now, LWPZombie)

@@ -92,8 +92,6 @@ type LWP struct {
 	gang       int // gang group id when class == ClassGang, else 0
 	cpu        *CPU
 	boundCPU   *CPU
-	ps         *pset      // processor set the LWP runs in (default set if unbound)
-	psBound    bool       // explicitly bound to a user pset (counts in pset.nbound)
 	cond       *sync.Cond // signalled when state changes to OnCPU or wake conditions
 	preempt    bool       // yield CPU at next checkpoint
 	onCPUSince time.Duration
@@ -112,11 +110,10 @@ type LWP struct {
 	fastUntil atomic.Int64
 	ckptAt    atomic.Int64
 
-	// Intrusive dispatch-queue node (dispq.go): the per-CPU run
-	// queue the LWP is waiting on, its level there, and the FIFO
+	// Intrusive dispatch-queue node (dispq.go): the LWP's level on
+	// the kernel's run queue, whether it is queued, and the FIFO
 	// links. Guarded by Kernel.mu.
 	rqNext, rqPrev *LWP
-	rqCPU          *CPU
 	rqLevel        int
 	rqOn           bool
 
@@ -211,7 +208,7 @@ func (l *LWP) Priority() int {
 }
 
 // BoundCPU reports the CPU the LWP is hard-bound to (BindCPU), or -1
-// when it may run on any CPU of its processor set.
+// when it may run on any CPU.
 func (l *LWP) BoundCPU() int {
 	k := l.proc.kern
 	k.mu.Lock()
@@ -311,19 +308,16 @@ func (k *Kernel) EnterAltStack(l *LWP) bool {
 }
 
 // CPU is one simulated processor. At most one LWP runs on a CPU at a
-// time. Each CPU owns a dispatch queue of runnable LWPs placed on it
-// (affinity first); an idle CPU steals from its processor-set
-// siblings, so no CPU idles while its set has stealable work.
+// time. A free CPU takes the best LWP eligible for it off the
+// kernel's one dispatch queue (dispq.go), so no CPU idles while an LWP
+// that may run on it is queued.
 type CPU struct {
 	id  int
 	lwp *LWP // guarded by Kernel.mu
 
-	// Dispatcher state; guarded by Kernel.mu.
-	ps         *pset   // processor set this CPU belongs to
-	runq       lwpRunq // LWPs placed on this CPU
-	dispatches uint64  // LWPs dispatched onto this CPU
-	steals     uint64  // LWPs this CPU stole from a sibling's queue
-	migrations uint64  // dispatches whose LWP last ran elsewhere
+	// Dispatch counters; guarded by Kernel.mu.
+	dispatches uint64 // LWPs dispatched onto this CPU
+	migrations uint64 // dispatches whose LWP last ran elsewhere
 }
 
 // ID returns the CPU number.

@@ -154,12 +154,7 @@ func (k *Kernel) Priocntl(l *LWP, class Class, prio int) error {
 // track the change.
 func (k *Kernel) reclassLocked(l *LWP, class Class, prio, gang int) {
 	k.settleLocked(l) // the deferred charge is the old class's
-	queued := l.rqOn
-	var c *CPU
-	if queued {
-		c = l.rqCPU
-		k.runqRemoveLocked(l)
-	}
+	queued := k.dequeueLocked(l)
 	l.class = class
 	l.userPrio = prio
 	if class == ClassGang {
@@ -169,7 +164,7 @@ func (k *Kernel) reclassLocked(l *LWP, class Class, prio, gang int) {
 	}
 	l.fastUntil.Store(int64(l.nextDecay()))
 	if queued {
-		k.runqPushLocked(c, l)
+		k.enqueueLocked(l)
 	}
 }
 
@@ -195,7 +190,8 @@ func (k *Kernel) JoinGang(l *LWP, g int, prio int) error {
 
 // BindCPU restricts the LWP to run only on CPU cpuID (the paper's
 // "the process has asked the system to bind one of its LWPs to a
-// CPU"). A negative cpuID removes the binding.
+// CPU"). A negative cpuID removes the binding. A queued LWP stays
+// where it is: the binding only changes which CPUs may pick it.
 func (k *Kernel) BindCPU(l *LWP, cpuID int) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -205,24 +201,8 @@ func (k *Kernel) BindCPU(l *LWP, cpuID int) error {
 			return fmt.Errorf("sim: no CPU %d (have %d)", cpuID, len(k.cpus))
 		}
 		bound = k.cpus[cpuID]
-		if l.psBound && bound.ps != l.ps {
-			return fmt.Errorf("sim: CPU %d is outside lwp %d's pset %d", cpuID, l.id, l.ps.id)
-		}
-	}
-	// Remove-modify-push: the binding decides which queue the LWP
-	// may sit on and whether it counts as stealable there.
-	queued := l.rqOn
-	if queued {
-		k.runqRemoveLocked(l)
 	}
 	l.boundCPU = bound
-	if bound != nil && !l.psBound {
-		// An unbound-pset LWP follows its CPU's set.
-		l.ps = bound.ps
-	}
-	if queued {
-		k.runqPushLocked(k.placeLocked(l), l)
-	}
 	if bound != nil && l.cpu != nil && l.cpu != bound {
 		l.preempt = true
 		l.slow.Store(true)

@@ -1,15 +1,15 @@
 package sim
 
-// CPUStat is a snapshot of one CPU's dispatcher state and counters,
-// consumed by /proc and mtstat. Depths are instantaneous; the counters
-// are monotonic since boot.
+// CPUStat is a snapshot of one CPU's dispatch counters, consumed by
+// /proc and mtstat. The counters are monotonic since boot.
 type CPUStat struct {
 	CPU        int
-	Pset       PsetID
-	RunqDepth  int // LWPs queued on this CPU
-	RunqBound  int // queued LWPs hard-bound here (never stolen)
 	Dispatches uint64
-	Steals     uint64 // picks this CPU took from a sibling's queue
+	// Steals is always 0: one dispatch queue has nothing to steal
+	// from. It stays because the benchmark's meter (bench/meter.go)
+	// sums it into sim.steals_per_op, and that module changes only
+	// with the benchmark itself (ROADMAP item 1).
+	Steals     uint64
 	Migrations uint64 // dispatches whose LWP last ran elsewhere
 }
 
@@ -20,48 +20,27 @@ func (k *Kernel) SchedStats() []CPUStat {
 	defer k.mu.Unlock()
 	out := make([]CPUStat, len(k.cpus))
 	for i, c := range k.cpus {
-		out[i] = CPUStat{
-			CPU:        c.id,
-			Pset:       c.ps.id,
-			RunqDepth:  c.runq.n,
-			RunqBound:  c.runq.nbound,
-			Dispatches: c.dispatches,
-			Steals:     c.steals,
-			Migrations: c.migrations,
-		}
+		out[i] = CPUStat{CPU: c.id, Dispatches: c.dispatches, Migrations: c.migrations}
 	}
 	return out
 }
 
-// BalanceMoves returns how many queued LWPs the periodic balancer has
-// moved between CPUs since boot.
-func (k *Kernel) BalanceMoves() uint64 {
+// RunqDepth returns the number of LWPs waiting on the dispatch queue.
+func (k *Kernel) RunqDepth() int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.balanceMoves
+	return k.runq.n
 }
 
 // WorkConserving verifies the dispatcher invariant the chaos sweeps
-// assert: no CPU sits idle while its own queue is non-empty or while a
-// processor-set sibling holds stealable work. Every kernel mutation
-// ends in scheduleLocked under the same lock hold, so the invariant
-// must hold at any observation point.
+// assert: no CPU sits idle while an LWP eligible for it is queued.
+// Every kernel mutation ends in scheduleLocked under the same lock
+// hold, so the invariant must hold at any observation point.
 func (k *Kernel) WorkConserving() bool {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	for _, ps := range k.psets {
-		idle := false
-		stealable := 0
-		for _, c := range ps.cpus {
-			if c.lwp == nil {
-				if c.runq.n > 0 {
-					return false
-				}
-				idle = true
-			}
-			stealable += c.runq.stealableN()
-		}
-		if idle && stealable > 0 {
+	for _, c := range k.cpus {
+		if c.lwp == nil && k.runq.nth(c, 0) != nil {
 			return false
 		}
 	}

@@ -428,20 +428,15 @@ func (k *Kernel) killProcLocked(p *Process, status int, sig Signal, core bool, n
 	p.killSig = sig
 	p.dumpedCore = core
 	p.state = ProcRunning // a stopped process being killed resumes to die
-	// Death hooks fire exactly once per process death (the dying
-	// guard above makes re-entry impossible), on fresh goroutines so
-	// they may take the kernel lock themselves.
-	for _, h := range k.deathHooks {
-		go h(p)
-	}
 	// Wake every blocked LWP so its animator observes dying and
 	// unwinds; on-CPU LWPs observe it at their next checkpoint, and
 	// runnable LWPs re-check in waitOnCPULocked after the broadcast.
-	// Pull runnables off the run queues first so the dispatcher does
+	// Pull runnables off the run queue first so the dispatcher does
 	// not hand a dying LWP a CPU in the window before its animator
-	// wakes.
+	// wakes. The death hooks wait for the last LWP to unwind
+	// (finalizeProcLocked).
 	for _, l := range p.lwps {
-		k.removeRunnableLocked(l)
+		k.dequeueLocked(l)
 		l.slow.Store(true)
 		l.cond.Broadcast()
 	}
@@ -488,12 +483,25 @@ func (k *Kernel) contProcLocked(p *Process) {
 }
 
 // finalizeProcLocked turns a process with no remaining LWPs into a
-// zombie, notifies the parent, and reparents children.
+// zombie, starts the death hooks, notifies the parent, and reparents
+// children.
+//
+// The hooks start here, not when a kill begins: until its last LWP has
+// unwound, a thread of the dying process can still be in user code
+// (an on-CPU LWP sees dying only at its next checkpoint) and could
+// take back a shared lock or unit the owner-dead sweep had just
+// released. They run exactly once per process death (the state guard
+// makes re-entry impossible) — after a kill, an Exit, or the last LWP
+// exiting on its own — on fresh goroutines, so they may take the
+// kernel lock themselves.
 func (k *Kernel) finalizeProcLocked(p *Process, now time.Duration) {
 	if p.state == ProcZombie || p.state == ProcDead {
 		return
 	}
 	p.state = ProcZombie
+	for _, h := range k.deathHooks {
+		go h(p)
+	}
 	// Reparent live children to nobody (the kernel reaps their
 	// zombies directly), and release zombie children now.
 	for _, c := range p.children {

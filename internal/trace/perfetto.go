@@ -15,8 +15,7 @@ import (
 //
 //   - one track per simulated CPU (process 0, "CPUs"), with an on-CPU
 //     slice per dispatched LWP, cut at the next dispatch or preempt
-//     on that CPU, plus instants for steals, migrations and balancer
-//     moves;
+//     on that CPU, plus instants for preemptions and migrations;
 //   - one track per (process, thread), with a running slice from
 //     EvThreadRun to EvThreadPark and a colored park-state slice
 //     (runnable / sleeping / stopped / waiting, per the library
@@ -185,14 +184,6 @@ func WritePerfetto(w io.Writer, recs []Record) error {
 			closeCPU(r.CPU, r.When)
 			evs = append(evs, pfEvent{Name: "preempt", Ph: "i", S: "t",
 				Ts: pfTS(r.When), Pid: pfCPUPid, Tid: int(r.CPU)})
-		case EvSteal:
-			evs = append(evs, pfEvent{Name: "steal", Ph: "i", S: "t",
-				Ts: pfTS(r.When), Pid: pfCPUPid, Tid: int(r.CPU),
-				Args: map[string]any{"victim_cpu": r.Arg, "pid": r.PID, "lwp": r.LWP}})
-		case EvBalance:
-			evs = append(evs, pfEvent{Name: "balance", Ph: "i", S: "t",
-				Ts: pfTS(r.When), Pid: pfCPUPid, Tid: int(r.CPU),
-				Args: map[string]any{"from_cpu": r.Arg, "pid": r.PID, "lwp": r.LWP}})
 		case EvMigrate:
 			evs = append(evs, pfEvent{Name: "migrate", Ph: "i", S: "t",
 				Ts: pfTS(r.When), Pid: pfCPUPid, Tid: int(r.CPU),

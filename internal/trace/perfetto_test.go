@@ -37,7 +37,7 @@ func TestWritePerfetto(t *testing.T) {
 		{Seq: 3, When: ms(3), Kind: EvThreadRun, CPU: 0, PID: 1, LWP: 2, TID: 7, Arg: 1},
 		{Seq: 4, When: ms(5), Kind: EvThreadPark, CPU: 0, PID: 1, LWP: 2, TID: 7, Arg: 2},
 		{Seq: 5, When: ms(6), Kind: EvPreempt, CPU: 0, PID: 1, LWP: 2},
-		{Seq: 6, When: ms(7), Kind: EvSteal, CPU: 1, PID: 1, LWP: 3, Arg: 0},
+		{Seq: 6, When: ms(7), Kind: EvMigrate, CPU: 1, PID: 1, LWP: 3, Arg: 0},
 		{Seq: 7, When: ms(7), Kind: EvDispatch, CPU: 1, PID: 1, LWP: 3, Arg: 30},
 		{Seq: 8, When: ms(9), Kind: EvFastForward, CPU: -1, Arg: uint64(time.Hour)},
 		{Seq: 9, When: ms(10), Kind: EvThreadRun, CPU: 1, PID: 1, LWP: 3, TID: 7},
@@ -108,13 +108,13 @@ func TestWritePerfetto(t *testing.T) {
 		t.Fatalf("flow end = %v, want tid 0 at ts 2000", ends[0])
 	}
 
-	// Instants: preempt and steal on their CPU rows, the fast-forward
+	// Instants: preempt and migrate on their CPU rows, the fast-forward
 	// jump as a global instant.
 	if p := pfFilter(evs, "i", "preempt"); len(p) != 1 || p[0]["tid"].(float64) != 0 {
 		t.Fatalf("preempt instants: %v", p)
 	}
-	if s := pfFilter(evs, "i", "steal"); len(s) != 1 || s[0]["tid"].(float64) != 1 {
-		t.Fatalf("steal instants: %v", s)
+	if m := pfFilter(evs, "i", "migrate"); len(m) != 1 || m[0]["tid"].(float64) != 1 {
+		t.Fatalf("migrate instants: %v", m)
 	}
 	ffi := pfFilter(evs, "i", "fast-forward +1h0m0s")
 	if len(ffi) != 1 || ffi[0]["s"] != "g" {

@@ -47,14 +47,6 @@ const (
 	// EvThreadPark: a thread parked, handing its LWP back to the
 	// dispatcher. Arg is the library thread state it parked in.
 	EvThreadPark
-	// EvSteal: an idle (or lower-priority) CPU pulled the LWP off
-	// another CPU's run queue. CPU is the thief; Arg is the victim
-	// CPU id. A matching EvDispatch on the thief follows.
-	EvSteal
-	// EvBalance: the periodic balancer moved a queued LWP to a
-	// shallower queue. CPU is the destination; Arg is the source CPU
-	// id.
-	EvBalance
 	// EvFastForward: the fast-forward clock leapt over idle virtual
 	// time to the next timer deadline. Arg is the nanoseconds
 	// skipped; recorded on the unattributed ring.
@@ -81,10 +73,6 @@ func (k EventKind) String() string {
 		return "threadrun"
 	case EvThreadPark:
 		return "threadpark"
-	case EvSteal:
-		return "steal"
-	case EvBalance:
-		return "balance"
 	case EvFastForward:
 		return "fastforward"
 	}

@@ -1,10 +1,13 @@
 package mt
 
-// Steal/pset chaos sweeps: the per-CPU dispatcher's two load-bearing
-// invariants under perturbed schedules — the kernel never idles a CPU
-// while stealable work is queued in its processor set, and a
-// pset-bound thread's LWP never runs on a CPU outside its set. Like
-// the other sweeps, a failing seed replays exactly:
+// Dispatcher chaos sweeps: the kernel dispatcher's two load-bearing
+// invariants under perturbed schedules — no CPU idles while an LWP
+// that may run on it is queued, and an LWP hard-bound to a CPU
+// (BindCPU) never runs anywhere else, whatever chaos pick reorders
+// do. Both sweeps keep the names they had when the kernel had per-CPU
+// queues, work stealing and processor sets, so their seeds compare
+// across that change. Like the other sweeps, a failing seed replays
+// exactly:
 //
 //	go test ./mt -run TestChaosSteal -chaos.seed=N
 
@@ -15,21 +18,16 @@ import (
 )
 
 // TestChaosStealWorkConservation: yielders plus park/unpark ping-pong
-// pairs keep ready-queue traffic flowing across four CPUs split into
-// two processor sets, while a monitor thread polls the kernel's
-// work-conservation invariant the whole time. Every kernel mutation
-// ends in scheduleLocked under the same lock hold, so the invariant
-// must hold at every observation point, not just at quiescence.
+// pairs keep ready-queue traffic flowing across four CPUs, with one
+// thread's LWP bound to CPU 3, while a monitor thread polls the
+// kernel's work-conservation invariant the whole time. Every kernel
+// mutation ends in scheduleLocked under the same lock hold, so the
+// invariant must hold at every observation point, not just at
+// quiescence.
 func TestChaosStealWorkConservation(t *testing.T) {
 	sweep(t, func(t *testing.T, seed uint64) {
 		const nYield, nPairs, iters = 4, 2, 30
 		sys := chaosSystem(t, chaosOpts(4, seed))
-		// A second pset splits the machine so the invariant is
-		// checked per set, with a bound thread keeping it non-empty.
-		ps := sys.PsetCreate()
-		if err := sys.PsetAssign(ps, 3); err != nil {
-			t.Fatal(err)
-		}
 		var violations atomic.Int32
 		stop := make(chan struct{})
 		done := make(chan struct{})
@@ -93,8 +91,9 @@ func TestChaosStealWorkConservation(t *testing.T) {
 				}
 				ids = append(ids, sleeper.ID(), pinger.ID())
 			}
-			// A bound thread confined to the one-CPU set keeps the
-			// second pset's invariant from being vacuously true.
+			// A thread bound to CPU 3 queues where only one CPU may
+			// take it, so the invariant is checked per CPU, not only
+			// for the queue as a whole.
 			bound, err := rt.Create(func(ct *Thread, _ any) {
 				for j := 0; j < iters; j++ {
 					ct.Checkpoint()
@@ -105,7 +104,7 @@ func TestChaosStealWorkConservation(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := sys.PsetBind(bound, ps); err != nil {
+			if err := sys.BindCPU(bound, 3); err != nil {
 				t.Error(err)
 				return
 			}
@@ -126,27 +125,20 @@ func TestChaosStealWorkConservation(t *testing.T) {
 	})
 }
 
-// TestChaosStealPsetConfinement: bound threads confined to a two-CPU
-// processor set check, on every iteration, that their LWP is running
-// inside the set — no perturbed placement, steal, or balance decision
-// may ever move them out — while unbound yielders flood the default
-// set with stealable work to tempt it.
+// TestChaosStealPsetConfinement: threads whose LWPs are bound to CPU 2
+// and CPU 3 check, on every iteration, that their LWP is running on
+// its CPU — no perturbed pick may move them off it — while unbound
+// yielders flood the queue with work the other CPUs may take.
 func TestChaosStealPsetConfinement(t *testing.T) {
 	sweep(t, func(t *testing.T, seed uint64) {
 		const nBound, nFree, iters = 2, 4, 30
 		sys := chaosSystem(t, chaosOpts(4, seed))
-		ps := sys.PsetCreate()
-		for _, cpu := range []int{2, 3} {
-			if err := sys.PsetAssign(ps, cpu); err != nil {
-				t.Fatal(err)
-			}
-		}
-		inSet := func(cpu int) bool { return cpu == 2 || cpu == 3 }
 		var escapes atomic.Int32
-		p := spawn(t, sys, "chaos-pset", ProcConfig{}, func(p *Proc, tt *Thread) {
+		p := spawn(t, sys, "chaos-bind", ProcConfig{}, func(p *Proc, tt *Thread) {
 			rt := tt.Runtime()
 			ids := make([]ThreadID, 0, nBound+nFree)
 			for i := 0; i < nBound; i++ {
+				cpu := 2 + i
 				var bound atomic.Bool
 				c, err := rt.Create(func(ct *Thread, _ any) {
 					// The creator binds us after Create returns; until
@@ -160,7 +152,7 @@ func TestChaosStealPsetConfinement(t *testing.T) {
 					for j := 0; j < iters; j++ {
 						// Between checkpoints this goroutine is the
 						// LWP's dispatched body, so CurCPU is our CPU.
-						if cpu := ct.BoundLWP().CurCPU(); cpu >= 0 && !inSet(cpu) {
+						if got := ct.BoundLWP().CurCPU(); got >= 0 && got != cpu {
 							escapes.Add(1)
 						}
 						ct.Checkpoint()
@@ -171,15 +163,16 @@ func TestChaosStealPsetConfinement(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := sys.PsetBind(c, ps); err != nil {
+				if err := sys.BindCPU(c, cpu); err != nil {
 					t.Error(err)
 					return
 				}
 				bound.Store(true)
 				ids = append(ids, c.ID())
 			}
-			// Unbound load in the default set: stealable work the
-			// pset CPUs must never pull, and vice versa.
+			// Unbound load: work that a perturbed pick may hand to
+			// any CPU, tempting the dispatcher to move a bound LWP
+			// too.
 			for i := 0; i < nFree; i++ {
 				c, err := rt.Create(func(ct *Thread, _ any) {
 					for j := 0; j < iters; j++ {
@@ -199,19 +192,18 @@ func TestChaosStealPsetConfinement(t *testing.T) {
 		})
 		waitProc(t, p)
 		if e := escapes.Load(); e != 0 {
-			t.Fatalf("bound threads ran outside their pset %d times", e)
+			t.Fatalf("bound threads ran off their CPU %d times", e)
 		}
 	})
 }
 
 // TestStealUnderFullOccupancy: with a low-priority bound spinner on
 // every CPU, each wakeup of a ping-pong pair's LWP finds no free CPU
-// and queues, outranking the spinners — so it reaches a CPU either by
-// preempting one or by a CPU that frees up stealing it from a
-// sibling's queue. Both are cross-CPU dispatches; the kernel's
-// counters must show steals, and the rings must pair at least one
-// EvWakeup with the EvMigrate of the same LWP's next dispatch. No
-// chaos: occupancy alone has to force it.
+// and queues, outranking the spinners — so it reaches a CPU by
+// preempting one, whichever CPU that is. The rings must pair at least
+// one EvWakeup with the EvMigrate of the same LWP's next dispatch: a
+// woken LWP that outranks every running one reaches some CPU, not only
+// the one it last ran on. No chaos: occupancy alone has to force it.
 func TestStealUnderFullOccupancy(t *testing.T) {
 	const ncpu, pairs, spinners, rounds = 4, 4, 4, 200
 	sys := NewSystem(Options{NCPU: ncpu, EventRing: 1 << 15})
@@ -243,7 +235,7 @@ func TestStealUnderFullOccupancy(t *testing.T) {
 				}
 			})
 			// Timeshare floor: every woken ping-pong LWP outranks the
-			// spinners, so wakeups preempt and steals favor them.
+			// spinners, so wakeups preempt them.
 			if err := sys.Priocntl(c, ClassTS, 0); err != nil {
 				panic(err)
 			}
@@ -280,16 +272,12 @@ func TestStealUnderFullOccupancy(t *testing.T) {
 	})
 	waitProc(t, p)
 
-	var dispatches, steals uint64
+	var dispatches uint64
 	for _, cs := range sys.SchedStats() {
 		dispatches += cs.Dispatches
-		steals += cs.Steals
 	}
 	if dispatches == 0 {
 		t.Fatal("no dispatches recorded")
-	}
-	if steals == 0 {
-		t.Fatal("no steals: spinner occupancy no longer forces queued wakeups")
 	}
 	// EvMigrate is recorded immediately before the same dispatch's
 	// EvDispatch, so a pending wakeup that reaches an EvMigrate first

@@ -317,8 +317,6 @@ const (
 	EvLockBlock   = trace.EvLockBlock
 	EvThreadRun   = trace.EvThreadRun
 	EvThreadPark  = trace.EvThreadPark
-	EvSteal       = trace.EvSteal
-	EvBalance     = trace.EvBalance
 	EvFastForward = trace.EvFastForward
 )
 
@@ -375,55 +373,27 @@ func (s *System) Schedule() *ScheduleJournal {
 // Options.FastForward was not set.
 func (s *System) FastForward() *ktime.FastForward { return s.Kern.FastForward() }
 
-// Dispatcher re-exports: scheduling classes, processor sets, and the
-// per-CPU dispatch-queue statistics.
+// Dispatcher re-exports: scheduling classes and the per-CPU dispatch
+// counters.
 type (
 	// Class is a kernel scheduling class (priocntl).
 	Class = sim.Class
-	// PsetID names a processor set (psrset).
-	PsetID = sim.PsetID
-	// PsetInfo is a snapshot of one processor set.
-	PsetInfo = sim.PsetInfo
-	// CPUStat is one CPU's dispatch-queue snapshot and counters.
+	// CPUStat is one CPU's dispatch counters.
 	CPUStat = sim.CPUStat
 )
 
-// Scheduling classes and the default processor set.
+// Scheduling classes.
 const (
-	ClassTS     = sim.ClassTS
-	ClassSYS    = sim.ClassSYS
-	ClassRT     = sim.ClassRT
-	ClassGang   = sim.ClassGang
-	PsetDefault = sim.PsetDefault
+	ClassTS   = sim.ClassTS
+	ClassSYS  = sim.ClassSYS
+	ClassRT   = sim.ClassRT
+	ClassGang = sim.ClassGang
 )
 
-// PsetCreate creates an empty processor set (pset_create).
-func (s *System) PsetCreate() PsetID { return s.Kern.PsetCreate() }
-
-// PsetDestroy destroys a user set; its CPUs return to the default set
-// and its bound LWPs are unbound (pset_destroy).
-func (s *System) PsetDestroy(id PsetID) error { return s.Kern.PsetDestroy(id) }
-
-// PsetAssign moves a CPU into the set; PsetDefault moves it back
-// (pset_assign).
-func (s *System) PsetAssign(id PsetID, cpu int) error { return s.Kern.PsetAssign(id, cpu) }
-
-// Psets snapshots all processor sets.
-func (s *System) Psets() []PsetInfo { return s.Kern.Psets() }
-
-// PsetBind confines a bound thread's LWP to the processor set;
-// PsetDefault removes the binding (pset_bind). The thread must be
-// bound to an LWP (ThreadBindLWP or ThreadNewLWP): an unbound thread
-// migrates across the whole pool, so the binding would not follow it.
-func (s *System) PsetBind(t *Thread, id PsetID) error {
-	l := t.BoundLWP()
-	if l == nil {
-		return core.ErrNotBound
-	}
-	return s.Kern.PsetBind(l, id)
-}
-
 // BindCPU hard-binds a bound thread's LWP to one CPU (processor_bind).
+// The thread must be bound to an LWP (ThreadBindLWP or ThreadNewLWP):
+// an unbound thread migrates across the whole pool, so the binding
+// would not follow it.
 func (s *System) BindCPU(t *Thread, cpu int) error {
 	l := t.BoundLWP()
 	if l == nil {
@@ -434,7 +404,7 @@ func (s *System) BindCPU(t *Thread, cpu int) error {
 
 // Priocntl moves a bound thread's LWP to a scheduling class at a
 // user priority (priocntl): ClassTS ages with CPU usage, ClassRT and
-// ClassSYS are fixed. Like PsetBind and BindCPU it requires a thread
+// ClassSYS are fixed. Like BindCPU it requires a thread
 // bound to an LWP; unbound threads take their priority from the
 // library scheduler (SetPriority).
 func (s *System) Priocntl(t *Thread, class Class, prio int) error {
@@ -446,7 +416,7 @@ func (s *System) Priocntl(t *Thread, class Class, prio int) error {
 }
 
 // SchedStats snapshots the kernel dispatcher: one row per CPU with its
-// processor set, queue depth, and dispatch/steal/migration counters.
+// dispatch and migration counters.
 func (s *System) SchedStats() []CPUStat { return s.Kern.SchedStats() }
 
 // DispatchBench measures the library run-queue layer in isolation:
