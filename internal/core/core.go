@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"sunosmt/internal/chaos"
+	"sunosmt/internal/dispq"
 	"sunosmt/internal/ktime"
 	"sunosmt/internal/sim"
 	"sunosmt/internal/trace"
@@ -123,7 +124,7 @@ type Runtime struct {
 	// runq is the one set of runnable unbound threads the pool LWPs
 	// pick from (paper Figure 2); guarded by mu, as is every transition
 	// that feeds or drains it. rqPushes/rqPops count its traffic.
-	runq     runQueue
+	runq     dispq.Queue[Thread]
 	rqPushes uint64
 	rqPops   uint64
 	dying    atomic.Bool // atomic: a woken thread reads it without mu (awaitDispatch)
@@ -333,7 +334,7 @@ func (m *Runtime) sweepDying() {
 			parked = append(parked, t)
 		}
 	}
-	m.runq.clear()
+	m.runq.Clear()
 	// Shutdown releases the recycling caches; a dying process makes
 	// no more threads. Standby animators are told to exit so exitWG
 	// can drain.
@@ -491,13 +492,19 @@ func (m *Runtime) dispatch(pl *poolLWP) bool {
 	return true
 }
 
-// popLocked takes the best runnable thread off the run queue, or nil.
-// Caller holds m.mu.
+// popLocked takes the best runnable thread off the run queue, or nil:
+// the highest priority, FIFO among equals. A chaos source may pick a
+// different queued thread, exploring dispatch orders the priority rule
+// would not produce; the passed-over thread stays queued. Caller holds
+// m.mu.
 func (m *Runtime) popLocked() *Thread {
-	t := m.runq.pop(m.kern.Chaos())
-	if t != nil {
-		m.rqPops++
+	if m.runq.Len() == 0 {
+		return nil
 	}
+	i := max(m.kern.Chaos().RunqReorder(m.runq.Len()), 0)
+	t := m.runq.Nth(i, nil)
+	m.runq.Remove(&t.rq)
+	m.rqPops++
 	return t
 }
 
@@ -704,7 +711,7 @@ const (
 // blocked set is unchanged).
 func (m *Runtime) onSigwaiting() {
 	m.mu.Lock()
-	need := m.runq.len() > 0 && !m.dying.Load() &&
+	need := m.runq.Len() > 0 && !m.dying.Load() &&
 		len(m.pool)-m.retiring < m.cfg.MaxAutoLWPs &&
 		m.concurrency == 0
 	if need && m.growBackoff > 0 {
@@ -794,7 +801,7 @@ func (m *Runtime) PoolSize() int {
 func (m *Runtime) RunnableThreads() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.runq.len()
+	return m.runq.Len()
 }
 
 // LockPolicy reports the process-default lock policy configured for

@@ -1,209 +1,17 @@
 package core
 
 import (
-	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"sunosmt/internal/chaos"
 	"sunosmt/internal/sim"
 )
 
-// This file holds the user-level run queue and the thread execution
+// This file holds the run queue's reports and the thread execution
 // control interfaces: thread_wait, thread_stop, thread_continue,
 // thread_priority.
-
-// NumPrioLevels is the number of dispatch-queue levels of the run
-// queue, mirroring Solaris's fixed array of per-priority dispatch
-// queues (disp_q) indexed by an active-priority bitmap (dqactmap).
-// Priorities at or above the cap share the top level: they still beat
-// every lower priority, but are FIFO among themselves.
-const NumPrioLevels = 128
-
-// prioLevel maps a thread priority onto its dispatch-queue level.
-func prioLevel(prio int) int {
-	if prio >= NumPrioLevels {
-		return NumPrioLevels - 1
-	}
-	return prio
-}
-
-// runQueue is the priority run queue of unbound runnable threads:
-// one FIFO ring per priority level plus a bitmap of occupied levels,
-// so push, pop, remove and maxPrio are all O(1) — the dispatch hot
-// path does no scanning regardless of how many threads are queued.
-// Threads are linked intrusively through Thread.rqNext/rqPrev, so
-// removal (thread_stop, signal redirect) needs no search either.
-// Guarded by Runtime.mu.
-type runQueue struct {
-	qs     [NumPrioLevels]dispQ
-	bitmap [NumPrioLevels / 64]uint64
-	n      int
-}
-
-// dispQ is one per-priority FIFO ring: head is popped, tail appended.
-type dispQ struct {
-	head, tail *Thread
-}
-
-func (r *runQueue) len() int { return r.n }
-
-// push appends t to the tail of its effective-priority level (FIFO
-// among equals) and marks the level active.
-func (r *runQueue) push(t *Thread) {
-	lvl := prioLevel(int(t.effPrio.Load()))
-	t.rqLevel = lvl
-	t.rqOn = true
-	t.rqNext = nil
-	q := &r.qs[lvl]
-	if q.tail == nil {
-		t.rqPrev = nil
-		q.head, q.tail = t, t
-		r.bitmap[lvl>>6] |= 1 << (lvl & 63)
-	} else {
-		t.rqPrev = q.tail
-		q.tail.rqNext = t
-		q.tail = t
-	}
-	r.n++
-}
-
-// topLevel returns the highest active level, or -1 when empty: one
-// bits.Len64 per bitmap word, never a queue scan.
-func (r *runQueue) topLevel() int { return r.levelBelow(NumPrioLevels) }
-
-// pop removes and returns the highest-priority thread (FIFO among
-// equals), or nil. A chaos source (nil when disabled) may pick a
-// different queued thread, exploring dispatch orders the priority rule
-// would not produce; the passed-over thread stays queued.
-func (r *runQueue) pop(src *chaos.Source) *Thread {
-	if r.n == 0 {
-		return nil
-	}
-	if alt := src.RunqReorder(r.n); alt >= 0 {
-		if t := r.nth(alt); t != nil {
-			r.unlink(t)
-			return t
-		}
-	}
-	lvl := r.topLevel()
-	t := r.qs[lvl].head
-	r.unlink(t)
-	return t
-}
-
-// levelBelow returns the highest active level below lvl, or -1: with
-// topLevel it walks the occupied levels through the bitmap instead of
-// visiting all NumPrioLevels queues.
-func (r *runQueue) levelBelow(lvl int) int {
-	lvl--
-	if lvl < 0 {
-		return -1
-	}
-	w := lvl >> 6
-	word := r.bitmap[w] & (^uint64(0) >> (63 - lvl&63))
-	for word == 0 {
-		if w--; w < 0 {
-			return -1
-		}
-		word = r.bitmap[w]
-	}
-	return w<<6 + bits.Len64(word) - 1
-}
-
-// nth returns the alt-th queued thread in priority-then-FIFO order
-// (chaos exploration only: this is the one O(n) path, taken solely
-// when a chaos source fires).
-func (r *runQueue) nth(alt int) *Thread {
-	for lvl := r.topLevel(); lvl >= 0; lvl = r.levelBelow(lvl) {
-		for t := r.qs[lvl].head; t != nil; t = t.rqNext {
-			if alt == 0 {
-				return t
-			}
-			alt--
-		}
-	}
-	return nil
-}
-
-// unlink detaches a queued thread from its ring in O(1).
-func (r *runQueue) unlink(t *Thread) {
-	q := &r.qs[t.rqLevel]
-	if t.rqPrev != nil {
-		t.rqPrev.rqNext = t.rqNext
-	} else {
-		q.head = t.rqNext
-	}
-	if t.rqNext != nil {
-		t.rqNext.rqPrev = t.rqPrev
-	} else {
-		q.tail = t.rqPrev
-	}
-	if q.head == nil {
-		r.bitmap[t.rqLevel>>6] &^= 1 << (t.rqLevel & 63)
-	}
-	t.rqNext, t.rqPrev = nil, nil
-	t.rqOn = false
-	r.n--
-}
-
-// remove takes t off the queue if it is queued, in O(1) via its
-// intrusive links (thread_stop, timed-wait cancel, signal redirect).
-func (r *runQueue) remove(t *Thread) bool {
-	if !t.rqOn {
-		return false
-	}
-	r.unlink(t)
-	return true
-}
-
-// requeue moves a queued thread to the tail of the level its effective
-// priority now selects (thread_priority, turnstile inheritance), so the
-// change takes effect at the next pop. No-op when t is not queued.
-func (r *runQueue) requeue(t *Thread) {
-	if t.rqOn {
-		r.unlink(t)
-		r.push(t)
-	}
-}
-
-// clear empties the queue (process teardown). The threads' states are
-// owned by the dying sweep.
-func (r *runQueue) clear() {
-	for lvl := r.topLevel(); lvl >= 0; lvl = r.levelBelow(lvl) {
-		for t := r.qs[lvl].head; t != nil; {
-			next := t.rqNext
-			t.rqNext, t.rqPrev = nil, nil
-			t.rqOn = false
-			t = next
-		}
-		r.qs[lvl] = dispQ{}
-	}
-	r.bitmap = [len(r.bitmap)]uint64{}
-	r.n = 0
-}
-
-// maxPrio returns the highest queued priority, or -1 when empty. For
-// levels below the clamp this is exact from the bitmap; the top
-// (shared) level is scanned for the true maximum.
-func (r *runQueue) maxPrio() int {
-	lvl := r.topLevel()
-	if lvl < 0 {
-		return -1
-	}
-	if lvl < NumPrioLevels-1 {
-		return lvl
-	}
-	best := -1
-	for t := r.qs[lvl].head; t != nil; t = t.rqNext {
-		if p := int(t.effPrio.Load()); p > best {
-			best = p
-		}
-	}
-	return best
-}
 
 // PrioCount is one row of a run-queue occupancy report: Count queued
 // threads at priority Prio.
@@ -214,17 +22,13 @@ type PrioCount struct {
 
 // RunqStats reports the run-queue depth and the per-priority occupancy
 // (ascending priority), for mtstat and /proc. Counts are by actual
-// effective thread priority — what the queue orders by — not queue
-// level, so clamped priorities above the level cap report distinctly.
+// effective thread priority, not queue level, so priorities clamped
+// onto the top level report distinctly.
 func (m *Runtime) RunqStats() (int, []PrioCount) {
 	counts := make(map[int]int)
 	m.mu.Lock()
-	depth := m.runq.len()
-	for lvl := m.runq.topLevel(); lvl >= 0; lvl = m.runq.levelBelow(lvl) {
-		for t := m.runq.qs[lvl].head; t != nil; t = t.rqNext {
-			counts[int(t.effPrio.Load())]++
-		}
-	}
+	depth := m.runq.Len()
+	m.runq.Walk(func(t *Thread) { counts[int(t.effPrio.Load())]++ })
 	m.mu.Unlock()
 	prios := make([]int, 0, len(counts))
 	for p := range counts {
@@ -255,7 +59,7 @@ type ShardStat struct {
 func (m *Runtime) DispatchStats() []ShardStat {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return []ShardStat{{Depth: m.runq.len(), Pushes: m.rqPushes, Pops: m.rqPops}}
+	return []ShardStat{{Depth: m.runq.Len(), Pushes: m.rqPushes, Pops: m.rqPops}}
 }
 
 // DispatchBench measures the run-queue layer in isolation: workers
@@ -278,13 +82,13 @@ func DispatchBench(_, workers, iters int) time.Duration {
 		go func() {
 			defer wg.Done()
 			t := &Thread{}
-			t.effPrio.Store(1)
 			for i := 0; i < iters; i++ {
 				m.mu.Lock()
-				m.runq.push(t)
+				m.runq.Push(&t.rq, t, 1)
 				m.mu.Unlock()
 				m.mu.Lock()
-				t = m.runq.pop(nil)
+				t = m.runq.Nth(0, nil)
+				m.runq.Remove(&t.rq)
 				m.mu.Unlock()
 			}
 		}()
@@ -412,7 +216,7 @@ func (caller *Thread) Stop(target *Thread) error {
 		m.mu.Unlock()
 		return nil
 	case ThreadRunnable:
-		if m.runq.remove(target) {
+		if m.runq.Remove(&target.rq) {
 			target.state = ThreadStopped
 			target.msSwitchLocked(m.kern.Clock().Now(), MSStopped)
 			m.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sunosmt/internal/dispq"
 	"sunosmt/internal/sim"
 	"sunosmt/internal/trace"
 )
@@ -125,11 +126,9 @@ type Thread struct {
 
 	gate chan struct{} // run grant; buffered(1)
 
-	// Intrusive run-queue node (Solaris: t_link on the disp_q).
-	// Guarded by Runtime.mu, like the queue itself.
-	rqNext, rqPrev *Thread
-	rqLevel        int
-	rqOn           bool
+	// Run-queue link (Solaris: t_link on the disp_q). Guarded by
+	// Runtime.mu, like the queue itself.
+	rq dispq.Link[Thread]
 
 	// Intrusive sleep-queue node. sqNext/sqPrev are guarded by the
 	// shard lock of the channel the thread is queued on; sqBkt
@@ -489,7 +488,7 @@ func (m *Runtime) enqueue(t *Thread) {
 func (m *Runtime) readyLocked(t *Thread, now time.Duration) {
 	t.state = ThreadRunnable
 	t.msSwitchLocked(now, MSRunq)
-	m.runq.push(t)
+	m.runq.Push(&t.rq, t, int(t.effPrio.Load()))
 	m.rqPushes++
 }
 
@@ -845,7 +844,7 @@ func (t *Thread) Yield() {
 func (t *Thread) requeueSelf() bool {
 	m := t.m
 	m.mu.Lock()
-	if m.runq.len() == 0 {
+	if m.runq.Len() == 0 {
 		m.mu.Unlock()
 		return false
 	}
@@ -1053,7 +1052,7 @@ func (m *Runtime) threadGone(t *Thread) {
 	t.msFinalLocked(m.kern.Clock().Now())
 	m.dropTurnstilesLocked(t)
 	t.unloadLocked()
-	m.runq.remove(t)
+	m.runq.Remove(&t.rq)
 	delete(m.threads, t.id)
 	m.nlive--
 	if t.flags&ThreadDaemon != 0 {

@@ -296,7 +296,9 @@ func (m *Runtime) setEffLocked(t *Thread, p int) bool {
 		return false
 	}
 	t.effPrio.Store(int32(p))
-	m.runq.requeue(t)
+	if m.runq.Remove(&t.rq) {
+		m.runq.Push(&t.rq, t, p)
+	}
 	if t.state == ThreadRunnable {
 		m.flagPreemptionLocked(p)
 	}

@@ -44,65 +44,10 @@ func queue(t *testing.T, k *Kernel, p *Process, bind int, class Class, prio int)
 		l.boundCPU = k.cpus[bind]
 	}
 	k.makeRunnableLocked(l, k.clock.Now())
-	if !l.rqOn {
+	if !l.rq.Queued() {
 		t.Fatalf("lwp was dispatched, want it queued")
 	}
 	return l
-}
-
-// TestLwpRunqOrder checks the queue structure itself: strict priority
-// order with FIFO among equals, across pushes and removals.
-func TestLwpRunqOrder(t *testing.T) {
-	type op struct {
-		push   string // id to push, "" for pop
-		lvl    int
-		expect string // for pops: id expected at the head
-	}
-	cases := []struct {
-		name string
-		ops  []op
-	}{
-		{"fifo-among-equals", []op{
-			{push: "a", lvl: 30}, {push: "b", lvl: 30}, {push: "c", lvl: 30},
-			{expect: "a"}, {expect: "b"}, {expect: "c"},
-		}},
-		{"higher-level-first", []op{
-			{push: "lo", lvl: 10}, {push: "hi", lvl: 50}, {push: "mid", lvl: 30},
-			{expect: "hi"}, {expect: "mid"}, {expect: "lo"},
-		}},
-		{"interleaved", []op{
-			{push: "a", lvl: 30}, {push: "b", lvl: 59}, {push: "c", lvl: 30},
-			{expect: "b"}, {expect: "a"},
-			{push: "d", lvl: 30},
-			{expect: "c"}, {expect: "d"},
-		}},
-		{"rt-beats-ts", []op{
-			{push: "ts", lvl: 59}, {push: "rt", lvl: 100},
-			{expect: "rt"}, {expect: "ts"},
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var r lwpRunq
-			lwps := map[string]*LWP{}
-			for _, o := range tc.ops {
-				if o.push != "" {
-					l := &LWP{}
-					lwps[o.push] = l
-					r.push(l, o.lvl)
-					continue
-				}
-				h := r.nth(nil, 0)
-				if h != lwps[o.expect] {
-					t.Fatalf("head = %p, want %q", h, o.expect)
-				}
-				r.unlink(h)
-			}
-			if r.n != 0 || r.top() != -1 {
-				t.Fatalf("queue not drained: n=%d top=%d", r.n, r.top())
-			}
-		})
-	}
 }
 
 // TestPriocntlRequeues checks the remove-modify-push discipline: a
@@ -118,14 +63,14 @@ func TestPriocntlRequeues(t *testing.T) {
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if !b.rqOn {
+	if !b.rq.Queued() {
 		t.Fatalf("b not queued after priocntl")
 	}
-	if b.rqLevel != rtMinGlobal+10 {
-		t.Fatalf("b at level %d, want %d", b.rqLevel, rtMinGlobal+10)
+	if b.rq.Level() != rtMinGlobal+10 {
+		t.Fatalf("b at level %d, want %d", b.rq.Level(), rtMinGlobal+10)
 	}
-	if a.rqLevel != 30 {
-		t.Fatalf("a moved to level %d", a.rqLevel)
+	if a.rq.Level() != 30 {
+		t.Fatalf("a moved to level %d", a.rq.Level())
 	}
 	// b now outranks a: it must be the pick.
 	c := k.cpus[1]
@@ -135,11 +80,12 @@ func TestPriocntlRequeues(t *testing.T) {
 	}
 }
 
-// TestBindExcludesSteal checks that a hard CPU binding hides a queued
-// LWP from every other CPU: a free CPU passes over it, even when it
-// outranks everything else queued, and goes idle when nothing else is.
-func TestBindExcludesSteal(t *testing.T) {
-	t.Run("cpu-bound-never-stolen", func(t *testing.T) {
+// TestBindExcludesOtherCPUs checks that a hard CPU binding hides a
+// queued LWP from every other CPU: a free CPU passes over it, even when
+// it outranks everything else queued, and goes idle when nothing else
+// is.
+func TestBindExcludesOtherCPUs(t *testing.T) {
+	t.Run("other-cpu-passes-over", func(t *testing.T) {
 		k, p := dispKernel(2)
 		occupyAll(k, p)
 		bound := queue(t, k, p, 1, ClassTS, 50)
@@ -257,12 +203,12 @@ func TestRelevelOnPeriod(t *testing.T) {
 	// Age the LWP after it was queued, so its queue level is stale
 	// until the re-level moves it.
 	aged.cpuUsage = 50 * time.Millisecond // 10 levels of penalty
-	staleLvl := aged.rqLevel
+	staleLvl := aged.rq.Level()
 	k.maybeRelevelLocked(k.clock.Now())
-	early := aged.rqLevel
+	early := aged.rq.Level()
 	clk.Advance(relevelPeriod + time.Millisecond)
 	k.maybeRelevelLocked(k.clock.Now())
-	newLvl := aged.rqLevel
+	newLvl := aged.rq.Level()
 	c0 := k.cpus[0]
 	c0.lwp = nil
 	first := k.pickForLocked(c0)
@@ -276,6 +222,34 @@ func TestRelevelOnPeriod(t *testing.T) {
 	}
 	if first != other {
 		t.Errorf("picked %v first, want the LWP the aged one sank below", first)
+	}
+}
+
+// TestRelevelZeroAlloc: the re-level moves each stale LWP as its walk
+// finds it, so a period that finds one makes no host allocation.
+func TestRelevelZeroAlloc(t *testing.T) {
+	k, p := dispKernel(1)
+	occupyAll(k, p)
+	aged := queue(t, k, p, -1, ClassTS, 40)
+	queue(t, k, p, -1, ClassTS, 30)
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	now := k.clock.Now()
+	allocs := testing.AllocsPerRun(100, func() {
+		// Age the LWP, or let it recover, so its level is stale.
+		if aged.cpuUsage == 0 {
+			aged.cpuUsage = 50 * time.Millisecond
+		} else {
+			aged.cpuUsage = 0
+		}
+		now += relevelPeriod
+		k.maybeRelevelLocked(now)
+		if aged.rq.Level() != aged.globalPrio() {
+			t.Fatalf("aged lwp at level %d, want %d", aged.rq.Level(), aged.globalPrio())
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("re-level made %v allocations, want 0", allocs)
 	}
 }
 
@@ -318,7 +292,7 @@ func TestDispatchDeterminism(t *testing.T) {
 				k.releaseCPULocked(l, k.clock.Now(), LWPRunnable)
 				k.enqueueLocked(l)
 				k.scheduleLocked(k.clock.Now())
-			case l.rqOn && step%3 == 0:
+			case l.rq.Queued() && step%3 == 0:
 				// Bind it to a CPU, or unbind it, as BindCPU would.
 				if l.boundCPU == nil {
 					l.boundCPU = k.cpus[(step/3)%4]

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"sunosmt/internal/chaos"
+	"sunosmt/internal/dispq"
 	"sunosmt/internal/ktime"
 	"sunosmt/internal/trace"
 )
@@ -166,7 +167,7 @@ type Kernel struct {
 	// Dispatcher state (dispq.go): every runnable LWP waits on runq.
 	// gangQueued is the count the hot path consults instead of
 	// scanning the queue.
-	runq        lwpRunq
+	runq        dispq.Queue[LWP]
 	gangQueued  int // queued gang members (enables the gang slow path)
 	lastRelevel time.Duration
 
@@ -449,17 +450,16 @@ func (k *Kernel) makeRunnableLocked(l *LWP, now time.Duration) {
 // priority and gang changes to a queued LWP must dequeue first and
 // enqueue after. dequeueLocked reports whether l was queued.
 func (k *Kernel) enqueueLocked(l *LWP) {
-	k.runq.push(l, globalLevel(l.globalPrio()))
+	k.runq.Push(&l.rq, l, l.globalPrio())
 	if l.gang != 0 {
 		k.gangQueued++
 	}
 }
 
 func (k *Kernel) dequeueLocked(l *LWP) bool {
-	if !l.rqOn {
+	if !k.runq.Remove(&l.rq) {
 		return false
 	}
-	k.runq.unlink(l)
 	if l.gang != 0 {
 		k.gangQueued--
 	}
@@ -509,15 +509,15 @@ func (k *Kernel) pickForLocked(c *CPU) *LWP {
 	if k.gangQueued > 0 {
 		return k.pickGangLocked(c)
 	}
-	l := k.runq.nth(c, 0)
+	l := k.runq.Nth(0, c.eligible)
 	if l == nil {
 		return nil
 	}
 	// Chaos: dispatch a non-best eligible LWP, delaying the best one;
 	// preemptCheckLocked reclaims a CPU for it.
 	if k.chaos.Enabled() {
-		if alt := k.chaos.PickReorder(k.runq.eligibleN(c)); alt >= 0 {
-			l = k.runq.nth(c, alt)
+		if alt := k.chaos.PickReorder(k.runq.Count(c.eligible)); alt >= 0 {
+			l = k.runq.Nth(alt, c.eligible)
 		}
 	}
 	k.dequeueLocked(l)
@@ -534,8 +534,8 @@ func (k *Kernel) pickGangLocked(c *CPU) *LWP {
 	bestPrio := -1
 	var candidates []*LWP
 	collect := k.chaos.Enabled()
-	k.runq.forEach(func(l *LWP) {
-		if !eligible(l, c) {
+	k.runq.Walk(func(l *LWP) {
+		if !c.eligible(l) {
 			return
 		}
 		if collect {
@@ -565,22 +565,19 @@ func (k *Kernel) pickGangLocked(c *CPU) *LWP {
 
 // maybeRelevelLocked re-levels the queue when its period has elapsed
 // on the kernel clock: queued timeshare LWPs whose decayed usage moved
-// their priority go to their current level.
+// their priority go to the tail of their current level, in walk order,
+// each as the walk finds it.
 func (k *Kernel) maybeRelevelLocked(now time.Duration) {
-	if k.runq.n == 0 || now-k.lastRelevel < relevelPeriod {
+	if k.runq.Len() == 0 || now-k.lastRelevel < relevelPeriod {
 		return
 	}
 	k.lastRelevel = now
-	var stale []*LWP
-	k.runq.forEach(func(l *LWP) {
-		if globalLevel(l.globalPrio()) != l.rqLevel {
-			stale = append(stale, l)
+	k.runq.Walk(func(l *LWP) {
+		if dispq.Level(l.globalPrio()) != l.rq.Level() {
+			k.dequeueLocked(l)
+			k.enqueueLocked(l)
 		}
 	})
-	for _, l := range stale {
-		k.dequeueLocked(l)
-		k.enqueueLocked(l)
-	}
 }
 
 func (k *Kernel) assignLocked(l *LWP, c *CPU, now time.Duration) {
@@ -621,19 +618,19 @@ func (k *Kernel) releaseCPULocked(l *LWP, now time.Duration, newState LWPState) 
 // eligible for its CPU and of higher priority is queued. Preemption is
 // cooperative and takes effect at the victim's next checkpoint.
 func (k *Kernel) preemptCheckLocked() {
-	if k.runq.n == 0 {
+	if k.runq.Len() == 0 {
 		return
 	}
 	for _, c := range k.cpus {
 		if c.lwp == nil {
 			continue
 		}
-		best := k.runq.nth(c, 0)
+		best := k.runq.Nth(0, c.eligible)
 		if best == nil {
 			continue
 		}
 		k.settleLocked(c.lwp)
-		if c.lwp.globalPrio() < best.rqLevel {
+		if c.lwp.globalPrio() < best.rq.Level() {
 			c.lwp.preempt = true
 			c.lwp.slow.Store(true)
 		}
@@ -784,8 +781,8 @@ func (k *Kernel) checkpointLocked(l *LWP, now time.Duration) time.Duration {
 	// The slice expires only for an LWP that another could replace:
 	// one eligible for its CPU is queued.
 	slice := k.cfg.TimeSlice
-	expired := slice > 0 && now-l.onCPUSince >= slice && k.runq.n > 0 &&
-		(l.cpu == nil || k.runq.nth(l.cpu, 0) != nil)
+	expired := slice > 0 && now-l.onCPUSince >= slice && k.runq.Len() > 0 &&
+		(l.cpu == nil || k.runq.Nth(0, l.cpu.eligible) != nil)
 	// Chaos: force a preemption as if the slice expired, so the
 	// dispatcher re-decides who runs here.
 	forced := l.state == LWPOnCPU && k.chaos.Preempt()
@@ -842,10 +839,7 @@ func (k *Kernel) ExitLWP(l *LWP) {
 		l.cpu = nil
 		l.curCPU.Store(-1)
 	}
-	if l.wq != nil {
-		l.wq.remove(l)
-		l.wq = nil
-	}
+	l.leaveWaitQLocked()
 	if l.indefinite {
 		p.indefSleepers--
 		l.indefinite = false

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"sunosmt/internal/dispq"
 )
 
 // LWPID identifies an LWP within its process. There is no system-wide
@@ -110,12 +112,9 @@ type LWP struct {
 	fastUntil atomic.Int64
 	ckptAt    atomic.Int64
 
-	// Intrusive dispatch-queue node (dispq.go): the LWP's level on
-	// the kernel's run queue, whether it is queued, and the FIFO
-	// links. Guarded by Kernel.mu.
-	rqNext, rqPrev *LWP
-	rqLevel        int
-	rqOn           bool
+	// Dispatch-queue link (dispq.go): the LWP's place on the kernel's
+	// run queue. Guarded by Kernel.mu.
+	rq dispq.Link[LWP]
 
 	// Microstate accounting (see microstate.go); guarded by
 	// Kernel.mu except curCPU, an atomic mirror of the current CPU
@@ -126,14 +125,13 @@ type LWP struct {
 	lastCPU int // previous CPU dispatched on; -1 before first dispatch
 	curCPU  atomic.Int32
 
-	// Sleep state; guarded by Kernel.mu. wqNext/wqPrev are the
-	// intrusive links of the WaitQ the LWP sleeps on. sleepDeadline is
-	// when the current sleep times out, 0 when it has no bound or the
-	// LWP is not sleeping; a nonzero one is queued in the kernel's
-	// callout at coIdx, ordered after earlier equal deadlines by coSeq.
+	// Sleep state; guarded by Kernel.mu. wqLink is the LWP's place on
+	// the WaitQ wq it sleeps on. sleepDeadline is when the current
+	// sleep times out, 0 when it has no bound or the LWP is not
+	// sleeping; a nonzero one is queued in the kernel's callout at
+	// coIdx, ordered after earlier equal deadlines by coSeq.
 	wq            *WaitQ
-	wqNext        *LWP
-	wqPrev        *LWP
+	wqLink        dispq.Link[LWP]
 	wakeRes       WakeResult
 	woken         bool
 	sleepDeadline time.Duration

@@ -29,7 +29,7 @@ func (k *Kernel) SchedStats() []CPUStat {
 func (k *Kernel) RunqDepth() int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.runq.n
+	return k.runq.Len()
 }
 
 // WorkConserving verifies the dispatcher invariant the chaos sweeps
@@ -40,7 +40,7 @@ func (k *Kernel) WorkConserving() bool {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	for _, c := range k.cpus {
-		if c.lwp == nil && k.runq.nth(c, 0) != nil {
+		if c.lwp == nil && k.runq.Nth(0, c.eligible) != nil {
 			return false
 		}
 	}

@@ -4,21 +4,21 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sunosmt/internal/dispq"
 	"sunosmt/internal/trace"
 )
 
 // WaitQ is a kernel sleep queue. LWPs block on wait queues inside
 // system calls (pipe I/O, poll, waitpid, process-shared
 // synchronization variables, bound-thread sleeps). Wakeups are FIFO.
-// The queue is an intrusive doubly-linked list through the LWPs'
-// wqNext/wqPrev fields, so timeout and signal-interrupt removal of a
-// mid-queue sleeper is O(1).
+// The queue is an intrusive list through the LWPs' wqLink, so timeout
+// and signal-interrupt removal of a mid-queue sleeper is O(1).
 //
 // The zero value is ready to use. A WaitQ must not be copied after
 // first use.
 type WaitQ struct {
-	name       string
-	head, tail *LWP // guarded by Kernel.mu
+	name string
+	q    dispq.List[LWP] // guarded by Kernel.mu
 	// n is written under Kernel.mu and read without it by WakeupAll,
 	// which returns at once when every queue it is given reads 0.
 	n atomic.Int32
@@ -31,44 +31,13 @@ func NewWaitQ(name string) *WaitQ { return &WaitQ{name: name} }
 // Name returns the queue's name.
 func (w *WaitQ) Name() string { return w.name }
 
-func (w *WaitQ) add(l *LWP) {
-	l.wqPrev = w.tail
-	l.wqNext = nil
-	if w.tail != nil {
-		w.tail.wqNext = l
-	} else {
-		w.head = l
+// leaveWaitQLocked takes l off the wait queue it sleeps on, if any.
+func (l *LWP) leaveWaitQLocked() {
+	if w := l.wq; w != nil {
+		w.q.Remove(&l.wqLink)
+		w.n.Add(-1)
+		l.wq = nil
 	}
-	w.tail = l
-	w.n.Add(1)
-}
-
-func (w *WaitQ) remove(l *LWP) {
-	if l.wq != w {
-		return
-	}
-	if l.wqPrev != nil {
-		l.wqPrev.wqNext = l.wqNext
-	} else {
-		w.head = l.wqNext
-	}
-	if l.wqNext != nil {
-		l.wqNext.wqPrev = l.wqPrev
-	} else {
-		w.tail = l.wqPrev
-	}
-	l.wqNext, l.wqPrev = nil, nil
-	w.n.Add(-1)
-}
-
-// nth returns the i'th queued LWP (head = 0). Only the chaos
-// wake-reorder path walks the list.
-func (w *WaitQ) nth(i int) *LWP {
-	l := w.head
-	for ; i > 0 && l != nil; i-- {
-		l = l.wqNext
-	}
-	return l
 }
 
 // Len reports how many LWPs are blocked on the queue.
@@ -128,10 +97,10 @@ func (k *Kernel) SleepIf(l *LWP, wq *WaitQ, cond func() bool, o SleepOpts) (Wake
 		return WakeInterrupted, false, now
 	}
 	l.wq = wq
-	wq.add(l)
+	wq.q.PushBack(&l.wqLink, l)
+	wq.n.Add(1)
 	if cond != nil && !cond() {
-		wq.remove(l)
-		l.wq = nil
+		l.leaveWaitQLocked()
 		return WakeNormal, false, now
 	}
 	p := l.proc
@@ -193,10 +162,7 @@ func (k *Kernel) SleepIf(l *LWP, wq *WaitQ, cond func() bool, o SleepOpts) (Wake
 // only stamps the ring record, so an entry that does nothing but wake
 // or post passes k.rings.Now() and reads no clock with tracing off.
 func (k *Kernel) wakeLWPLocked(l *LWP, now time.Duration, res WakeResult) {
-	if l.wq != nil {
-		l.wq.remove(l)
-		l.wq = nil
-	}
+	l.leaveWaitQLocked()
 	k.calloutRemoveLocked(l)
 	if l.indefinite {
 		l.proc.indefSleepers--
@@ -250,12 +216,7 @@ func (k *Kernel) wakeupLocked(wq *WaitQ, n int, now time.Duration) int {
 		// Chaos: wake a non-head waiter, breaking FIFO order. Any
 		// queued LWP is a legitimate wake target; callers built on
 		// sleep queues re-check their condition after waking.
-		l := wq.head
-		if alt := k.chaos.WakeReorder(int(wq.n.Load())); alt > 0 {
-			if cand := wq.nth(alt); cand != nil {
-				l = cand
-			}
-		}
+		l := wq.q.Nth(max(k.chaos.WakeReorder(int(wq.n.Load())), 0))
 		k.wakeLWPLocked(l, now, WakeNormal)
 		count++
 	}

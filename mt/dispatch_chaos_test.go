@@ -197,14 +197,14 @@ func TestChaosStealPsetConfinement(t *testing.T) {
 	})
 }
 
-// TestStealUnderFullOccupancy: with a low-priority bound spinner on
+// TestWakeUnderFullOccupancy: with a low-priority bound spinner on
 // every CPU, each wakeup of a ping-pong pair's LWP finds no free CPU
 // and queues, outranking the spinners — so it reaches a CPU by
 // preempting one, whichever CPU that is. The rings must pair at least
 // one EvWakeup with the EvMigrate of the same LWP's next dispatch: a
 // woken LWP that outranks every running one reaches some CPU, not only
 // the one it last ran on. No chaos: occupancy alone has to force it.
-func TestStealUnderFullOccupancy(t *testing.T) {
+func TestWakeUnderFullOccupancy(t *testing.T) {
 	const ncpu, pairs, spinners, rounds = 4, 4, 4, 200
 	sys := NewSystem(Options{NCPU: ncpu, EventRing: 1 << 15})
 	var stop atomic.Bool
